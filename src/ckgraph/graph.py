@@ -14,13 +14,17 @@ condition, and a backtracking isomorphism tester for desk-scale graphs.
 from __future__ import annotations
 
 import hashlib
+import re
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import GraphFormatError, PreconditionError
 
-_FORBIDDEN_ID_CHARS = set("#,=")
+# any character an id may not contain: whitespace (exactly the characters
+# for which str.isspace holds) and the separators of the text formats
+_BAD_ID_CHAR = re.compile(r"[\s#,=]")
 
 
 class Edge(NamedTuple):
@@ -32,7 +36,7 @@ class Edge(NamedTuple):
 def _check_id(kind: str, name: str) -> None:
     if not isinstance(name, str) or not name:
         raise GraphFormatError(f"{kind} id must be a nonempty string, got {name!r}")
-    if any(c.isspace() for c in name) or _FORBIDDEN_ID_CHARS & set(name):
+    if _BAD_ID_CHAR.search(name):
         raise GraphFormatError(
             f"bad {kind} id {name!r}: ids contain no whitespace and none of '#', ',', '='"
         )
@@ -243,11 +247,41 @@ def reachable_from(g: Graph, start: Iterable[str]) -> frozenset[str]:
     return frozenset(seen)
 
 
+def _topological_order(g: Graph, among: Iterable[str]) -> list[str]:
+    # Kahn's order of the subgraph on `among`, least ready vertex first; it
+    # leaves out what lies on or behind a cycle, so it is complete exactly
+    # when that subgraph is acyclic
+    inside = set(among)
+    indeg = {v: sum(1 for e in g.in_edges(v) if e.src in inside) for v in inside}
+    ready = sorted(v for v in inside if indeg[v] == 0)
+    order: list[str] = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for e in g.out_edges(v):
+            if e.dst in inside:
+                indeg[e.dst] -= 1
+                if indeg[e.dst] == 0:
+                    insort(ready, e.dst)
+    return order
+
+
 def is_hereditary(g: Graph, s: Iterable[str]) -> bool:
     sset = set(s)
     for v in sset:
         g.require_vertex(v)
     return all(e.dst in sset for v in sset for e in g.out_edges(v))
+
+
+def _require_hereditary(g: Graph, hset: set[str] | frozenset[str]) -> None:
+    for v in hset:
+        g.require_vertex(v)
+    for v in sorted(hset):
+        for e in g.out_edges(v):
+            if e.dst not in hset:
+                raise PreconditionError(
+                    "not-hereditary", f"edge {e.eid!r} leaves the set: {e.src!r} -> {e.dst!r}"
+                )
 
 
 def is_saturated(g: Graph, s: Iterable[str]) -> bool:
@@ -298,15 +332,7 @@ def restrict_to_hereditary(g: Graph, h: Iterable[str]) -> Graph:
     Heredity guarantees those edges also land in ``h``.
     """
     hset = set(h)
-    for v in hset:
-        g.require_vertex(v)
-    for v in sorted(hset):
-        for e in g.out_edges(v):
-            if e.dst not in hset:
-                raise PreconditionError(
-                    "not-hereditary",
-                    f"edge {e.eid!r} leaves the set: {e.src!r} -> {e.dst!r}",
-                )
+    _require_hereditary(g, hset)
     edges = [e for v in hset for e in g.out_edges(v)]
     return Graph.build(sorted(hset), edges)
 

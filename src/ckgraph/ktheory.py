@@ -73,6 +73,11 @@ class _K0Engine:
     regulars: tuple[str, ...]
     presentation: IntMatrix
     snf: SnfResult
+    torsion: tuple[int, ...]  # the Smith divisors greater than one
+
+    def ranks(self) -> tuple[int, int]:
+        """K0 and K1 ranks: the vertex and regular-vertex counts less the Smith rank."""
+        return len(self.vertices) - self.snf.rank(), len(self.regulars) - self.snf.rank()
 
     def class_of(self, coefficients: Mapping[str, int]) -> K0Class:
         for v in coefficients:
@@ -105,7 +110,9 @@ def _k0_engine(g: Graph) -> _K0Engine:
     presentation = IntMatrix.from_rows(
         [[columns[w][i] for w in regulars] for i in range(len(g.vertices))]
     )
-    return _K0Engine(g.vertices, regulars, presentation, smith_normal_form(presentation))
+    snf = smith_normal_form(presentation)
+    torsion = tuple(d for d in snf.divisors() if d > 1)
+    return _K0Engine(g.vertices, regulars, presentation, snf, torsion)
 
 
 def k_presentation_matrix(g: Graph) -> IntMatrix:
@@ -124,33 +131,34 @@ def k0_class_divisible(g: Graph, coefficients: Mapping[str, int], k: int) -> boo
     if k <= 0:
         raise PreconditionError("bad-parameter", f"divisor must be positive, got {k}")
     engine = _k0_engine(g)
-    cls = engine.class_of(coefficients)
-    divisors = [d for d in engine.snf.divisors() if d > 1]
-    return all(r % gcd(k, d) == 0 for r, d in zip(cls.torsion, divisors)) and all(
+    return _divisible(engine.class_of(coefficients), engine.torsion, k)
+
+
+def _divisible(cls: K0Class, torsion: tuple[int, ...], k: int) -> bool:
+    return all(r % gcd(k, d) == 0 for r, d in zip(cls.torsion, torsion)) and all(
         f % k == 0 for f in cls.free
     )
 
 
-def _class_order(cls: K0Class, divisors: tuple[int, ...]) -> int | None:
+def _class_order(cls: K0Class, torsion: tuple[int, ...]) -> int | None:
     if any(cls.free):
         return None
-    return lcm(1, *(d // gcd(d, r) for r, d in zip(cls.torsion, divisors)))
+    return lcm(1, *(d // gcd(d, r) for r, d in zip(cls.torsion, torsion)))
 
 
 def k_invariants(g: Graph) -> KInvariants:
     engine = _k0_engine(g)
-    nonzero = engine.snf.divisors()
-    torsion = tuple(d for d in nonzero if d > 1)
+    torsion = engine.torsion
+    k0_rank, k1_rank = engine.ranks()
     unit_class = engine.class_of({v: 1 for v in g.vertices})
     return KInvariants(
         k0_torsion=torsion,
-        k0_rank=len(g.vertices) - len(nonzero),
-        k1_rank=len(engine.regulars) - len(nonzero),
+        k0_rank=k0_rank,
+        k1_rank=k1_rank,
         unit_profile=UnitProfile(
             order=_class_order(unit_class, torsion),
             divisible_by=tuple(
-                k0_class_divisible(g, {v: 1 for v in g.vertices}, k)
-                for k in range(1, DIVISIBILITY_FLAGS + 1)
+                _divisible(unit_class, torsion, k) for k in range(1, DIVISIBILITY_FLAGS + 1)
             ),
         ),
     )
@@ -175,10 +183,10 @@ def is_cuntz_krieger(g: Graph) -> tuple[bool, CkWitness]:
     """
     if g.is_empty():
         raise PreconditionError("empty-graph", "the empty graph has no unital graph algebra")
-    inv = k_invariants(g)
-    witness = CkWitness(sinks=g.sinks, k0_rank=inv.k0_rank, k1_rank=inv.k1_rank)
+    k0_rank, k1_rank = _k0_engine(g).ranks()
+    witness = CkWitness(sinks=g.sinks, k0_rank=k0_rank, k1_rank=k1_rank)
     combinatorial = not witness.sinks
-    ranks_agree = inv.k0_rank == inv.k1_rank
+    ranks_agree = k0_rank == k1_rank
     if combinatorial != ranks_agree:
         raise CertificateError(
             f"sink test ({combinatorial}) and rank test ({ranks_agree}) disagree: {witness}"

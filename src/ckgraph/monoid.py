@@ -6,7 +6,9 @@ vertex trades for one unit at the range of each edge it emits, and back --
 generates Murray-von Neumann equivalence of these classes.  This module
 implements the rewrite, its telescoping along a path, a bidirectional
 breadth-first equivalence oracle with replayable traces, fullness, and the
-normalization that makes a full multiset everywhere positive.
+normalization that makes a full multiset everywhere positive.  The checks
+for sinks, sources and missing self-loops are said here once and shared
+with the pipelines.
 """
 
 from __future__ import annotations
@@ -119,6 +121,9 @@ class RewriteStep(NamedTuple):
     vertex: str
 
 
+_OPPOSITE = {"expand": "contract", "contract": "expand"}
+
+
 @dataclass(frozen=True)
 class RewriteTrace:
     """Replayable step sequence turning one multiset into another."""
@@ -137,8 +142,7 @@ class RewriteTrace:
         return current
 
     def inverted(self) -> "RewriteTrace":
-        flip = {"expand": "contract", "contract": "expand"}
-        return RewriteTrace(tuple(RewriteStep(flip[s.op], s.vertex) for s in reversed(self.steps)))
+        return RewriteTrace(tuple(RewriteStep(_OPPOSITE[op], v) for op, v in reversed(self.steps)))
 
 
 def expansion_profile(g: Graph, v: str) -> dict[str, int]:
@@ -223,20 +227,19 @@ def _join_traces(
     backward: dict[VertexMultiset, tuple[VertexMultiset, RewriteStep] | None],
     meeting: VertexMultiset,
 ) -> RewriteTrace:
-    ahead: list[RewriteStep] = []
-    state = meeting
-    while forward[state] is not None:
-        parent, step = forward[state]  # type: ignore[misc]
-        ahead.append(step)
-        state = parent
-    ahead.reverse()
-    behind: list[RewriteStep] = []
-    state = meeting
-    while backward[state] is not None:
-        parent, step = backward[state]  # type: ignore[misc]
-        behind.append(step)
-        state = parent
-    return RewriteTrace(tuple(ahead) + RewriteTrace(tuple(behind)).inverted().steps)
+    # Walking a search tree from the meeting point back to its root gives the
+    # steps newest first.  Reversed, the forward half runs a -> meeting.  The
+    # backward half is already in meeting -> b order, but each of its steps
+    # was taken towards the meeting point, so only its direction is flipped.
+    halves: list[list[RewriteStep]] = []
+    for parents in (forward, backward):
+        steps, state = [], meeting
+        while parents[state] is not None:
+            state, step = parents[state]  # type: ignore[misc]
+            steps.append(step)
+        halves.append(steps)
+    ahead, behind = halves
+    return RewriteTrace(tuple(ahead[::-1] + [RewriteStep(_OPPOSITE[op], v) for op, v in behind]))
 
 
 def mvn_equivalent(g: Graph, a: VertexMultiset, b: VertexMultiset, budget: int) -> MvnResult:
@@ -293,6 +296,16 @@ def is_full(g: Graph, m: VertexMultiset) -> bool:
     return hereditary_saturated_closure(g, m.support) == frozenset(g.vertices)
 
 
+def _require_no_sinks(g: Graph) -> None:
+    if g.sinks:
+        raise PreconditionError("has-sink", f"sinks present: {', '.join(g.sinks)}")
+
+
+def _require_no_sources(g: Graph) -> None:
+    if g.source_vertices:
+        raise PreconditionError("has-source", f"sources present: {', '.join(g.source_vertices)}")
+
+
 def _require_loops_everywhere(g: Graph) -> None:
     missing = [v for v in g.vertices if not g.loops_at(v)]
     if missing:
@@ -311,10 +324,8 @@ def fullness_normalize(g: Graph, n: VertexMultiset) -> VertexMultiset:
     vertex in the support, so the support strictly grows until it is
     everything.
     """
-    if g.sinks:
-        raise PreconditionError("has-sink", f"sinks present: {', '.join(g.sinks)}")
-    if g.source_vertices:
-        raise PreconditionError("has-source", f"sources present: {', '.join(g.source_vertices)}")
+    _require_no_sinks(g)
+    _require_no_sources(g)
     _require_loops_everywhere(g)
     if not is_full(g, n):
         raise PreconditionError("not-full", "the multiset does not generate the whole graph")

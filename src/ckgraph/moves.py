@@ -2,8 +2,11 @@
 
 Each move is a pure function on graphs plus a small parameter record, so a
 sequence of moves can be logged, serialized, and replayed against graph
-fingerprints.  Fresh ids are generated deterministically from the move's
-parameters and suffixed with ``_2``, ``_3``, ... on collision:
+fingerprints.  The table ``_MOVES`` is the one list of move spellings: it
+ties each spelling name to its record type and its function, and
+:func:`apply_move`, :func:`format_move` and :func:`parse_move` all read it.
+Fresh ids are generated deterministically from the move's parameters and
+suffixed with ``_2``, ``_3``, ... on collision:
 
 * head vertices ``<v>~h<k>`` with edges ``<v>~h<k>e``,
 * subdivision vertices ``<e>~s<k>`` with edges ``<e>~s<k>e``,
@@ -15,11 +18,11 @@ parameters and suffixed with ``_2``, ``_3``, ... on collision:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Union
+from dataclasses import dataclass, fields
+from typing import Iterable, Mapping, Union
 
 from .errors import CertificateError, GraphFormatError, PreconditionError
-from .graph import Edge, Graph, graph_fingerprint, is_hereditary
+from .graph import Graph, _require_hereditary, _topological_order, graph_fingerprint
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -35,23 +38,29 @@ def _fresh(base: str, taken: set[str]) -> str:
 # -- the moves ----------------------------------------------------------------
 
 
+def _attach_fresh(g: Graph, v0: str, n: int, tag: str, chained: bool) -> Graph:
+    # n fresh vertices <v0>~<tag><k>, each emitting one edge <v0>~<tag><k>e,
+    # into the vertex added before it (a line ending at v0) or into v0 itself
+    vnames = set(g.vertices)
+    enames = {e.eid for e in g.edges}
+    vertices = list(g.vertices)
+    edges = [tuple(e) for e in g.edges]
+    target = v0
+    for k in range(1, n + 1):
+        vk = _fresh(f"{v0}~{tag}{k}", vnames)
+        edges.append((_fresh(f"{v0}~{tag}{k}e", enames), vk, target))
+        vertices.append(vk)
+        if chained:
+            target = vk
+    return Graph.build(vertices, edges)
+
+
 def add_head(g: Graph, v0: str, n: int) -> Graph:
     """Attach a line of ``n`` fresh vertices feeding ``v0``."""
     g.require_vertex(v0)
     if n <= 0:
         raise PreconditionError("bad-parameter", f"head length must be positive, got {n}")
-    vnames = set(g.vertices)
-    enames = {e.eid for e in g.edges}
-    vertices = list(g.vertices)
-    edges = [tuple(e) for e in g.edges]
-    previous = v0
-    for k in range(1, n + 1):
-        vk = _fresh(f"{v0}~h{k}", vnames)
-        ek = _fresh(f"{v0}~h{k}e", enames)
-        vertices.append(vk)
-        edges.append((ek, vk, previous))
-        previous = vk
-    return Graph.build(vertices, edges)
+    return _attach_fresh(g, v0, n, "h", chained=True)
 
 
 def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
@@ -79,16 +88,7 @@ def star_sources(g: Graph, v0: str, n: int) -> Graph:
     g.require_vertex(v0)
     if n <= 0:
         raise PreconditionError("bad-parameter", f"source count must be positive, got {n}")
-    vnames = set(g.vertices)
-    enames = {e.eid for e in g.edges}
-    vertices = list(g.vertices)
-    edges = [tuple(e) for e in g.edges]
-    for k in range(1, n + 1):
-        vk = _fresh(f"{v0}~t{k}", vnames)
-        ek = _fresh(f"{v0}~t{k}e", enames)
-        vertices.append(vk)
-        edges.append((ek, vk, v0))
-    return Graph.build(vertices, edges)
+    return _attach_fresh(g, v0, n, "t", chained=False)
 
 
 def remove_source(g: Graph, v: str) -> Graph:
@@ -151,34 +151,12 @@ def source_elision(g: Graph, h) -> Graph:
     complement vertex to reach ``h``.
     """
     hset = frozenset(h)
-    for v in hset:
-        g.require_vertex(v)
-    if not is_hereditary(g, hset):
-        leak = next(
-            e for v in sorted(hset) for e in g.out_edges(v) if e.dst not in hset
-        )
-        raise PreconditionError(
-            "not-hereditary", f"edge {leak.eid!r} leaves the set: {leak.src!r} -> {leak.dst!r}"
-        )
+    _require_hereditary(g, hset)
     complement = [v for v in g.vertices if v not in hset]
 
-    # acyclicity of the complement subgraph, by repeated source removal
-    indeg = {
-        v: sum(1 for e in g.in_edges(v) if e.src not in hset) for v in complement
-    }
-    queue = [v for v in complement if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for e in g.out_edges(v):
-            if e.dst in hset:
-                continue
-            indeg[e.dst] -= 1
-            if indeg[e.dst] == 0:
-                queue.append(e.dst)
-    if seen != len(complement):
-        stuck = sorted(v for v in complement if indeg[v] > 0)
+    ordered = set(_topological_order(g, complement))
+    if len(ordered) != len(complement):
+        stuck = sorted(set(complement) - ordered)
         raise PreconditionError(
             "complement-cyclic", f"cycle outside the set through: {', '.join(stuck)}"
         )
@@ -215,12 +193,14 @@ def source_elision(g: Graph, h) -> Graph:
     return Graph.build(vertices, edges)
 
 
-def attach_heads(g: Graph, lengths: Mapping[str, int]) -> Graph:
+def attach_heads(g: Graph, lengths: Mapping[str, int] | Iterable[tuple[str, int]]) -> Graph:
     """Attach a line head of the given length to each vertex (0 = nothing).
 
+    ``lengths`` maps vertices to lengths, or lists ``(vertex, length)`` pairs.
     This realizes the finite hereditary truncation of the stabilization that
     contains every original vertex.
     """
+    lengths = dict(lengths)
     out = g
     for v in sorted(lengths):
         g.require_vertex(v)
@@ -278,77 +258,86 @@ Move = Union[
 ]
 
 
+def _format_lengths(lengths: tuple[tuple[str, int], ...]) -> str:
+    return ",".join(f"{v}={n}" for v, n in lengths)
+
+
+def _parse_kept(raw: str) -> tuple[str, ...]:
+    kept = tuple(sorted(v for v in raw.split(",") if v))
+    if not kept:
+        raise GraphFormatError("empty vertex set")
+    return kept
+
+
+def _parse_lengths(raw: str) -> tuple[tuple[str, int], ...]:
+    lengths = []
+    for item in raw.split(","):
+        v, _, n = item.partition("=")
+        lengths.append((v, int(n)))
+    return tuple(sorted(lengths))
+
+
+# How a record field is spelled: (format, parse), keyed by the field's
+# annotation, which this module's ``from __future__`` import keeps a string.
+_FIELD_SPELLINGS = {
+    "str": (str, str),
+    "int": (str, int),
+    "tuple[str, ...]": (",".join, _parse_kept),
+    "tuple[tuple[str, int], ...]": (_format_lengths, _parse_lengths),
+}
+
+# The one list of move spellings: name -> (record type, move function).  A
+# move is spelled as its name followed by its record's fields, each after a
+# ``:``; applying it calls the function with the graph and those fields.
+_MOVES = {
+    "add-head": (AddHead, add_head),
+    "subdivide-edge": (SubdivideEdge, subdivide_edge),
+    "star-sources": (StarSources, star_sources),
+    "source-elision": (SourceElision, source_elision),
+    "remove-source": (RemoveSource, remove_source),
+    "collapse": (CollapseVertex, collapse_vertex),
+    "attach-heads": (AttachHeads, attach_heads),
+}
+_NAME_OF = {record: name for name, (record, _) in _MOVES.items()}
+
+
+def _move_name(move: Move) -> str:
+    name = _NAME_OF.get(type(move))
+    if name is None:
+        raise PreconditionError("bad-parameter", f"unknown move {move!r}")
+    return name
+
+
 def apply_move(g: Graph, move: Move) -> Graph:
-    if isinstance(move, AddHead):
-        return add_head(g, move.vertex, move.length)
-    if isinstance(move, SubdivideEdge):
-        return subdivide_edge(g, move.edge, move.length)
-    if isinstance(move, StarSources):
-        return star_sources(g, move.vertex, move.count)
-    if isinstance(move, SourceElision):
-        return source_elision(g, move.kept)
-    if isinstance(move, RemoveSource):
-        return remove_source(g, move.vertex)
-    if isinstance(move, CollapseVertex):
-        return collapse_vertex(g, move.vertex)
-    if isinstance(move, AttachHeads):
-        return attach_heads(g, dict(move.lengths))
-    raise PreconditionError("bad-parameter", f"unknown move {move!r}")
+    move_function = _MOVES[_move_name(move)][1]
+    return move_function(g, *(getattr(move, f.name) for f in fields(move)))
 
 
 def format_move(move: Move) -> str:
-    if isinstance(move, AddHead):
-        return f"add-head:{move.vertex}:{move.length}"
-    if isinstance(move, SubdivideEdge):
-        return f"subdivide-edge:{move.edge}:{move.length}"
-    if isinstance(move, StarSources):
-        return f"star-sources:{move.vertex}:{move.count}"
-    if isinstance(move, SourceElision):
-        return "source-elision:" + ",".join(move.kept)
-    if isinstance(move, RemoveSource):
-        return f"remove-source:{move.vertex}"
-    if isinstance(move, CollapseVertex):
-        return f"collapse:{move.vertex}"
-    if isinstance(move, AttachHeads):
-        return "attach-heads:" + ",".join(f"{v}={n}" for v, n in move.lengths)
-    raise PreconditionError("bad-parameter", f"unknown move {move!r}")
+    parts = [_move_name(move)]
+    parts += [_FIELD_SPELLINGS[f.type][0](getattr(move, f.name)) for f in fields(move)]
+    return ":".join(parts)
 
 
 def parse_move(text: str) -> Move:
     """Parse the spelling produced by :func:`format_move`.
 
-    Trailing integer arguments are split from the right, so ids containing
-    ``:`` (elision sources) survive.
+    Trailing arguments are split from the right, so ids containing ``:``
+    (elision sources) survive; a missing leading argument reads as ``""``.
     """
     name, _, rest = text.partition(":")
+    if name not in _MOVES:
+        raise GraphFormatError(f"unknown move {text!r}")
+    record = _MOVES[name][0]
+    specs = fields(record)
+    raws = rest.rsplit(":", len(specs) - 1)
+    raws = [""] * (len(specs) - len(raws)) + raws
     try:
-        if name == "add-head":
-            vertex, _, raw = rest.rpartition(":")
-            return AddHead(vertex, int(raw))
-        if name == "subdivide-edge":
-            edge, _, raw = rest.rpartition(":")
-            return SubdivideEdge(edge, int(raw))
-        if name == "star-sources":
-            vertex, _, raw = rest.rpartition(":")
-            return StarSources(vertex, int(raw))
-        if name == "source-elision":
-            kept = tuple(sorted(v for v in rest.split(",") if v))
-            if not kept:
-                raise GraphFormatError(f"empty vertex set in {text!r}")
-            return SourceElision(kept)
-        if name == "remove-source":
-            return RemoveSource(rest)
-        if name == "collapse":
-            return CollapseVertex(rest)
-        if name == "attach-heads":
-            lengths = []
-            for item in rest.split(","):
-                v, _, raw = item.partition("=")
-                lengths.append((v, int(raw)))
-            return AttachHeads(tuple(sorted(lengths)))
+        return record(*(_FIELD_SPELLINGS[f.type][1](raw) for f, raw in zip(specs, raws)))
     except ValueError as exc:
         raise GraphFormatError(f"bad move argument in {text!r}") from exc
-    raise GraphFormatError(f"unknown move {text!r}")
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{exc} in {text!r}") from None
 
 
 # -- move logs --------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """End-to-end procedures built from moves: normalization to a sink-free and
 source-free graph, self-loop saturation by collapsing, full-corner and
-general corner realization, and matrix amplification.
+general corner realization, and matrix amplification.  The last two share
+one tail: normalize, saturate, make the multiset positive everywhere, and
+realize its full corner, with the stages' move logs joined into one.
 
 Every pipeline returns the output graph together with a replayable move log,
 the K-invariants before and after, and certificate flags that are *verified
@@ -11,14 +13,27 @@ expanding its mass first, which keeps its K0 class fixed at every step.
 
 from __future__ import annotations
 
-from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import CertificateError, PreconditionError
-from .graph import Graph, graph_fingerprint, hereditary_saturated_closure, restrict_to_hereditary
+from .graph import (
+    Graph,
+    _topological_order,
+    graph_fingerprint,
+    hereditary_saturated_closure,
+    restrict_to_hereditary,
+)
 from .ktheory import KInvariants, k0_class_divisible, k0_class_of, k_invariants
-from .monoid import VertexMultiset, expand_at, fullness_normalize, ones
+from .monoid import (
+    VertexMultiset,
+    _require_loops_everywhere,
+    _require_no_sinks,
+    _require_no_sources,
+    expand_at,
+    fullness_normalize,
+    ones,
+)
 from .moves import (
     AttachHeads,
     CollapseVertex,
@@ -32,6 +47,8 @@ from .moves import (
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """A pipeline's output; building one with a failed certificate raises."""
+
     graph: Graph
     log: MoveLog
     before: KInvariants
@@ -40,14 +57,13 @@ class PipelineResult:
     multiset: Optional[VertexMultiset] = None
     restriction: Optional[Graph] = None
 
+    def __post_init__(self) -> None:
+        failed = [name for name, ok in self.certificates if not ok]
+        if failed:
+            raise CertificateError(f"pipeline certificates failed: {', '.join(failed)}")
+
     def certificate(self, name: str) -> bool:
         return dict(self.certificates)[name]
-
-
-def _require_certificates(certificates: tuple[tuple[str, bool], ...]) -> None:
-    failed = [name for name, ok in certificates if not ok]
-    if failed:
-        raise CertificateError(f"pipeline certificates failed: {', '.join(failed)}")
 
 
 def core_vertices(g: Graph) -> frozenset[str]:
@@ -56,16 +72,7 @@ def core_vertices(g: Graph) -> frozenset[str]:
     For a finite sink-free graph this is the hereditary set of vertices lying
     on or downstream of a cycle; it is empty only for the empty graph.
     """
-    removed: set[str] = set()
-    while True:
-        newly = [
-            v
-            for v in g.vertices
-            if v not in removed and all(e.src in removed for e in g.in_edges(v))
-        ]
-        if not newly:
-            return frozenset(g.vertices) - removed
-        removed.update(newly)
+    return frozenset(g.vertices) - set(_topological_order(g, g.vertices))
 
 
 def _push_mass(g: Graph, m: VertexMultiset, keep: frozenset[str]) -> VertexMultiset:
@@ -73,18 +80,7 @@ def _push_mass(g: Graph, m: VertexMultiset, keep: frozenset[str]) -> VertexMulti
     # acyclic (true for the complement of the core), so a topological sweep
     # never revisits a vertex
     outside = [v for v in g.vertices if v not in keep]
-    outside_set = set(outside)
-    indeg = {v: sum(1 for e in g.in_edges(v) if e.src in outside_set) for v in outside}
-    ready = sorted(v for v in outside if indeg[v] == 0)
-    order: list[str] = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for e in g.out_edges(v):
-            if e.dst in outside_set:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    insort(ready, e.dst)
+    order = _topological_order(g, outside)
     if len(order) != len(outside):
         raise CertificateError("mass transport expected an acyclic complement")
     for v in order:
@@ -102,8 +98,7 @@ def normalize_to_ck(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipelin
     k-fold subdivision of that vertex's least incoming core edge.  K-groups
     and the unit profile are preserved end to end and certified.
     """
-    if g.sinks:
-        raise PreconditionError("has-sink", f"sinks present: {', '.join(g.sinks)}")
+    _require_no_sinks(g)
     if g.is_empty():
         raise PreconditionError("empty-core", "the empty graph has no cycles to normalize onto")
     before = k_invariants(g)
@@ -143,7 +138,6 @@ def normalize_to_ck(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipelin
         ("k-invariants-preserved", before.groups_equal(after)),
         ("unit-profile-preserved", before.unit_profile == after.unit_profile),
     )
-    _require_certificates(certificates)
     return PipelineResult(out, builder.log(), before, after, certificates, multiset=m)
 
 
@@ -155,10 +149,8 @@ def self_loop_saturate(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipe
     sink-free graph necessarily carries a loop.  K-groups are preserved (the
     unit class is not, in general).
     """
-    if g.sinks:
-        raise PreconditionError("has-sink", f"sinks present: {', '.join(g.sinks)}")
-    if g.source_vertices:
-        raise PreconditionError("has-source", f"sources present: {', '.join(g.source_vertices)}")
+    _require_no_sinks(g)
+    _require_no_sources(g)
     before = k_invariants(g)
     builder = MoveLogBuilder(g)
     m = carry
@@ -180,7 +172,6 @@ def self_loop_saturate(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipe
         ("all-self-loops", all(out.loops_at(v) for v in out.vertices)),
         ("k-invariants-preserved", before.groups_equal(after)),
     )
-    _require_certificates(certificates)
     return PipelineResult(out, builder.log(), before, after, certificates, multiset=m)
 
 
@@ -208,15 +199,9 @@ def realize_full_corner(g: Graph, m: VertexMultiset) -> PipelineResult:
     the multiset in the base K0 under the head-collapsing projection.  All of
     that is certified through the Smith transforms.
     """
-    if g.sinks:
-        raise PreconditionError("has-sink", f"sinks present: {', '.join(g.sinks)}")
-    if g.source_vertices:
-        raise PreconditionError("has-source", f"sources present: {', '.join(g.source_vertices)}")
-    loopless = [v for v in g.vertices if not g.loops_at(v)]
-    if loopless:
-        raise PreconditionError(
-            "missing-self-loop", f"vertices without a self-loop: {', '.join(loopless)}"
-        )
+    _require_no_sinks(g)
+    _require_no_sources(g)
+    _require_loops_everywhere(g)
     for v in m.support:
         g.require_vertex(v)
     zeros = [u for u in g.vertices if m.get(u) == 0]
@@ -254,8 +239,22 @@ def realize_full_corner(g: Graph, m: VertexMultiset) -> PipelineResult:
         ("k0-projection-certified", relations_land_in_image),
         ("unit-class-matches", k0_class_of(g, unit_image) == k0_class_of(g, m.to_dict())),
     )
-    _require_certificates(certificates)
     return PipelineResult(out, builder.log(), before, after, certificates, multiset=m)
+
+
+def _corner_tail(g: Graph, carry: VertexMultiset) -> tuple[Graph, PipelineResult]:
+    """Normalize, saturate, make the carried multiset positive everywhere and
+    realize its full corner.
+
+    Returns the saturated graph and the full-corner result, whose log is the
+    three stages' logs joined and whose multiset is the positive one.
+    """
+    normalized = normalize_to_ck(g, carry=carry)
+    saturated = self_loop_saturate(normalized.graph, carry=normalized.multiset)
+    full = fullness_normalize(saturated.graph, saturated.multiset)
+    corner = realize_full_corner(saturated.graph, full)
+    steps = normalized.log.steps + saturated.log.steps + corner.log.steps
+    return saturated.graph, replace(corner, log=MoveLog(normalized.log.start, steps))
 
 
 def realize_corner(g: Graph, p: VertexMultiset) -> PipelineResult:
@@ -268,42 +267,21 @@ def realize_corner(g: Graph, p: VertexMultiset) -> PipelineResult:
     positive everywhere; attach heads.  The output's K-groups equal those of
     the restriction.
     """
-    if g.sinks:
-        raise PreconditionError("has-sink", f"sinks present: {', '.join(g.sinks)}")
-    if g.source_vertices:
-        raise PreconditionError("has-source", f"sources present: {', '.join(g.source_vertices)}")
+    _require_no_sinks(g)
+    _require_no_sources(g)
     if p.is_zero():
         raise PreconditionError("zero-multiset", "a corner needs a nonzero projection")
-    for v in p.support:
-        g.require_vertex(v)
-    kept = hereditary_saturated_closure(g, p.support)
+    kept = hereditary_saturated_closure(g, p.support)  # checks that every vertex exists
     restriction = restrict_to_hereditary(g, kept)
     before = k_invariants(restriction)
-    normalized = normalize_to_ck(restriction, carry=p)
-    saturated = self_loop_saturate(normalized.graph, carry=normalized.multiset)
-    assert saturated.multiset is not None
-    full = fullness_normalize(saturated.graph, saturated.multiset)
-    corner = realize_full_corner(saturated.graph, full)
-    after = corner.after
+    saturated, corner = _corner_tail(restriction, p)
     certificates = (
         ("no-sinks", not corner.graph.sinks),
-        ("k-invariants-preserved", before.groups_equal(after)),
-        ("multiset-positive", all(full.get(u) >= 1 for u in saturated.graph.vertices)),
+        ("k-invariants-preserved", before.groups_equal(corner.after)),
+        ("multiset-positive", all(corner.multiset.get(u) >= 1 for u in saturated.vertices)),
         ("unit-class-matches", corner.certificate("unit-class-matches")),
     )
-    _require_certificates(certificates)
-    return PipelineResult(
-        corner.graph,
-        MoveLog(
-            normalized.log.start,
-            normalized.log.steps + saturated.log.steps + corner.log.steps,
-        ),
-        before,
-        after,
-        certificates,
-        multiset=full,
-        restriction=restriction,
-    )
+    return replace(corner, before=before, certificates=certificates, restriction=restriction)
 
 
 def matrix_amplify(g: Graph, n: int) -> PipelineResult:
@@ -316,8 +294,7 @@ def matrix_amplify(g: Graph, n: int) -> PipelineResult:
     """
     if n <= 0:
         raise PreconditionError("bad-parameter", f"amplification factor must be positive, got {n}")
-    if g.sinks:
-        raise PreconditionError("has-sink", f"sinks present: {', '.join(g.sinks)}")
+    _require_no_sinks(g)
     before = k_invariants(g)
     if n == 1:
         certificates = (
@@ -328,30 +305,14 @@ def matrix_amplify(g: Graph, n: int) -> PipelineResult:
         return PipelineResult(
             g, MoveLog(graph_fingerprint(g), ()), before, before, certificates, multiset=ones(g)
         )
-    normalized = normalize_to_ck(g, carry=ones(g).scaled(n))
-    saturated = self_loop_saturate(normalized.graph, carry=normalized.multiset)
-    assert saturated.multiset is not None
-    full = fullness_normalize(saturated.graph, saturated.multiset)
-    corner = realize_full_corner(saturated.graph, full)
-    after = corner.after
+    _, corner = _corner_tail(g, ones(g).scaled(n))
     certificates = (
         ("no-sinks", not corner.graph.sinks),
-        ("k-invariants-preserved", before.groups_equal(after)),
+        ("k-invariants-preserved", before.groups_equal(corner.after)),
         ("unit-class-matches", corner.certificate("unit-class-matches")),
         (
             "unit-divisible-by-factor",
             k0_class_divisible(corner.graph, {v: 1 for v in corner.graph.vertices}, n),
         ),
     )
-    _require_certificates(certificates)
-    return PipelineResult(
-        corner.graph,
-        MoveLog(
-            normalized.log.start,
-            normalized.log.steps + saturated.log.steps + corner.log.steps,
-        ),
-        before,
-        after,
-        certificates,
-        multiset=full,
-    )
+    return replace(corner, before=before, certificates=certificates)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from ckgraph import (
     shortest_path,
     vertex_simple_cycles_without_exit,
 )
+from ckgraph.graph import _BAD_ID_CHAR
 from conftest import G, all_loop_graphs, graphs
 from oracles import brute_force_isomorphic, exhaustive_closure
 
@@ -48,6 +51,23 @@ def test_build_rejects_duplicates_and_dangling_edges():
         Graph.build(["has space"], [])
     with pytest.raises(GraphFormatError):
         Graph.build(["a,b"], [])
+
+
+def test_id_check_agrees_with_isspace_and_separators_on_every_code_point():
+    def forbidden(c: str) -> bool:
+        return c.isspace() or c in "#,="
+
+    disagree = [
+        cp for cp in range(sys.maxunicode + 1)
+        if bool(_BAD_ID_CHAR.search(chr(cp))) != forbidden(chr(cp))
+    ]
+    assert disagree == []
+    for c in ["\u00a0", "\u2028", "\u3000", "\x1c", "\x85", "=", "#", "\u200b", "~", "\xe9"]:
+        if forbidden(c):
+            with pytest.raises(GraphFormatError):
+                Graph.build([f"a{c}b"], [])
+        else:
+            assert Graph.build([f"a{c}b"], []).vertices == (f"a{c}b",)
 
 
 def test_text_format_round_trip(line_into_loops):

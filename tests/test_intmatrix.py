@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,3 +101,22 @@ def test_matrix_text_round_trip():
     assert format_int_matrix(m) == "1 -2 3\n0 5 -6\n"
     with pytest.raises(GraphFormatError):
         parse_int_matrix("1 x\n")
+
+
+def test_certificate_is_checked_under_python_O():
+    # the Smith certificate is part of the algorithm, not an assertion that
+    # -O strips: verify_snf runs once per smith_normal_form call
+    script = (
+        "import ckgraph.intmatrix as im\n"
+        "calls = []\n"
+        "check = im.verify_snf\n"
+        "im.verify_snf = lambda a, result: calls.append(a) or check(a, result)\n"
+        "for rows in ([[2, 4], [6, 8]], [[1]], [[0, 3, 1], [2, 0, 5]]):\n"
+        "    im.smith_normal_form(im.IntMatrix.from_rows(rows))\n"
+        "print(__debug__, len(calls))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["False", "3"]

@@ -17,6 +17,7 @@ from ckgraph import (
     k_presentation_matrix,
     vertex_matrix,
 )
+from ckgraph.ktheory import _K0Engine
 from conftest import G, bouquet, graphs, no_sink_graphs
 
 
@@ -105,6 +106,23 @@ def test_unit_divisibility_flags_are_downward_closed(g):
                 if k % j == 0:
                     assert flags[j - 1]
     assert flags[0]
+    ones = {v: 1 for v in g.vertices}
+    assert flags == tuple(k0_class_divisible(g, ones, k) for k in range(1, 13))
+
+
+def test_invariants_and_verdict_compute_the_unit_class_once(monkeypatch):
+    calls = []
+    class_of = _K0Engine.class_of
+
+    def counted(engine, coefficients):
+        calls.append(coefficients)
+        return class_of(engine, coefficients)
+
+    monkeypatch.setattr(_K0Engine, "class_of", counted)
+    g = G("u v w", "a:u>v b:v>u c:u>u d:w>u")
+    assert k_invariants(g).unit_profile.divisible_by[0]
+    assert is_cuntz_krieger(g)[0]
+    assert len(calls) == 1
 
 
 def test_k0_class_of_presentation_columns_vanish(line_into_loops):

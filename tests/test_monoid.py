@@ -22,7 +22,7 @@ from ckgraph import (
     path_expansion_trace,
     shortest_path,
 )
-from conftest import G, all_loop_graphs
+from conftest import G, all_loop_graphs, graphs
 
 
 def ms(text: str) -> VertexMultiset:
@@ -160,6 +160,29 @@ def test_trace_is_replayable_both_ways():
     assert result.verdict == "yes" and result.trace is not None
     assert result.trace.replay(g, a) == b
     assert result.trace.inverted().replay(g, b) == a
+
+
+def test_yes_trace_with_a_multi_step_backward_half_replays():
+    # the backward half of this trace has more than one step; joining it in
+    # reversed order gave a trace that does not lead from a to b
+    g = G("v0 v1 v2", "l:v0>v0 x:v0>v2 p:v1>v0 q:v1>v0 y:v2>v0")
+    a, b = ms("v2=1"), ms("v1=1,v2=2")
+    result = mvn_equivalent(g, a, b, 2000)
+    assert result.verdict == "yes" and result.trace is not None
+    assert result.trace.replay(g, a) == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_vertices=4), st.data())
+def test_every_yes_trace_replays_from_a_to_b(g, data):
+    counts = st.dictionaries(st.sampled_from(g.vertices), st.integers(0, 2))
+    a = VertexMultiset.from_dict(data.draw(counts))
+    b = VertexMultiset.from_dict(data.draw(counts))
+    result = mvn_equivalent(g, a, b, 2000)
+    if result.verdict == "yes":
+        assert result.trace is not None
+        assert result.trace.replay(g, a) == b
+        assert result.trace.inverted().replay(g, b) == a
 
 
 def test_bad_trace_op_is_rejected(two_loops):

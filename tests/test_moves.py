@@ -10,6 +10,7 @@ from ckgraph import (
     CertificateError,
     CollapseVertex,
     GraphFormatError,
+    Move,
     MoveLogBuilder,
     PreconditionError,
     RemoveSource,
@@ -17,6 +18,7 @@ from ckgraph import (
     StarSources,
     SubdivideEdge,
     add_head,
+    apply_move,
     attach_heads,
     collapse_vertex,
     format_move,
@@ -31,6 +33,7 @@ from ckgraph import (
     star_sources,
     subdivide_edge,
 )
+from ckgraph.moves import _MOVES
 from conftest import G, graphs, no_sink_graphs
 
 
@@ -274,6 +277,23 @@ def test_move_spelling_round_trip():
         parse_move("frobnicate:v0")
     with pytest.raises(GraphFormatError):
         parse_move("add-head:v0:x")
+
+
+def test_move_table_covers_every_record():
+    assert {record for record, _ in _MOVES.values()} == set(Move.__args__)
+
+
+def test_unknown_move_records_are_rejected(two_loops):
+    with pytest.raises(PreconditionError, match="bad-parameter"):
+        apply_move(two_loops, ("add-head", "v0", 1))
+    with pytest.raises(PreconditionError, match="bad-parameter"):
+        format_move(("add-head", "v0", 1))
+
+
+def test_attach_heads_takes_the_pairs_of_its_record(two_loops):
+    pairs = (("v0", 2),)
+    assert attach_heads(two_loops, pairs) == attach_heads(two_loops, dict(pairs))
+    assert apply_move(two_loops, AttachHeads(pairs)) == attach_heads(two_loops, pairs)
 
 
 def test_move_log_replay_and_text(two_loops):
