@@ -27,7 +27,7 @@ from .graph import (
     parse_graph,
     vertex_simple_cycles_without_exit,
 )
-from .intmatrix import smith_normal_form, verify_snf
+from .intmatrix import smith_normal_form
 from .ktheory import format_k_invariants, is_cuntz_krieger, k_invariants, k_invariants_dict
 from .monoid import format_multiset, mvn_equivalent, parse_multiset
 from .moves import MoveLog, MoveLogBuilder, format_move, format_move_log, parse_move
@@ -324,7 +324,7 @@ def _cmd_fuzz(args) -> int:
     rng = SplitMix64(derive_seed(seed, "snf"))
     for _ in range(cases):
         matrix = random_int_matrix(rng, max_dim=6)
-        verify_snf(matrix, smith_normal_form(matrix))
+        smith_normal_form(matrix)  # raises CertificateError on a broken certificate
     lines.append(f"snf-certificates: pass ({cases} matrices)")
 
     rng = SplitMix64(derive_seed(seed, "rank"))

@@ -10,6 +10,7 @@ transforms that certify it, and re-verifies the certificate on every call,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import CertificateError, GraphFormatError
@@ -39,7 +40,9 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        entries = [0] * (n * n)
+        entries[:: n + 1] = [1] * n
+        return IntMatrix(n, n, tuple(entries))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
@@ -63,12 +66,20 @@ class IntMatrix:
             raise GraphFormatError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        a, b = self.to_rows(), other.to_rows()
+        width = other.cols
+        right = [
+            [(j, x) for j, x in enumerate(other.entries[k * width : (k + 1) * width]) if x]
+            for k in range(other.rows)
+        ]
         out: list[int] = []
         for i in range(self.rows):
-            for j in range(other.cols):
-                out.append(sum(a[i][k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+            acc = [0] * width
+            for k, x in enumerate(self.entries[i * self.cols : (i + 1) * self.cols]):
+                if x:
+                    for j, y in right[k]:
+                        acc[j] += x * y
+            out.extend(acc)
+        return IntMatrix(self.rows, width, tuple(out))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
@@ -101,7 +112,15 @@ def parse_int_matrix(text: str) -> IntMatrix:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant via fraction-free (Bareiss) elimination.
+
+    The pivot is the nonzero entry of least absolute value in its column: on
+    large unimodular Smith transforms the first nonzero entry can make the
+    intermediate minors, and the divisions by them, orders of magnitude
+    larger.  Step k keeps only the columns right of the pivot.  A row with 0
+    in the pivot column is just rescaled by ``pivot / previous pivot``, or
+    left as it is when the two are equal.
+    """
     if m.rows != m.cols:
         raise GraphFormatError("determinant needs a square matrix")
     n = m.rows
@@ -111,20 +130,25 @@ def determinant(m: IntMatrix) -> int:
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+        candidates = [(abs(row[0]), i) for i, row in enumerate(a[k:], k) if row[0]]
+        if not candidates:
+            return 0
+        i = min(candidates)[1]
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        p, tail = a[k][0], a[k][1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            x = row[0]
+            if x:
+                a[i] = [(y * p - x * z) // prev for y, z in zip(row[1:], tail)]
+            elif p == prev:
+                a[i] = row[1:]
+            else:
+                a[i] = [y * p // prev for y in row[1:]]
+        prev = p
+    return sign * a[n - 1][0]
 
 
 @dataclass(frozen=True)
@@ -178,8 +202,12 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Diagonalize by unimodular row/column operations.
 
-    Pivot choice: minimal nonzero absolute value in the remaining submatrix,
-    first position on ties.  Non-divisible entries are folded into the pivot
+    Pivot choice, in the remaining submatrix: least nonzero absolute value,
+    then least Markowitz cost ``(r - 1) * (c - 1)``, where ``r`` and ``c``
+    count the nonzero entries of the pivot's row and column there, then first
+    position in row-major order.  The cost bounds the fill-in of eliminating
+    the pivot, so the unit entries of a sparse matrix are taken in an order
+    that keeps it sparse.  Non-divisible entries are folded into the pivot
     by extended-gcd 2x2 transforms (one step per entry, no swap cascades, so
     intermediate entries stay manageable); transforms are accumulated
     explicitly and the divisibility chain is enforced before each advance.
@@ -194,8 +222,8 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         u[i], u[j] = u[j], u[i]
 
     def row_add(dst: int, src: int, q: int) -> None:
-        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        d[dst] = [x + q * y if y else x for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + q * y if y else x for x, y in zip(u[dst], u[src])]
 
     def row_combine(r1: int, r2: int, x: int, y: int, xx: int, yy: int) -> None:
         # unimodular when x*yy - y*xx = +-1
@@ -209,32 +237,50 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         u[i] = [-x for x in u[i]]
 
     def col_swap(i: int, j: int) -> None:
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if i != j:
+            for mat in (d, v):
+                for row in mat:
+                    row[i], row[j] = row[j], row[i]
 
+    # column operations skip the rows that are 0 in every column they read
     def col_add(dst: int, src: int, q: int) -> None:
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
+        for mat in (d, v):
+            for row in mat:
+                if row[src]:
+                    row[dst] += q * row[src]
 
     def col_combine(c1: int, c2: int, x: int, y: int, xx: int, yy: int) -> None:
         for mat in (d, v):
             for row in mat:
-                one = x * row[c1] + y * row[c2]
-                two = xx * row[c1] + yy * row[c2]
-                row[c1], row[c2] = one, two
+                p, q = row[c1], row[c2]
+                if p or q:
+                    row[c1], row[c2] = x * p + y * q, xx * p + yy * q
 
     def find_pivot(t: int) -> tuple[int, int] | None:
-        best: tuple[int, int] | None = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x and (best is None or abs(x) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        return best
+        rest = [row[t:] for row in d[t:]]
+        lo = min(map(abs, filter(None, chain.from_iterable(rest))), default=0)
+        if not lo:
+            return None
+        # cost 0 is the least, so the first candidate of cost 0 is the pivot;
+        # column counts are taken only once a candidate needs them
+        col_nonzeros: list[int] = []
+        best = (-1, 0, 0)
+        for i, row in enumerate(rest):
+            if lo not in row and -lo not in row:
+                continue
+            cols = [j for j, x in enumerate(row) if x == lo or x == -lo]
+            r1 = len(row) - 1 - row.count(0)
+            if not r1:
+                return t + i, t + cols[0]
+            if not col_nonzeros:
+                col_nonzeros = [len(rest) - col.count(0) for col in zip(*rest)]
+            c = min(map(col_nonzeros.__getitem__, cols))
+            cost = r1 * (c - 1)
+            if best[0] < 0 or cost < best[0]:
+                best = (cost, i, next(j for j in cols if col_nonzeros[j] == c))
+                if not cost:
+                    break
+        return t + best[1], t + best[2]
 
     t = 0
     while t < min(m, n):
@@ -264,8 +310,11 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                 else:
                     g, x, y = _xgcd(p, b)
                     col_combine(t, j, x, y, -(b // g), p // g)
-            # gcd column transforms can re-dirty column t, hence the re-check
+            # gcd column transforms can re-dirty column t, hence the re-check;
+            # a unit pivot divides everything
             if all(d[i][t] == 0 for i in range(t + 1, m)):
+                if abs(d[t][t]) == 1:
+                    break
                 offender = next(
                     (
                         i
@@ -285,7 +334,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             row_negate(i)
 
     def freeze(data: list[list[int]], nrows: int, ncols: int) -> IntMatrix:
-        return IntMatrix(nrows, ncols, tuple(x for row in data for x in row))
+        return IntMatrix(nrows, ncols, tuple(chain.from_iterable(data)))
 
     result = SnfResult(
         d=freeze(d, m, n), u=freeze(u, m, m), v=freeze(v, n, n)

@@ -11,6 +11,7 @@ what can be compared across different graphs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
@@ -50,8 +51,12 @@ class KInvariants:
 
 @dataclass(frozen=True)
 class K0Class:
-    """Canonical coordinates of a K0 element: residues against the torsion
-    divisors, then the free components."""
+    """Coordinates of a K0 element: residues against the torsion divisors,
+    then the free components.
+
+    They are taken in the basis that the graph's Smith transform gives, so
+    they are deterministic for one graph but comparable only within it.
+    """
 
     torsion: tuple[int, ...]
     free: tuple[int, ...]
@@ -69,7 +74,7 @@ def vertex_matrix(g: Graph) -> IntMatrix:
 
 @dataclass(frozen=True)
 class _K0Engine:
-    vertices: tuple[str, ...]
+    vertices: tuple[str, ...]  # sorted, as in every Graph
     regulars: tuple[str, ...]
     presentation: IntMatrix
     snf: SnfResult
@@ -80,14 +85,15 @@ class _K0Engine:
         return len(self.vertices) - self.snf.rank(), len(self.regulars) - self.snf.rank()
 
     def class_of(self, coefficients: Mapping[str, int]) -> K0Class:
-        for v in coefficients:
-            if v not in self.vertices:
+        # y = u * x, summed over the columns of u that x has a nonzero for
+        u, size = self.snf.u.entries, len(self.vertices)
+        y = [0] * size
+        for v, c in coefficients.items():
+            j = bisect_left(self.vertices, v)
+            if j == size or self.vertices[j] != v:
                 raise PreconditionError("unknown-vertex", f"no vertex {v!r} in graph")
-        x = [coefficients.get(v, 0) for v in self.vertices]
-        y = [
-            sum(self.snf.u.at(i, j) * x[j] for j in range(len(x)))
-            for i in range(len(x))
-        ]
+            if c:
+                y = [acc + c * x if x else acc for acc, x in zip(y, u[j::size])]
         diag = self.snf.d.diagonal()
         torsion: list[int] = []
         free: list[int] = []

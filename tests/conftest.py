@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ckgraph import Graph
+from ckgraph.randgen import SplitMix64, derive_seed, random_graph
 
 
 def G(vertex_spec: str, edge_spec: str = "") -> Graph:
@@ -19,6 +20,17 @@ def G(vertex_spec: str, edge_spec: str = "") -> Graph:
 def bouquet(n: int) -> Graph:
     """One vertex carrying n loops."""
     return Graph.build(["v0"], [(f"l{i}", "v0", "v0") for i in range(1, n + 1)])
+
+
+def large_random_graphs(label: str, count: int = 30, min_vertices: int = 20) -> list[Graph]:
+    """Seeded graphs at the size of the benchmark's K-theory workload."""
+    rng = SplitMix64(derive_seed(99, label))
+    out: list[Graph] = []
+    while len(out) < count:
+        g = random_graph(rng, max_vertices=28, max_parallel=3)
+        if len(g.vertices) >= min_vertices:
+            out.append(g)
+    return out
 
 
 @pytest.fixture

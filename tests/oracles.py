@@ -1,8 +1,8 @@
 """Independent oracles used to cross-check the main implementations.
 
-Nothing here imports the code paths under test: determinants are Laplace
-expansions, elementary divisors come from gcds of minors, and isomorphism is
-a plain permutation search.
+Nothing here imports the code paths under test: products are triple loops,
+determinants are Laplace expansions, elementary divisors come from gcds of
+minors, and isomorphism is a plain permutation search.
 """
 
 from __future__ import annotations
@@ -11,6 +11,18 @@ from itertools import combinations, permutations
 from math import gcd
 
 from ckgraph import Graph, IntMatrix
+
+
+def naive_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Triple-loop product, entry by entry, with no zero skipped."""
+    entries = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            total = 0
+            for k in range(a.cols):
+                total += a.at(i, k) * b.at(k, j)
+            entries.append(total)
+    return IntMatrix(a.rows, b.cols, tuple(entries))
 
 
 def laplace_determinant(rows: list[list[int]]) -> int:

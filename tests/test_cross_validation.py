@@ -22,6 +22,7 @@ from ckgraph.randgen import (  # noqa: E402
     random_graph,
     random_int_matrix,
 )
+from conftest import large_random_graphs  # noqa: E402
 
 
 def _sympy_divisors(rows: list[list[int]]) -> tuple[int, ...]:
@@ -51,6 +52,13 @@ def test_divisors_agree_with_sympy_on_random_matrices():
     for _ in range(40):
         m = random_int_matrix(rng, max_dim=7, lo=-9, hi=9)
         assert tuple(sorted(smith_normal_form(m).divisors())) == _sympy_divisors(m.to_rows())
+
+
+def test_divisors_agree_with_sympy_at_benchmark_size():
+    for g in large_random_graphs("sympy-large"):
+        pres = k_presentation_matrix(g)
+        ours = tuple(sorted(smith_normal_form(pres).divisors()))
+        assert ours == _sympy_divisors(pres.to_rows())
 
 
 def test_k_invariants_and_unit_order_agree_with_sympy():

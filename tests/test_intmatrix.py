@@ -18,7 +18,7 @@ from ckgraph import (
     smith_normal_form,
     verify_snf,
 )
-from oracles import laplace_determinant, minors_divisors
+from oracles import laplace_determinant, minors_divisors, naive_product
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -29,6 +29,17 @@ matrices = st.integers(1, 5).flatmap(
         ).map(IntMatrix.from_rows)
     )
 )
+
+# three entries in four are 0; the others range past 64 bits
+sparse_entries = st.tuples(st.integers(0, 3), st.integers(-(2**80), 2**80)).map(
+    lambda pick: pick[1] if pick[0] == 0 else 0
+)
+
+
+def sparse_matrix(rows: int, cols: int):
+    return st.lists(sparse_entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda flat: IntMatrix(rows, cols, tuple(flat))
+    )
 
 
 def test_from_rows_validation():
@@ -120,3 +131,55 @@ def test_certificate_is_checked_under_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.split() == ["False", "3"]
+
+
+@settings(max_examples=150)
+@given(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).flatmap(
+        lambda dims: st.tuples(sparse_matrix(dims[0], dims[1]), sparse_matrix(dims[1], dims[2]))
+    )
+)
+def test_mul_matches_naive_product(pair):
+    # dimensions run from 0, so empty products are among the inputs
+    a, b = pair
+    assert a.mul(b) == naive_product(a, b)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 5).flatmap(lambda n: sparse_matrix(n, n)))
+def test_determinant_matches_laplace_on_sparse_matrices(m):
+    # zero pivot-column entries take the rescale-only branch of Bareiss
+    assert determinant(m) == laplace_determinant(m.to_rows())
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["add", "swap", "negate"]),
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.integers(-(2**70), 2**70),
+                ),
+                max_size=12,
+            ),
+        )
+    )
+)
+def test_determinant_of_elementary_products_is_a_unit(case):
+    n, steps = case
+    rows = IntMatrix.identity(n).to_rows()
+    sign = 1
+    for kind, i, j, q in steps:
+        if kind == "add" and i != j:
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        elif kind == "swap" and i != j:
+            rows[i], rows[j] = rows[j], rows[i]
+            sign = -sign
+        elif kind == "negate":
+            rows[i] = [-x for x in rows[i]]
+            sign = -sign
+    assert determinant(IntMatrix.from_rows(rows)) == sign

@@ -18,7 +18,7 @@ from ckgraph import (
     vertex_matrix,
 )
 from ckgraph.ktheory import _K0Engine
-from conftest import G, bouquet, graphs, no_sink_graphs
+from conftest import G, bouquet, graphs, large_random_graphs, no_sink_graphs
 
 
 def test_vertex_matrix_examples(two_loops, line_into_loops):
@@ -188,3 +188,13 @@ def test_invariant_record_format(two_loops):
         "unit_order = infinite\n"
         "unit_divisible = 1\n"
     )
+
+
+def test_presentation_columns_have_zero_class_at_benchmark_size():
+    # each column is a relation of K0, so the Smith transform u must send it
+    # into the image of the diagonal
+    for g in large_random_graphs("large-relations"):
+        pres = k_presentation_matrix(g)
+        for c in range(pres.cols):
+            column = {v: pres.at(i, c) for i, v in enumerate(g.vertices) if pres.at(i, c)}
+            assert k0_class_of(g, column).is_zero()
