@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -42,12 +42,27 @@ def _check_id(kind: str, name: str) -> None:
         )
 
 
+def _merge(kept: list, added: list) -> tuple:
+    # both are sorted; a few added items go in by bisection, and with
+    # nothing kept (as in build) the added ones are the result
+    if not kept:
+        return tuple(added)
+    for item in added:
+        insort(kept, item)
+    return tuple(kept)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable finite directed multigraph.
 
-    ``vertices`` and ``edges`` are stored sorted; use :meth:`build` rather
-    than the raw constructor so ordering and the id invariants are enforced.
+    ``vertices`` and ``edges`` are stored sorted, with unique well-formed ids
+    and every edge endpoint a vertex.  A graph enters the program in one of
+    two ways: :meth:`build` for input from outside, and :meth:`_edit` for
+    the program's own edits of a graph it already holds.  ``_edit`` checks
+    only the ids an edit adds, so it relies on every ``Graph`` coming from
+    one of the two; the raw constructor is only for trusted callers that
+    keep the invariants themselves.
     """
 
     vertices: tuple[str, ...]
@@ -55,26 +70,57 @@ class Graph:
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[Sequence[str]]) -> "Graph":
-        vs = sorted(vertices)
-        es = sorted(Edge(*e) for e in edges)
-        seen_v: set[str] = set()
-        for v in vs:
+        return Graph((), ())._edit(add_vertices=vertices, add_edges=edges)
+
+    def _edit(
+        self,
+        *,
+        drop_vertices: Iterable[str] = (),
+        drop_edges: Iterable[str] = (),
+        add_vertices: Iterable[str] = (),
+        add_edges: Iterable[Sequence[str]] = (),
+    ) -> "Graph":
+        """This graph less the dropped ids, plus the added ones.
+
+        Dropping a vertex drops the edges at it.  Only the added ids are
+        checked, in sorted order and vertices first: the id pattern,
+        uniqueness among the kept and added ids, and for an edge that both
+        endpoints are vertices of the result.  Each added id is inserted at
+        its place by bisection, so an edit that adds a few ids costs about
+        one copy of the base graph.
+        """
+        drop_v = set(drop_vertices)
+        vertices = [v for v in self.vertices if v not in drop_v]
+        if drop_v:
+            edges = [e for e in self.edges if e.src not in drop_v and e.dst not in drop_v]
+        else:
+            edges = list(self.edges)
+        # the 1-tuple (eid,) sorts just before the edge with that id
+        for eid in drop_edges:
+            i = bisect_left(edges, (eid,))
+            if i < len(edges) and edges[i].eid == eid:
+                del edges[i]
+        new_vertices = sorted(add_vertices)
+        new_edges = sorted(Edge(*e) for e in add_edges)
+        seen_v = set(vertices)
+        for v in new_vertices:
             _check_id("vertex", v)
             if v in seen_v:
                 raise GraphFormatError(f"duplicate vertex id {v!r}")
             seen_v.add(v)
-        seen_e: set[str] = set()
-        for e in es:
+        previous = None
+        for e in new_edges:
             _check_id("edge", e.eid)
-            if e.eid in seen_e:
+            i = bisect_left(edges, (e.eid,))
+            if e.eid == previous or (i < len(edges) and edges[i].eid == e.eid):
                 raise GraphFormatError(f"duplicate edge id {e.eid!r}")
-            seen_e.add(e.eid)
+            previous = e.eid
             for endpoint in (e.src, e.dst):
                 if endpoint not in seen_v:
                     raise GraphFormatError(
                         f"edge {e.eid!r} endpoint {endpoint!r} is not a vertex"
                     )
-        return Graph(tuple(vs), tuple(es))
+        return Graph(_merge(vertices, new_vertices), _merge(edges, new_edges))
 
     # -- lookups ---------------------------------------------------------
 
@@ -160,9 +206,10 @@ class Graph:
 
 def format_graph(g: Graph) -> str:
     """Serialize deterministically: sorted vertex lines, then sorted edge lines."""
-    lines = [f"vertex {v}" for v in g.vertices]
-    lines += [f"edge {e.eid} {e.src} {e.dst}" for e in g.edges]
-    return "".join(line + "\n" for line in lines)
+    return "".join(
+        [f"vertex {v}\n" for v in g.vertices]
+        + [f"edge {eid} {src} {dst}\n" for eid, src, dst in g.edges]
+    )
 
 
 def parse_graph(text: str) -> Graph:
@@ -333,8 +380,7 @@ def restrict_to_hereditary(g: Graph, h: Iterable[str]) -> Graph:
     """
     hset = set(h)
     _require_hereditary(g, hset)
-    edges = [e for v in hset for e in g.out_edges(v)]
-    return Graph.build(sorted(hset), edges)
+    return g._edit(drop_vertices=[v for v in g.vertices if v not in hset])
 
 
 # -- paths and cycles --------------------------------------------------------

@@ -2,9 +2,13 @@
 
 Each move is a pure function on graphs plus a small parameter record, so a
 sequence of moves can be logged, serialized, and replayed against graph
-fingerprints.  The table ``_MOVES`` is the one list of move spellings: it
-ties each spelling name to its record type and its function, and
-:func:`apply_move`, :func:`format_move` and :func:`parse_move` all read it.
+fingerprints.  A move computes its result as one ``Graph._edit`` of its
+input, naming the ids it drops and the fresh ids it adds: the edit keeps the
+input's edges as they are and checks only the added ids, since the input
+already meets every invariant that ``Graph.build`` enforces.  The table
+``_MOVES`` is the one list of move spellings: it ties each spelling name to
+its record type and its function, and :func:`apply_move`,
+:func:`format_move` and :func:`parse_move` all read it.
 Fresh ids are generated deterministically from the move's parameters and
 suffixed with ``_2``, ``_3``, ... on collision:
 
@@ -38,21 +42,23 @@ def _fresh(base: str, taken: set[str]) -> str:
 # -- the moves ----------------------------------------------------------------
 
 
-def _attach_fresh(g: Graph, v0: str, n: int, tag: str, chained: bool) -> Graph:
-    # n fresh vertices <v0>~<tag><k>, each emitting one edge <v0>~<tag><k>e,
-    # into the vertex added before it (a line ending at v0) or into v0 itself
+def _attach_fresh(g: Graph, counts: Iterable[tuple[str, int]], tag: str, chained: bool) -> Graph:
+    # for each (v0, n), in order: n fresh vertices <v0>~<tag><k>, each emitting
+    # one edge <v0>~<tag><k>e, into the vertex added before it (a line ending
+    # at v0) or into v0 itself; ids taken by one v0 stay taken for the next
     vnames = set(g.vertices)
     enames = {e.eid for e in g.edges}
-    vertices = list(g.vertices)
-    edges = [tuple(e) for e in g.edges]
-    target = v0
-    for k in range(1, n + 1):
-        vk = _fresh(f"{v0}~{tag}{k}", vnames)
-        edges.append((_fresh(f"{v0}~{tag}{k}e", enames), vk, target))
-        vertices.append(vk)
-        if chained:
-            target = vk
-    return Graph.build(vertices, edges)
+    vertices: list[str] = []
+    edges: list[tuple[str, str, str]] = []
+    for v0, n in counts:
+        target = v0
+        for k in range(1, n + 1):
+            vk = _fresh(f"{v0}~{tag}{k}", vnames)
+            edges.append((_fresh(f"{v0}~{tag}{k}e", enames), vk, target))
+            vertices.append(vk)
+            if chained:
+                target = vk
+    return g._edit(add_vertices=vertices, add_edges=edges)
 
 
 def add_head(g: Graph, v0: str, n: int) -> Graph:
@@ -60,7 +66,7 @@ def add_head(g: Graph, v0: str, n: int) -> Graph:
     g.require_vertex(v0)
     if n <= 0:
         raise PreconditionError("bad-parameter", f"head length must be positive, got {n}")
-    return _attach_fresh(g, v0, n, "h", chained=True)
+    return _attach_fresh(g, [(v0, n)], "h", chained=True)
 
 
 def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
@@ -70,17 +76,14 @@ def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
         raise PreconditionError("bad-parameter", f"subdivision length must be positive, got {n}")
     vnames = set(g.vertices)
     enames = {e.eid for e in g.edges} - {e0}
-    vertices = list(g.vertices)
-    edges = [tuple(e) for e in g.edges if e.eid != e0]
     chain = [_fresh(f"{e0}~s{k}", vnames) for k in range(1, n + 1)]
-    vertices.extend(chain)
     # chain[k-1] plays the k-th new vertex: edges run
     # source(e0) -> chain[n-1] -> ... -> chain[0] -> range(e0)
-    edges.append((_fresh(f"{e0}~s1e", enames), chain[0], target.dst))
+    edges = [(_fresh(f"{e0}~s1e", enames), chain[0], target.dst)]
     for k in range(2, n + 1):
         edges.append((_fresh(f"{e0}~s{k}e", enames), chain[k - 1], chain[k - 2]))
     edges.append((_fresh(f"{e0}~s{n + 1}e", enames), target.src, chain[n - 1]))
-    return Graph.build(vertices, edges)
+    return g._edit(drop_edges=[e0], add_vertices=chain, add_edges=edges)
 
 
 def star_sources(g: Graph, v0: str, n: int) -> Graph:
@@ -88,7 +91,7 @@ def star_sources(g: Graph, v0: str, n: int) -> Graph:
     g.require_vertex(v0)
     if n <= 0:
         raise PreconditionError("bad-parameter", f"source count must be positive, got {n}")
-    return _attach_fresh(g, v0, n, "t", chained=False)
+    return _attach_fresh(g, [(v0, n)], "t", chained=False)
 
 
 def remove_source(g: Graph, v: str) -> Graph:
@@ -96,10 +99,7 @@ def remove_source(g: Graph, v: str) -> Graph:
     g.require_vertex(v)
     if g.in_degree(v) != 0:
         raise PreconditionError("not-a-source", f"vertex {v!r} receives {g.in_degree(v)} edge(s)")
-    return Graph.build(
-        [w for w in g.vertices if w != v],
-        [tuple(e) for e in g.edges if e.src != v],
-    )
+    return g._edit(drop_vertices=[v])
 
 
 def collapse_vertex(g: Graph, v: str) -> Graph:
@@ -118,12 +118,12 @@ def collapse_vertex(g: Graph, v: str) -> Graph:
             "self-loop", f"vertex {v!r} carries a cycle of length one and cannot be collapsed"
         )
     enames = {e.eid for e in g.edges if v not in (e.src, e.dst)}
-    edges = [tuple(e) for e in g.edges if v not in (e.src, e.dst)]
+    edges = []
     for incoming in g.in_edges(v):
         for outgoing in g.out_edges(v):
             eid = _fresh(f"{incoming.eid}.{outgoing.eid}", enames)
             edges.append((eid, incoming.src, outgoing.dst))
-    return Graph.build([w for w in g.vertices if w != v], edges)
+    return g._edit(drop_vertices=[v], add_edges=edges)
 
 
 def _complement_paths_into(g: Graph, hset: frozenset[str], v: str,
@@ -175,10 +175,8 @@ def source_elision(g: Graph, h) -> Graph:
             "unreachable-vertex", f"vertex {lost[0]!r} has no path into the set"
         )
 
-    vertices = sorted(hset)
-    edges = [tuple(e) for v in vertices for e in g.out_edges(v)]
-    vnames = set(vertices)
-    enames = {e[0] for e in edges}
+    vnames = set(hset)
+    enames = {e.eid for v in hset for e in g.out_edges(v)}
     crossing = sorted(e for e in g.edges if e.src not in hset and e.dst in hset)
     memo: dict[str, list[tuple[str, ...]]] = {}
     new_sources: list[tuple[str, str]] = []  # (path spelling, range vertex)
@@ -186,11 +184,13 @@ def source_elision(g: Graph, h) -> Graph:
         for prefix in _complement_paths_into(g, hset, e.src, memo):
             spelling = ".".join(prefix + (e.eid,))
             new_sources.append((spelling, e.dst))
+    vertices: list[str] = []
+    edges: list[tuple[str, str, str]] = []
     for spelling, landing in sorted(new_sources):
         source_id = _fresh(f"src:{spelling}", vnames)
         vertices.append(source_id)
         edges.append((_fresh(f"src:{spelling}~e", enames), source_id, landing))
-    return Graph.build(vertices, edges)
+    return g._edit(drop_vertices=complement, add_vertices=vertices, add_edges=edges)
 
 
 def attach_heads(g: Graph, lengths: Mapping[str, int] | Iterable[tuple[str, int]]) -> Graph:
@@ -200,16 +200,13 @@ def attach_heads(g: Graph, lengths: Mapping[str, int] | Iterable[tuple[str, int]
     This realizes the finite hereditary truncation of the stabilization that
     contains every original vertex.
     """
-    lengths = dict(lengths)
-    out = g
-    for v in sorted(lengths):
+    heads = sorted(dict(lengths).items())
+    for v, n in heads:
         g.require_vertex(v)
-        n = lengths[v]
         if n < 0:
             raise PreconditionError("bad-parameter", f"negative head length {n} at {v!r}")
-        if n > 0:
-            out = add_head(out, v, n)
-    return out
+    # one edit for all heads, with the ids of adding them one by one
+    return _attach_fresh(g, heads, "h", chained=True)
 
 
 # -- move records ---------------------------------------------------------------

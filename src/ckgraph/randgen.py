@@ -88,9 +88,7 @@ def random_no_sink_graph(rng: SplitMix64, *, max_vertices: int = 8, max_parallel
         (f"fix{i}", v, g.vertices[rng.randint(0, len(g.vertices) - 1)])
         for i, v in enumerate(g.sinks)
     ]
-    if not extra:
-        return g
-    return Graph.build(g.vertices, [tuple(e) for e in g.edges] + extra)
+    return g._edit(add_edges=extra)
 
 
 def random_all_loop_graph(rng: SplitMix64, *, max_vertices: int = 6, max_parallel: int = 3) -> Graph:
@@ -103,9 +101,7 @@ def random_all_loop_graph(rng: SplitMix64, *, max_vertices: int = 6, max_paralle
     extra = [
         (f"loop{i}", v, v) for i, v in enumerate(g.vertices) if not g.loops_at(v)
     ]
-    if not extra:
-        return g
-    return Graph.build(g.vertices, [tuple(e) for e in g.edges] + extra)
+    return g._edit(add_edges=extra)
 
 
 def random_int_matrix(

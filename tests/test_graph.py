@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +55,81 @@ def test_build_rejects_duplicates_and_dangling_edges():
         Graph.build(["has space"], [])
     with pytest.raises(GraphFormatError):
         Graph.build(["a,b"], [])
+
+
+# edits of G("v w", "e:v>w") that add a bad id; the last two carry two
+# faults each, so the first one in sorted order must be the one reported
+_BAD_EDITS = [
+    {"add_vertices": [""]},
+    {"add_vertices": ["has space"]},
+    {"add_vertices": ["v"]},
+    {"add_vertices": ["x", "x"]},
+    {"add_edges": [("f#", "v", "v")]},
+    {"add_edges": [("e", "w", "v")]},
+    {"add_edges": [("f", "v", "x")]},
+    {"drop_vertices": ["w"], "add_edges": [("f", "v", "w")]},
+    {"add_vertices": ["z z", "a,a", "u"]},
+    {"drop_edges": ["e"], "add_vertices": ["u"], "add_edges": [("g", "u", "x"), ("f", "v", "y")]},
+]
+
+
+def _edit_message(edit) -> str | None:
+    try:
+        G("v w", "e:v>w")._edit(**edit)
+    except GraphFormatError as exc:
+        return str(exc)
+    return None
+
+
+def _build_message(edit) -> str | None:
+    # what build says about the whole edited graph
+    drop_v = set(edit.get("drop_vertices", ()))
+    drop_e = set(edit.get("drop_edges", ()))
+    vertices = [v for v in ("v", "w") if v not in drop_v] + edit.get("add_vertices", [])
+    edges = [("e", "v", "w")] if "e" not in drop_e and not drop_v & {"v", "w"} else []
+    try:
+        Graph.build(vertices, edges + edit.get("add_edges", []))
+    except GraphFormatError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("edit", _BAD_EDITS)
+def test_edit_rejects_a_bad_added_id_with_the_message_of_build(edit):
+    message = _edit_message(edit)
+    assert message is not None
+    assert message == _build_message(edit)
+
+
+def test_edit_checks_added_ids_under_python_O():
+    # the checks raise; they are not assertions that -O strips
+    script = (
+        "import json, sys\n"
+        "from ckgraph import Graph, GraphFormatError\n"
+        "g = Graph.build(['v', 'w'], [('e', 'v', 'w')])\n"
+        "out = []\n"
+        "for edit in json.loads(sys.argv[1]):\n"
+        "    try:\n"
+        "        g._edit(**edit)\n"
+        "        out.append(None)\n"
+        "    except GraphFormatError as exc:\n"
+        "        out.append(str(exc))\n"
+        "print(json.dumps([__debug__, out]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script, json.dumps(_BAD_EDITS)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(result.stdout) == [False, [_edit_message(edit) for edit in _BAD_EDITS]]
+
+
+def test_edit_keeps_the_base_edges_and_drops_a_vertex_with_its_edges():
+    g = G("u v w", "a:u>v b:v>w c:w>w d:u>u")
+    out = g._edit(drop_vertices=["v"], add_vertices=["t"], add_edges=[("e", "t", "w")])
+    assert out == G("t u w", "c:w>w d:u>u e:t>w")
+    assert out.edges[0] is g.edges[2] and out.edges[1] is g.edges[3]
+    assert g._edit(drop_edges=["a", "b"]) == G("u v w", "c:w>w d:u>u")
 
 
 def test_id_check_agrees_with_isspace_and_separators_on_every_code_point():

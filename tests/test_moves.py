@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from ckgraph import (
     AttachHeads,
     CertificateError,
     CollapseVertex,
+    Graph,
     GraphFormatError,
     Move,
     MoveLogBuilder,
@@ -27,6 +30,7 @@ from ckgraph import (
     k_invariants,
     parse_move,
     parse_move_log,
+    reachable_from,
     remove_source,
     replay_move_log,
     source_elision,
@@ -34,7 +38,10 @@ from ckgraph import (
     subdivide_edge,
 )
 from ckgraph.moves import _MOVES
+from ckgraph.randgen import SplitMix64, random_no_sink_graph
 from conftest import G, graphs, no_sink_graphs
+
+DATA = Path(__file__).parent / "data"
 
 
 # -- add_head ------------------------------------------------------------------
@@ -253,6 +260,26 @@ def test_attach_heads_on_two_cycle():
     assert set(out.source_vertices) == {"u~h1", "v~h1"}
 
 
+# ids that the fresh names of heads at "a" collide with
+_HEAD_VERTICES = ["a", "a~h1", "a~h2", "a~h1_2", "a~h1~h1", "b"]
+_HEAD_EDGES = ["a~h1e", "a~h2e", "a~h1e_2", "a~h1~h1e", "b~h1e", "x"]
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_attach_heads_matches_the_fold_of_add_head(data):
+    vertices = data.draw(st.lists(st.sampled_from(_HEAD_VERTICES), min_size=1, unique=True))
+    eids = data.draw(st.lists(st.sampled_from(_HEAD_EDGES), unique=True))
+    ends = st.sampled_from(vertices)
+    g = Graph.build(vertices, [(eid, data.draw(ends), data.draw(ends)) for eid in eids])
+    lengths = data.draw(st.dictionaries(ends, st.integers(0, 3)))
+    fold = g
+    for v in sorted(lengths):
+        if lengths[v]:
+            fold = add_head(fold, v, lengths[v])
+    assert attach_heads(g, lengths) == fold
+
+
 def test_attach_heads_rejects_negative(two_loops):
     with pytest.raises(PreconditionError, match="bad-parameter"):
         attach_heads(two_loops, {"v0": -1})
@@ -312,6 +339,58 @@ def test_move_log_detects_divergence(two_loops):
     other = G("v0", "e0:v0>v0")
     with pytest.raises(CertificateError):
         replay_move_log(other, log)
+
+
+def _pick_move(rng: SplitMix64, g: Graph) -> Move:
+    # every record of the move table, with arguments that apply
+    kind = rng.randint(0, 6)
+    if kind == 1 and g.edges:
+        return SubdivideEdge(rng.choice(g.edges).eid, rng.randint(1, 3))
+    if kind == 2:
+        return StarSources(rng.choice(g.vertices), rng.randint(1, 3))
+    if kind == 3 and g.source_vertices:
+        return RemoveSource(rng.choice(g.source_vertices))
+    if kind == 4:
+        chain = [
+            v for v in g.vertices
+            if not g.loops_at(v) and 0 < g.in_degree(v) * g.out_degree(v) <= 2
+        ]
+        if chain:
+            return CollapseVertex(rng.choice(chain))
+    if kind == 5:
+        return SourceElision(tuple(sorted(reachable_from(g, [rng.choice(g.vertices)]))))
+    if kind == 6:
+        lengths = {rng.choice(g.vertices): rng.randint(0, 2) for _ in range(3)}
+        return AttachHeads(tuple(sorted(lengths.items())))
+    return AddHead(rng.choice(g.vertices), rng.randint(1, 3))
+
+
+def test_seeded_move_log_keeps_its_pinned_fingerprints():
+    # moves, fresh ids and fingerprints of every step, as first recorded
+    # when every move rebuilt its whole result through Graph.build
+    rng = SplitMix64(1)
+    g = random_no_sink_graph(rng, max_vertices=40, max_parallel=2)
+    builder = MoveLogBuilder(g)
+    for _ in range(30):
+        builder.apply(_pick_move(rng, builder.graph))
+    text = format_move_log(builder.log())
+    assert text == (DATA / "pinned_moves.log").read_text()
+    assert replay_move_log(g, parse_move_log(text)) == builder.graph
+
+
+@settings(max_examples=80)
+@given(graphs(max_vertices=5), st.data())
+def test_every_move_result_meets_the_invariants_of_build(g, data):
+    # four moves in a row, so fresh ids meet the ids of earlier moves
+    for _ in range(4):
+        if g.is_empty():
+            break
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        try:
+            g = apply_move(g, _pick_move(SplitMix64(seed), g))
+        except PreconditionError:
+            continue
+        assert Graph.build(g.vertices, g.edges) == g
 
 
 # -- invariance fuzz (the full-size sweep lives in the acceptance suite) -------------------
