@@ -30,7 +30,7 @@ from .graph import (
 from .intmatrix import smith_normal_form
 from .ktheory import format_k_invariants, is_cuntz_krieger, k_invariants, k_invariants_dict
 from .monoid import format_multiset, mvn_equivalent, parse_multiset
-from .moves import MoveLog, MoveLogBuilder, format_move, format_move_log, parse_move
+from .moves import MoveLogBuilder, format_move, format_move_log, parse_move
 from .pipeline import PipelineResult, matrix_amplify, normalize_to_ck, realize_corner
 from .randgen import (
     SplitMix64,
@@ -220,47 +220,32 @@ def _cmd_is_ck(args) -> int:
     return EXIT_OK
 
 
-def _maybe_write_log(args, log: MoveLog) -> None:
-    if getattr(args, "log", None):
-        Path(args.log).write_text(format_move_log(log), encoding="utf-8")
-
-
-def _cmd_normalize(args) -> int:
-    g = _load_graph(args.graph)
-    result = normalize_to_ck(g)
-    _maybe_write_log(args, result.log)
-    _emit(_pipeline_report(g, result), _pipeline_text("normalize", g, result), args.format)
-    return EXIT_OK
-
-
-def _cmd_move(args) -> int:
-    g = _load_graph(args.graph)
+def _apply_moves(args, g: Graph) -> PipelineResult:
     moves = [parse_move(spec) for spec in args.move]
     before = k_invariants(g)
     builder = MoveLogBuilder(g)
     for move in moves:
         builder.apply(move)
-    after = k_invariants(builder.graph)
-    result = PipelineResult(builder.graph, builder.log(), before, after, ())
-    _maybe_write_log(args, result.log)
-    _emit(_pipeline_report(g, result), _pipeline_text("move", g, result), args.format)
-    return EXIT_OK
+    return PipelineResult(builder.graph, builder.log(), before, k_invariants(builder.graph), ())
 
 
-def _cmd_corner(args) -> int:
+# How each move-log command builds its result from the arguments and the
+# loaded graph; any argument it parses is read after the graph, so a graph
+# parse error is reported first.
+_PIPELINES = {
+    "normalize": lambda args, g: normalize_to_ck(g),
+    "move": _apply_moves,
+    "corner": lambda args, g: realize_corner(g, parse_multiset(args.proj)),
+    "amplify": lambda args, g: matrix_amplify(g, args.factor),
+}
+
+
+def _cmd_pipeline(args) -> int:
     g = _load_graph(args.graph)
-    projection = parse_multiset(args.proj)
-    result = realize_corner(g, projection)
-    _maybe_write_log(args, result.log)
-    _emit(_pipeline_report(g, result), _pipeline_text("corner", g, result), args.format)
-    return EXIT_OK
-
-
-def _cmd_amplify(args) -> int:
-    g = _load_graph(args.graph)
-    result = matrix_amplify(g, args.factor)
-    _maybe_write_log(args, result.log)
-    _emit(_pipeline_report(g, result), _pipeline_text("amplify", g, result), args.format)
+    result = _PIPELINES[args.command](args, g)
+    if args.log:
+        Path(args.log).write_text(format_move_log(result.log), encoding="utf-8")
+    _emit(_pipeline_report(g, result), _pipeline_text(args.command, g, result), args.format)
     return EXIT_OK
 
 
@@ -319,6 +304,8 @@ def _fuzz_moves_once(rng: SplitMix64, g: Graph) -> int:
 
 def _cmd_fuzz(args) -> int:
     seed, cases = args.seed, args.cases
+    if cases < 0:
+        raise PreconditionError("bad-parameter", f"case count must be non-negative, got {cases}")
     lines = [f"fuzz seed={seed} cases={cases}"]
 
     rng = SplitMix64(derive_seed(seed, "snf"))
@@ -420,10 +407,7 @@ _HANDLERS = {
     "info": _cmd_info,
     "ktheory": _cmd_ktheory,
     "is-ck": _cmd_is_ck,
-    "normalize": _cmd_normalize,
-    "move": _cmd_move,
-    "corner": _cmd_corner,
-    "amplify": _cmd_amplify,
+    **dict.fromkeys(_PIPELINES, _cmd_pipeline),
     "monoid-eq": _cmd_monoid_eq,
     "fuzz": _cmd_fuzz,
 }

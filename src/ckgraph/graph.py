@@ -42,6 +42,16 @@ def _check_id(kind: str, name: str) -> None:
         )
 
 
+def _edge_index(edges: Sequence[Edge], eid: object) -> Optional[int]:
+    # the position of the edge with id eid in the sorted edges, or None;
+    # the 1-tuple (eid,) sorts just before the edge with that id
+    if isinstance(eid, str):
+        i = bisect_left(edges, (eid,))
+        if i < len(edges) and edges[i].eid == eid:
+            return i
+    return None
+
+
 def _merge(kept: list, added: list) -> tuple:
     # both are sorted; a few added items go in by bisection, and with
     # nothing kept (as in build) the added ones are the result
@@ -62,7 +72,9 @@ class Graph:
     the program's own edits of a graph it already holds.  ``_edit`` checks
     only the ids an edit adds, so it relies on every ``Graph`` coming from
     one of the two; the raw constructor is only for trusted callers that
-    keep the invariants themselves.
+    keep the invariants themselves.  :meth:`_fresh` names the ids an edit
+    is about to add, so that they miss every id of the graph it edits.
+    Edge ids are looked up by bisection in the sorted ``edges``.
     """
 
     vertices: tuple[str, ...]
@@ -95,10 +107,9 @@ class Graph:
             edges = [e for e in self.edges if e.src not in drop_v and e.dst not in drop_v]
         else:
             edges = list(self.edges)
-        # the 1-tuple (eid,) sorts just before the edge with that id
         for eid in drop_edges:
-            i = bisect_left(edges, (eid,))
-            if i < len(edges) and edges[i].eid == eid:
+            i = _edge_index(edges, eid)
+            if i is not None:
                 del edges[i]
         new_vertices = sorted(add_vertices)
         new_edges = sorted(Edge(*e) for e in add_edges)
@@ -111,8 +122,7 @@ class Graph:
         previous = None
         for e in new_edges:
             _check_id("edge", e.eid)
-            i = bisect_left(edges, (e.eid,))
-            if e.eid == previous or (i < len(edges) and edges[i].eid == e.eid):
+            if e.eid == previous or _edge_index(edges, e.eid) is not None:
                 raise GraphFormatError(f"duplicate edge id {e.eid!r}")
             previous = e.eid
             for endpoint in (e.src, e.dst):
@@ -122,15 +132,30 @@ class Graph:
                     )
         return Graph(_merge(vertices, new_vertices), _merge(edges, new_edges))
 
+    def _fresh(self, kind: str, bases: Iterable[str]) -> list[str]:
+        """One new ``kind`` id per base, in order, for an edit of this graph.
+
+        Each is the base itself, or else the first of ``base_2``,
+        ``base_3``, ... that is neither a ``kind`` id of this graph nor a
+        name given earlier in the same call.
+        """
+        taken = self.has_vertex if kind == "vertex" else self.has_edge
+        given: set[str] = set()
+        names = []
+        for base in bases:
+            name, k = base, 2
+            while name in given or taken(name):
+                name = f"{base}_{k}"
+                k += 1
+            given.add(name)
+            names.append(name)
+        return names
+
     # -- lookups ---------------------------------------------------------
 
     @cached_property
     def _vertex_set(self) -> frozenset[str]:
         return frozenset(self.vertices)
-
-    @cached_property
-    def _edge_by_id(self) -> dict[str, Edge]:
-        return {e.eid: e for e in self.edges}
 
     @cached_property
     def _out(self) -> dict[str, tuple[Edge, ...]]:
@@ -157,17 +182,17 @@ class Graph:
         return v in self._vertex_set
 
     def has_edge(self, eid: str) -> bool:
-        return eid in self._edge_by_id
+        return _edge_index(self.edges, eid) is not None
 
     def require_vertex(self, v: str) -> None:
         if v not in self._vertex_set:
             raise PreconditionError("unknown-vertex", f"no vertex {v!r} in graph")
 
     def edge(self, eid: str) -> Edge:
-        try:
-            return self._edge_by_id[eid]
-        except KeyError:
-            raise PreconditionError("unknown-edge", f"no edge {eid!r} in graph") from None
+        i = _edge_index(self.edges, eid)
+        if i is None:
+            raise PreconditionError("unknown-edge", f"no edge {eid!r} in graph")
+        return self.edges[i]
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         self.require_vertex(v)

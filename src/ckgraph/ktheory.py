@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Mapping
 
@@ -78,11 +78,8 @@ class _K0Engine:
     regulars: tuple[str, ...]
     presentation: IntMatrix
     snf: SnfResult
+    diagonal: tuple[int, ...]  # the Smith diagonal, padded with 0 to one entry per vertex
     torsion: tuple[int, ...]  # the Smith divisors greater than one
-
-    def ranks(self) -> tuple[int, int]:
-        """K0 and K1 ranks: the vertex and regular-vertex counts less the Smith rank."""
-        return len(self.vertices) - self.snf.rank(), len(self.regulars) - self.snf.rank()
 
     def class_of(self, coefficients: Mapping[str, int]) -> K0Class:
         # y = u * x, summed over the columns of u that x has a nonzero for
@@ -94,16 +91,28 @@ class _K0Engine:
                 raise PreconditionError("unknown-vertex", f"no vertex {v!r} in graph")
             if c:
                 y = [acc + c * x if x else acc for acc, x in zip(y, u[j::size])]
-        diag = self.snf.d.diagonal()
-        torsion: list[int] = []
-        free: list[int] = []
-        for i in range(len(self.vertices)):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                free.append(y[i])
-            elif d > 1:
-                torsion.append(y[i] % d)
-        return K0Class(tuple(torsion), tuple(free))
+        return K0Class(
+            tuple(r % d for r, d in zip(y, self.diagonal) if d > 1),
+            tuple(r for r, d in zip(y, self.diagonal) if d == 0),
+        )
+
+    @cached_property
+    def invariants(self) -> KInvariants:
+        # K0 and K1 ranks: the vertex and regular-vertex counts less the Smith rank
+        rank = self.snf.rank()
+        unit_class = self.class_of({v: 1 for v in self.vertices})
+        return KInvariants(
+            k0_torsion=self.torsion,
+            k0_rank=len(self.vertices) - rank,
+            k1_rank=len(self.regulars) - rank,
+            unit_profile=UnitProfile(
+                order=_class_order(unit_class, self.torsion),
+                divisible_by=tuple(
+                    _divisible(unit_class, self.torsion, k)
+                    for k in range(1, DIVISIBILITY_FLAGS + 1)
+                ),
+            ),
+        )
 
 
 @lru_cache(maxsize=512)
@@ -117,8 +126,10 @@ def _k0_engine(g: Graph) -> _K0Engine:
         [[columns[w][i] for w in regulars] for i in range(len(g.vertices))]
     )
     snf = smith_normal_form(presentation)
-    torsion = tuple(d for d in snf.divisors() if d > 1)
-    return _K0Engine(g.vertices, regulars, presentation, snf, torsion)
+    diagonal = snf.d.diagonal()
+    diagonal += (0,) * (len(g.vertices) - len(diagonal))
+    torsion = tuple(d for d in diagonal if d > 1)
+    return _K0Engine(g.vertices, regulars, presentation, snf, diagonal, torsion)
 
 
 def k_presentation_matrix(g: Graph) -> IntMatrix:
@@ -153,21 +164,8 @@ def _class_order(cls: K0Class, torsion: tuple[int, ...]) -> int | None:
 
 
 def k_invariants(g: Graph) -> KInvariants:
-    engine = _k0_engine(g)
-    torsion = engine.torsion
-    k0_rank, k1_rank = engine.ranks()
-    unit_class = engine.class_of({v: 1 for v in g.vertices})
-    return KInvariants(
-        k0_torsion=torsion,
-        k0_rank=k0_rank,
-        k1_rank=k1_rank,
-        unit_profile=UnitProfile(
-            order=_class_order(unit_class, torsion),
-            divisible_by=tuple(
-                _divisible(unit_class, torsion, k) for k in range(1, DIVISIBILITY_FLAGS + 1)
-            ),
-        ),
-    )
+    """K0, K1 and the unit profile, computed once per cached K0 engine."""
+    return _k0_engine(g).invariants
 
 
 @dataclass(frozen=True)
@@ -189,10 +187,10 @@ def is_cuntz_krieger(g: Graph) -> tuple[bool, CkWitness]:
     """
     if g.is_empty():
         raise PreconditionError("empty-graph", "the empty graph has no unital graph algebra")
-    k0_rank, k1_rank = _k0_engine(g).ranks()
-    witness = CkWitness(sinks=g.sinks, k0_rank=k0_rank, k1_rank=k1_rank)
+    inv = _k0_engine(g).invariants
+    witness = CkWitness(sinks=g.sinks, k0_rank=inv.k0_rank, k1_rank=inv.k1_rank)
     combinatorial = not witness.sinks
-    ranks_agree = k0_rank == k1_rank
+    ranks_agree = inv.k0_rank == inv.k1_rank
     if combinatorial != ranks_agree:
         raise CertificateError(
             f"sink test ({combinatorial}) and rank test ({ranks_agree}) disagree: {witness}"

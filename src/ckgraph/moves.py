@@ -10,7 +10,9 @@ already meets every invariant that ``Graph.build`` enforces.  The table
 its record type and its function, and :func:`apply_move`,
 :func:`format_move` and :func:`parse_move` all read it.
 Fresh ids are generated deterministically from the move's parameters and
-suffixed with ``_2``, ``_3``, ... on collision:
+suffixed with ``_2``, ``_3``, ... on collision, by ``Graph._fresh``.  A
+collision is with an id of the graph left after the move's drops, or with an
+id named earlier in the same move; so a move may reuse an id it drops:
 
 * head vertices ``<v>~h<k>`` with edges ``<v>~h<k>e``,
 * subdivision vertices ``<e>~s<k>`` with edges ``<e>~s<k>e``,
@@ -29,35 +31,21 @@ from .errors import CertificateError, GraphFormatError, PreconditionError
 from .graph import Graph, _require_hereditary, _topological_order, graph_fingerprint
 
 
-def _fresh(base: str, taken: set[str]) -> str:
-    name = base
-    k = 2
-    while name in taken:
-        name = f"{base}_{k}"
-        k += 1
-    taken.add(name)
-    return name
-
-
 # -- the moves ----------------------------------------------------------------
 
 
 def _attach_fresh(g: Graph, counts: Iterable[tuple[str, int]], tag: str, chained: bool) -> Graph:
     # for each (v0, n), in order: n fresh vertices <v0>~<tag><k>, each emitting
     # one edge <v0>~<tag><k>e, into the vertex added before it (a line ending
-    # at v0) or into v0 itself; ids taken by one v0 stay taken for the next
-    vnames = set(g.vertices)
-    enames = {e.eid for e in g.edges}
-    vertices: list[str] = []
-    edges: list[tuple[str, str, str]] = []
-    for v0, n in counts:
-        target = v0
-        for k in range(1, n + 1):
-            vk = _fresh(f"{v0}~{tag}{k}", vnames)
-            edges.append((_fresh(f"{v0}~{tag}{k}e", enames), vk, target))
-            vertices.append(vk)
-            if chained:
-                target = vk
+    # at v0) or into v0 itself; ids named for one v0 stay taken for the next
+    heads = [(v0, k) for v0, n in counts for k in range(1, n + 1)]
+    bases = [f"{v0}~{tag}{k}" for v0, k in heads]
+    vertices = g._fresh("vertex", bases)
+    eids = g._fresh("edge", [base + "e" for base in bases])
+    edges = [
+        (eid, vk, vertices[i - 1] if chained and k > 1 else v0)
+        for i, ((v0, k), vk, eid) in enumerate(zip(heads, vertices, eids))
+    ]
     return g._edit(add_vertices=vertices, add_edges=edges)
 
 
@@ -74,16 +62,14 @@ def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
     target = g.edge(e0)
     if n <= 0:
         raise PreconditionError("bad-parameter", f"subdivision length must be positive, got {n}")
-    vnames = set(g.vertices)
-    enames = {e.eid for e in g.edges} - {e0}
-    chain = [_fresh(f"{e0}~s{k}", vnames) for k in range(1, n + 1)]
+    kept = g._edit(drop_edges=[e0])
+    chain = kept._fresh("vertex", [f"{e0}~s{k}" for k in range(1, n + 1)])
+    eids = kept._fresh("edge", [f"{e0}~s{k}e" for k in range(1, n + 2)])
     # chain[k-1] plays the k-th new vertex: edges run
     # source(e0) -> chain[n-1] -> ... -> chain[0] -> range(e0)
-    edges = [(_fresh(f"{e0}~s1e", enames), chain[0], target.dst)]
-    for k in range(2, n + 1):
-        edges.append((_fresh(f"{e0}~s{k}e", enames), chain[k - 1], chain[k - 2]))
-    edges.append((_fresh(f"{e0}~s{n + 1}e", enames), target.src, chain[n - 1]))
-    return g._edit(drop_edges=[e0], add_vertices=chain, add_edges=edges)
+    ends = [target.dst, *chain, target.src]
+    edges = [(eid, ends[k], ends[k - 1]) for k, eid in enumerate(eids, start=1)]
+    return kept._edit(add_vertices=chain, add_edges=edges)
 
 
 def star_sources(g: Graph, v0: str, n: int) -> Graph:
@@ -117,13 +103,10 @@ def collapse_vertex(g: Graph, v: str) -> Graph:
         raise PreconditionError(
             "self-loop", f"vertex {v!r} carries a cycle of length one and cannot be collapsed"
         )
-    enames = {e.eid for e in g.edges if v not in (e.src, e.dst)}
-    edges = []
-    for incoming in g.in_edges(v):
-        for outgoing in g.out_edges(v):
-            eid = _fresh(f"{incoming.eid}.{outgoing.eid}", enames)
-            edges.append((eid, incoming.src, outgoing.dst))
-    return g._edit(drop_vertices=[v], add_edges=edges)
+    pairs = [(a, b) for a in g.in_edges(v) for b in g.out_edges(v)]
+    kept = g._edit(drop_vertices=[v])
+    eids = kept._fresh("edge", [f"{a.eid}.{b.eid}" for a, b in pairs])
+    return kept._edit(add_edges=[(eid, a.src, b.dst) for eid, (a, b) in zip(eids, pairs)])
 
 
 def _complement_paths_into(g: Graph, hset: frozenset[str], v: str,
@@ -175,8 +158,6 @@ def source_elision(g: Graph, h) -> Graph:
             "unreachable-vertex", f"vertex {lost[0]!r} has no path into the set"
         )
 
-    vnames = set(hset)
-    enames = {e.eid for v in hset for e in g.out_edges(v)}
     crossing = sorted(e for e in g.edges if e.src not in hset and e.dst in hset)
     memo: dict[str, list[tuple[str, ...]]] = {}
     new_sources: list[tuple[str, str]] = []  # (path spelling, range vertex)
@@ -184,13 +165,12 @@ def source_elision(g: Graph, h) -> Graph:
         for prefix in _complement_paths_into(g, hset, e.src, memo):
             spelling = ".".join(prefix + (e.eid,))
             new_sources.append((spelling, e.dst))
-    vertices: list[str] = []
-    edges: list[tuple[str, str, str]] = []
-    for spelling, landing in sorted(new_sources):
-        source_id = _fresh(f"src:{spelling}", vnames)
-        vertices.append(source_id)
-        edges.append((_fresh(f"src:{spelling}~e", enames), source_id, landing))
-    return g._edit(drop_vertices=complement, add_vertices=vertices, add_edges=edges)
+    new_sources.sort()
+    kept = g._edit(drop_vertices=complement)
+    vertices = kept._fresh("vertex", [f"src:{spelling}" for spelling, _ in new_sources])
+    eids = kept._fresh("edge", [f"src:{spelling}~e" for spelling, _ in new_sources])
+    edges = [(eid, s, landing) for eid, s, (_, landing) in zip(eids, vertices, new_sources)]
+    return kept._edit(add_vertices=vertices, add_edges=edges)
 
 
 def attach_heads(g: Graph, lengths: Mapping[str, int] | Iterable[tuple[str, int]]) -> Graph:

@@ -111,6 +111,14 @@ def test_fuzz_is_reproducible_from_the_seed(capsys):
     assert other != out1
 
 
+def test_fuzz_refuses_a_negative_case_count(capsys):
+    code, out, err = _run(["fuzz", "--cases", "-3"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: precondition violated: bad-parameter: case count must be non-negative, got -3\n"
+    code, out, _ = _run(["fuzz", "--cases", "0"], capsys)
+    assert code == 0 and out.endswith("fuzz: PASS\n")
+
+
 def test_module_entry_point_runs_in_a_subprocess():
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
     proc = subprocess.run(

@@ -288,6 +288,15 @@ def test_restrict_to_hereditary(line_into_loops, two_loops):
         restrict_to_hereditary(line_into_loops, {"v1"})
 
 
+def test_edge_lookup_refuses_ids_that_are_not_strings(two_loops):
+    assert two_loops.has_edge(two_loops.edges[0].eid)
+    assert not two_loops.has_edge(3) and not two_loops.has_edge(None)
+    with pytest.raises(PreconditionError) as excinfo:
+        two_loops.edge(3)
+    assert excinfo.value.reason == "unknown-edge"
+    assert str(excinfo.value) == "unknown-edge: no edge 3 in graph"
+
+
 def test_reachability_includes_start(line_into_loops):
     assert reachable_from(line_into_loops, {"v0"}) == {"v0"}
     assert reachable_from(line_into_loops, {"v2"}) == {"v0", "v1", "v2"}

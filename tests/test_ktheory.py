@@ -17,7 +17,7 @@ from ckgraph import (
     k_presentation_matrix,
     vertex_matrix,
 )
-from ckgraph.ktheory import _K0Engine
+from ckgraph.ktheory import _K0Engine, _k0_engine
 from conftest import G, bouquet, graphs, large_random_graphs, no_sink_graphs
 
 
@@ -119,9 +119,11 @@ def test_invariants_and_verdict_compute_the_unit_class_once(monkeypatch):
         return class_of(engine, coefficients)
 
     monkeypatch.setattr(_K0Engine, "class_of", counted)
+    _k0_engine.cache_clear()  # the engine cache is shared across tests
     g = G("u v w", "a:u>v b:v>u c:u>u d:w>u")
     assert k_invariants(g).unit_profile.divisible_by[0]
     assert is_cuntz_krieger(g)[0]
+    assert k_invariants(g).unit_profile.order == 1
     assert len(calls) == 1
 
 

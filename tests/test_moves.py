@@ -133,6 +133,12 @@ def test_elision_single_crossing():
     assert len(out.loops_at("v")) == 1
 
 
+def test_elision_may_reuse_a_vertex_id_it_drops():
+    g = G("q src:y", "y:src:y>q l:q>q")
+    out = source_elision(g, {"q"})
+    assert out == Graph.build(["q", "src:y"], [("l", "q", "q"), ("src:y~e", "src:y", "q")])
+
+
 def test_elision_diagnoses_each_failure():
     g = G("u v", "a:u>v lv:v>v")
     with pytest.raises(PreconditionError, match="not-hereditary"):
@@ -221,6 +227,13 @@ def test_collapse_keeps_parallel_compositions_distinct():
     g = G("a v b", "p:a>v q:a>v r:v>b s:v>b la:a>a lb:b>b")
     out = collapse_vertex(g, "v")
     assert out.pair_count("a", "b") == 4
+
+
+def test_collapse_may_reuse_an_edge_id_it_drops():
+    # fresh names miss the ids of the graph left after the drops, not before
+    g = G("u v w", "a:u>v a.b:u>v b:v>w l:w>w m:u>u")
+    out = collapse_vertex(g, "v")
+    assert out == G("u w", "a.b:u>w a.b.b:u>w l:w>w m:u>u")
 
 
 def test_collapse_preconditions(two_loops):
