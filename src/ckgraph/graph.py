@@ -52,14 +52,63 @@ def _edge_index(edges: Sequence[Edge], eid: object) -> Optional[int]:
     return None
 
 
-def _merge(kept: list, added: list) -> tuple:
-    # both are sorted; a few added items go in by bisection, and with
-    # nothing kept (as in build) the added ones are the result
+def _vertex_line(v: str) -> str:
+    return f"vertex {v}\n"
+
+
+def _edge_line(e: Edge) -> str:
+    return f"edge {e.eid} {e.src} {e.dst}\n"
+
+
+def _cut(items: list, lines: Optional[list], positions: Iterable[int]) -> None:
+    # delete the positions from items, and from their lines alongside
+    for i in sorted(positions, reverse=True):
+        del items[i]
+        if lines is not None:
+            del lines[i]
+
+
+def _merge(kept: list, lines: Optional[list], added: list, line) -> tuple:
+    # both are sorted; a few added items go in by bisection, each with its
+    # line at the same place, and with nothing kept (as in build) the added
+    # ones are the result
     if not kept:
+        if lines is not None:
+            lines.extend(map(line, added))
         return tuple(added)
     for item in added:
-        insort(kept, item)
+        i = bisect_left(kept, item)
+        kept.insert(i, item)
+        if lines is not None:
+            lines.insert(i, line(item))
     return tuple(kept)
+
+
+def _edge_table(g: "Graph", end: int) -> dict[str, tuple[Edge, ...]]:
+    # each vertex's edges at position `end` of the Edge triple (1 for the
+    # source, 2 for the range), in id order
+    table: dict[str, list[Edge]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        table[e[end]].append(e)
+    return {v: tuple(es) for v, es in table.items()}
+
+
+def _patched(table: dict, end: int, dropped: Iterable[str], added_vertices: Iterable[str],
+             gone: Iterable[Edge], added_edges: Iterable[Edge]) -> dict:
+    # the _edge_table of an edited graph from its base's, rewritten only at
+    # the vertices the edit touches
+    table = dict(table)
+    for v in dropped:
+        del table[v]
+    for e in gone:
+        if e[end] in table:
+            table[e[end]] = tuple([x for x in table[e[end]] if x != e])
+    new: dict[str, list[Edge]] = {v: [] for v in added_vertices}
+    for e in added_edges:  # in id order
+        new.setdefault(e[end], []).append(e)
+    for v, es in new.items():
+        table[v] = tuple(sorted(table[v] + tuple(es))) if table.get(v) else tuple(es)
+    return table
 
 
 @dataclass(frozen=True)
@@ -73,8 +122,17 @@ class Graph:
     only the ids an edit adds, so it relies on every ``Graph`` coming from
     one of the two; the raw constructor is only for trusted callers that
     keep the invariants themselves.  :meth:`_fresh` names the ids an edit
-    is about to add, so that they miss every id of the graph it edits.
-    Edge ids are looked up by bisection in the sorted ``edges``.
+    is about to add, so that they miss every id the edit keeps.  Edge ids
+    are looked up by bisection in the sorted ``edges``.
+
+    Derived data is computed lazily and cached: the formatted vertex and
+    edge lines ``_lines`` that :func:`format_graph` joins, and the edge
+    tables ``_out`` and ``_in``.  Whatever of these the base of an
+    ``_edit`` holds, the edit carries over to its result, cutting and
+    inserting lines at the places of the dropped and added ids and
+    rewriting the tables only at the vertices it touches.  The invariant
+    is that carried data always equals what the result would compute
+    fresh, so fingerprints and lookups do not depend on a graph's history.
     """
 
     vertices: tuple[str, ...]
@@ -99,18 +157,26 @@ class Graph:
         uniqueness among the kept and added ids, and for an edge that both
         endpoints are vertices of the result.  Each added id is inserted at
         its place by bisection, so an edit that adds a few ids costs about
-        one copy of the base graph.
+        one copy of the base graph.  Derived data the base holds is carried
+        over: its formatted lines are cut and inserted at the same places,
+        and its edge tables are rewritten only at the vertices touched.
         """
+        derived = self.__dict__
         drop_v = set(drop_vertices)
-        vertices = [v for v in self.vertices if v not in drop_v]
-        if drop_v:
-            edges = [e for e in self.edges if e.src not in drop_v and e.dst not in drop_v]
-        else:
-            edges = list(self.edges)
-        for eid in drop_edges:
-            i = _edge_index(edges, eid)
-            if i is not None:
-                del edges[i]
+        dropped = [v for v in self.vertices if v in drop_v] if drop_v else []
+        found = (_edge_index(self.edges, eid) for eid in drop_edges)
+        gone = {self.edges[i] for i in found if i is not None}
+        for v in dropped:
+            gone.update(self._out[v], self._in[v])
+        vertices, edges = list(self.vertices), list(self.edges)
+        vertex_lines = edge_lines = None
+        lines = derived.get("_lines")
+        if lines is not None:
+            vertex_lines, edge_lines = map(list, lines)
+        if dropped:
+            _cut(vertices, vertex_lines, [bisect_left(self.vertices, v) for v in dropped])
+        if gone:
+            _cut(edges, edge_lines, [bisect_left(self.edges, e) for e in gone])
         new_vertices = sorted(add_vertices)
         new_edges = sorted(Edge(*e) for e in add_edges)
         seen_v = set(vertices)
@@ -130,21 +196,34 @@ class Graph:
                     raise GraphFormatError(
                         f"edge {e.eid!r} endpoint {endpoint!r} is not a vertex"
                     )
-        return Graph(_merge(vertices, new_vertices), _merge(edges, new_edges))
+        result = Graph(
+            _merge(vertices, vertex_lines, new_vertices, _vertex_line),
+            _merge(edges, edge_lines, new_edges, _edge_line),
+        )
+        if lines is not None:
+            result.__dict__["_lines"] = (tuple(vertex_lines), tuple(edge_lines))
+        for name, end in (("_out", 1), ("_in", 2)):
+            if name in derived:
+                result.__dict__[name] = _patched(
+                    derived[name], end, dropped, new_vertices, gone, new_edges
+                )
+        return result
 
-    def _fresh(self, kind: str, bases: Iterable[str]) -> list[str]:
+    def _fresh(self, kind: str, bases: Iterable[str], free: Iterable[str] = ()) -> list[str]:
         """One new ``kind`` id per base, in order, for an edit of this graph.
 
         Each is the base itself, or else the first of ``base_2``,
         ``base_3``, ... that is neither a ``kind`` id of this graph nor a
-        name given earlier in the same call.
+        name given earlier in the same call.  The ids in ``free``, which
+        the same edit drops, count as free.
         """
         taken = self.has_vertex if kind == "vertex" else self.has_edge
+        free = set(free)
         given: set[str] = set()
         names = []
         for base in bases:
             name, k = base, 2
-            while name in given or taken(name):
+            while name in given or (taken(name) and name not in free):
                 name = f"{base}_{k}"
                 k += 1
             given.add(name)
@@ -154,22 +233,21 @@ class Graph:
     # -- lookups ---------------------------------------------------------
 
     @cached_property
+    def _lines(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        # the vertex lines and the edge lines of the text format
+        return tuple(map(_vertex_line, self.vertices)), tuple(map(_edge_line, self.edges))
+
+    @cached_property
     def _vertex_set(self) -> frozenset[str]:
         return frozenset(self.vertices)
 
     @cached_property
     def _out(self) -> dict[str, tuple[Edge, ...]]:
-        table: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            table[e.src].append(e)
-        return {v: tuple(es) for v, es in table.items()}
+        return _edge_table(self, 1)
 
     @cached_property
     def _in(self) -> dict[str, tuple[Edge, ...]]:
-        table: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            table[e.dst].append(e)
-        return {v: tuple(es) for v, es in table.items()}
+        return _edge_table(self, 2)
 
     @cached_property
     def _pair_counts(self) -> dict[tuple[str, str], int]:
@@ -231,10 +309,8 @@ class Graph:
 
 def format_graph(g: Graph) -> str:
     """Serialize deterministically: sorted vertex lines, then sorted edge lines."""
-    return "".join(
-        [f"vertex {v}\n" for v in g.vertices]
-        + [f"edge {eid} {src} {dst}\n" for eid, src, dst in g.edges]
-    )
+    vertex_lines, edge_lines = g._lines
+    return "".join(vertex_lines) + "".join(edge_lines)
 
 
 def parse_graph(text: str) -> Graph:

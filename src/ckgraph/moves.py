@@ -62,14 +62,13 @@ def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
     target = g.edge(e0)
     if n <= 0:
         raise PreconditionError("bad-parameter", f"subdivision length must be positive, got {n}")
-    kept = g._edit(drop_edges=[e0])
-    chain = kept._fresh("vertex", [f"{e0}~s{k}" for k in range(1, n + 1)])
-    eids = kept._fresh("edge", [f"{e0}~s{k}e" for k in range(1, n + 2)])
+    chain = g._fresh("vertex", [f"{e0}~s{k}" for k in range(1, n + 1)])
+    eids = g._fresh("edge", [f"{e0}~s{k}e" for k in range(1, n + 2)], free=[e0])
     # chain[k-1] plays the k-th new vertex: edges run
     # source(e0) -> chain[n-1] -> ... -> chain[0] -> range(e0)
     ends = [target.dst, *chain, target.src]
     edges = [(eid, ends[k], ends[k - 1]) for k, eid in enumerate(eids, start=1)]
-    return kept._edit(add_vertices=chain, add_edges=edges)
+    return g._edit(drop_edges=[e0], add_vertices=chain, add_edges=edges)
 
 
 def star_sources(g: Graph, v0: str, n: int) -> Graph:
@@ -103,10 +102,12 @@ def collapse_vertex(g: Graph, v: str) -> Graph:
         raise PreconditionError(
             "self-loop", f"vertex {v!r} carries a cycle of length one and cannot be collapsed"
         )
-    pairs = [(a, b) for a in g.in_edges(v) for b in g.out_edges(v)]
-    kept = g._edit(drop_vertices=[v])
-    eids = kept._fresh("edge", [f"{a.eid}.{b.eid}" for a, b in pairs])
-    return kept._edit(add_edges=[(eid, a.src, b.dst) for eid, (a, b) in zip(eids, pairs)])
+    ins, outs = g.in_edges(v), g.out_edges(v)
+    pairs = [(a, b) for a in ins for b in outs]
+    dropped = [e.eid for e in ins + outs]
+    eids = g._fresh("edge", [f"{a.eid}.{b.eid}" for a, b in pairs], free=dropped)
+    edges = [(eid, a.src, b.dst) for eid, (a, b) in zip(eids, pairs)]
+    return g._edit(drop_vertices=[v], add_edges=edges)
 
 
 def _complement_paths_into(g: Graph, hset: frozenset[str], v: str,
@@ -166,11 +167,13 @@ def source_elision(g: Graph, h) -> Graph:
             spelling = ".".join(prefix + (e.eid,))
             new_sources.append((spelling, e.dst))
     new_sources.sort()
-    kept = g._edit(drop_vertices=complement)
-    vertices = kept._fresh("vertex", [f"src:{spelling}" for spelling, _ in new_sources])
-    eids = kept._fresh("edge", [f"src:{spelling}~e" for spelling, _ in new_sources])
+    # h is hereditary, so the edges dropped with the complement are its out-edges
+    dropped = [e.eid for v in complement for e in g.out_edges(v)]
+    spellings = [spelling for spelling, _ in new_sources]
+    vertices = g._fresh("vertex", [f"src:{p}" for p in spellings], free=complement)
+    eids = g._fresh("edge", [f"src:{p}~e" for p in spellings], free=dropped)
     edges = [(eid, s, landing) for eid, s, (_, landing) in zip(eids, vertices, new_sources)]
-    return kept._edit(add_vertices=vertices, add_edges=edges)
+    return g._edit(drop_vertices=complement, add_vertices=vertices, add_edges=edges)
 
 
 def attach_heads(g: Graph, lengths: Mapping[str, int] | Iterable[tuple[str, int]]) -> Graph:

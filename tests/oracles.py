@@ -2,7 +2,8 @@
 
 Nothing here imports the code paths under test: products are triple loops,
 determinants are Laplace expansions, elementary divisors come from gcds of
-minors, and isomorphism is a plain permutation search.
+minors, isomorphism is a plain permutation search, and the text format is
+written out from the sorted ids.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ def minors_divisors(m: IntMatrix) -> tuple[int, ...]:
         divisors.append(current // previous)
         previous = current
     return tuple(divisors)
+
+
+def format_lines(g: Graph) -> str:
+    """The text format of a graph, line by line from its sorted ids."""
+    return "".join(
+        [f"vertex {v}\n" for v in g.vertices]
+        + [f"edge {eid} {src} {dst}\n" for eid, src, dst in g.edges]
+    )
 
 
 def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:

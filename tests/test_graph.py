@@ -38,7 +38,7 @@ from ckgraph import (
 )
 from ckgraph.graph import _BAD_ID_CHAR
 from conftest import G, all_loop_graphs, graphs
-from oracles import brute_force_isomorphic, exhaustive_closure
+from oracles import brute_force_isomorphic, exhaustive_closure, format_lines
 
 
 # -- construction and text format -------------------------------------------
@@ -73,9 +73,13 @@ _BAD_EDITS = [
 ]
 
 
-def _edit_message(edit) -> str | None:
+def _edit_message(edit, carried: bool = False) -> str | None:
+    g = G("v w", "e:v>w")
+    if carried:
+        for name in ("_lines", "_out", "_in"):
+            getattr(g, name)  # computed now, so the edit carries it
     try:
-        G("v w", "e:v>w")._edit(**edit)
+        g._edit(**edit)
     except GraphFormatError as exc:
         return str(exc)
     return None
@@ -94,9 +98,14 @@ def _build_message(edit) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("edit", _BAD_EDITS)
-def test_edit_rejects_a_bad_added_id_with_the_message_of_build(edit):
-    message = _edit_message(edit)
+@pytest.mark.parametrize(
+    "edit, carried",
+    [pytest.param(edit, False, id=f"edit{i}") for i, edit in enumerate(_BAD_EDITS)]
+    + [pytest.param(edit, True, id=f"edit{i}-carried") for i, edit in enumerate(_BAD_EDITS)],
+)
+def test_edit_rejects_a_bad_added_id_with_the_message_of_build(edit, carried):
+    # also on a base that holds the lines and edge tables an edit carries
+    message = _edit_message(edit, carried)
     assert message is not None
     assert message == _build_message(edit)
 
@@ -167,6 +176,11 @@ def test_parser_comments_and_errors():
         parse_graph("edge e v0\n")
     with pytest.raises(GraphFormatError):
         parse_graph("frob v0\n")
+
+
+@given(graphs())
+def test_format_equals_the_line_by_line_oracle(g):
+    assert format_graph(g) == format_lines(g)
 
 
 @given(graphs())

@@ -24,6 +24,7 @@ from ckgraph import (
     apply_move,
     attach_heads,
     collapse_vertex,
+    format_graph,
     format_move,
     format_move_log,
     graph_isomorphic,
@@ -33,6 +34,7 @@ from ckgraph import (
     reachable_from,
     remove_source,
     replay_move_log,
+    restrict_to_hereditary,
     source_elision,
     star_sources,
     subdivide_edge,
@@ -40,6 +42,7 @@ from ckgraph import (
 from ckgraph.moves import _MOVES
 from ckgraph.randgen import SplitMix64, random_no_sink_graph
 from conftest import G, graphs, no_sink_graphs
+from oracles import format_lines
 
 DATA = Path(__file__).parent / "data"
 
@@ -404,6 +407,37 @@ def test_every_move_result_meets_the_invariants_of_build(g, data):
         except PreconditionError:
             continue
         assert Graph.build(g.vertices, g.edges) == g
+
+
+_DERIVED = ("_lines", "_out", "_in")
+
+
+@settings(max_examples=80)
+@given(graphs(max_vertices=6), st.data())
+def test_edits_carry_the_derived_data_a_fresh_graph_computes(g, data):
+    # moves over the whole move table, plus the edits that drop vertices
+    for _ in range(6):
+        if g.is_empty():
+            break
+        for name in _DERIVED:
+            getattr(g, name)  # computed now, so the next edit carries it
+        kind = data.draw(st.sampled_from(["move", "restrict", "remove-source"]))
+        try:
+            if kind == "restrict":
+                v = data.draw(st.sampled_from(g.vertices))
+                g = restrict_to_hereditary(g, reachable_from(g, [v]))
+            elif kind == "remove-source" and g.source_vertices:
+                g = remove_source(g, data.draw(st.sampled_from(g.source_vertices)))
+            else:
+                seed = data.draw(st.integers(0, 2**64 - 1))
+                g = apply_move(g, _pick_move(SplitMix64(seed), g))
+        except PreconditionError:
+            continue
+        assert all(name in g.__dict__ for name in _DERIVED)
+        fresh = Graph(g.vertices, g.edges)
+        for name in _DERIVED:
+            assert g.__dict__[name] == getattr(fresh, name), name
+        assert format_graph(g) == format_lines(g)
 
 
 # -- invariance fuzz (the full-size sweep lives in the acceptance suite) -------------------
