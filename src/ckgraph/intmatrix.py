@@ -2,16 +2,18 @@
 
 Entries are Python ints, never fixed-width machine words: Smith pivots can
 grow far past 64 bits even for small inputs, and every result here must be
-exact.  The Smith routine returns the diagonal together with the unimodular
-transforms that certify it, and re-verifies the certificate on every call,
-``python -O`` included.
+exact.  The Smith routine runs in two phases: sparse unit pivots in
+Markowitz order, then a dense extended-gcd elimination of the small core
+they leave.  It returns the diagonal together with the unimodular transforms
+that certify it and their inverses, and re-verifies the certificate on every
+call, ``python -O`` included, by matrix products alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import CertificateError, GraphFormatError
 
@@ -85,12 +87,9 @@ class IntMatrix:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
     def is_diagonal(self) -> bool:
-        return all(
-            self.at(i, j) == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
+        # every nonzero entry is a diagonal one
+        diagonal = self.diagonal()
+        return len(self.entries) - self.entries.count(0) == len(diagonal) - diagonal.count(0)
 
 
 def format_int_matrix(m: IntMatrix) -> str:
@@ -114,12 +113,13 @@ def parse_int_matrix(text: str) -> IntMatrix:
 def determinant(m: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination.
 
-    The pivot is the nonzero entry of least absolute value in its column: on
-    large unimodular Smith transforms the first nonzero entry can make the
-    intermediate minors, and the divisions by them, orders of magnitude
-    larger.  Step k keeps only the columns right of the pivot.  A row with 0
-    in the pivot column is just rescaled by ``pivot / previous pivot``, or
-    left as it is when the two are equal.
+    The Smith certificate does not use it; it stays as an independent check
+    that a transform is unimodular.  The pivot is the nonzero entry of least
+    absolute value in its column: on large unimodular Smith transforms the
+    first nonzero entry can make the intermediate minors, and the divisions
+    by them, orders of magnitude larger.  Step k keeps only the columns
+    right of the pivot.  A row with 0 in the pivot column is just rescaled
+    by ``pivot / previous pivot``, or left as it is when the two are equal.
     """
     if m.rows != m.cols:
         raise GraphFormatError("determinant needs a square matrix")
@@ -153,7 +153,8 @@ def determinant(m: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Diagonal ``d`` plus unimodular ``u``, ``v`` with ``u * a * v = d``.
+    """Diagonal ``d`` plus unimodular ``u``, ``v`` with ``u * a * v = d``, and
+    the inverses ``u_inv``, ``v_inv`` that prove the transforms unimodular.
 
     Diagonal entries are non-negative and each divides the next.
     """
@@ -161,6 +162,8 @@ class SnfResult:
     d: IntMatrix
     u: IntMatrix
     v: IntMatrix
+    u_inv: IntMatrix
+    v_inv: IntMatrix
 
     def divisors(self) -> tuple[int, ...]:
         """Nonzero diagonal entries, in chain order."""
@@ -171,13 +174,27 @@ class SnfResult:
 
 
 def verify_snf(a: IntMatrix, result: SnfResult) -> None:
-    """Raise ``CertificateError`` unless the certificate is valid."""
-    if result.u.mul(a).mul(result.v) != result.d:
-        raise CertificateError("Smith certificate broken: u*a*v != d")
+    """Raise ``CertificateError`` unless the certificate is valid.
+
+    It proves four facts by matrix products alone, with no determinant:
+    ``d`` is diagonal; ``u * u_inv = I`` and ``v * v_inv = I``, so ``u`` and
+    ``v`` are unimodular, since an integer matrix with an integer inverse has
+    determinant +-1; ``u * a = d * v_inv``, which with ``v * v_inv = I``
+    gives ``u * a * v = d``; and the diagonal is a divisor chain.
+    """
+    m, n = a.rows, a.cols
+    shapes = [(x.rows, x.cols) for x in (result.d, result.u, result.u_inv, result.v, result.v_inv)]
+    if shapes != [(m, n), (m, m), (m, m), (n, n), (n, n)]:
+        raise CertificateError(f"Smith certificate broken: shapes {shapes} for a {m}x{n} matrix")
     if not result.d.is_diagonal():
         raise CertificateError("Smith certificate broken: d is not diagonal")
-    if abs(determinant(result.u)) != 1 or abs(determinant(result.v)) != 1:
+    if (
+        result.u.mul(result.u_inv) != IntMatrix.identity(m)
+        or result.v.mul(result.v_inv) != IntMatrix.identity(n)
+    ):
         raise CertificateError("Smith certificate broken: transform is not unimodular")
+    if result.u.mul(a) != result.d.mul(result.v_inv):
+        raise CertificateError("Smith certificate broken: u*a*v != d")
     diag = result.d.diagonal()
     for x, y in zip(diag, diag[1:]):
         if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
@@ -199,145 +216,287 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def smith_normal_form(a: IntMatrix) -> SnfResult:
-    """Diagonalize by unimodular row/column operations.
+def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """Sparse ``dst += q * src`` for ``q != 0``, dropping entries that cancel."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
 
-    Pivot choice, in the remaining submatrix: least nonzero absolute value,
-    then least Markowitz cost ``(r - 1) * (c - 1)``, where ``r`` and ``c``
-    count the nonzero entries of the pivot's row and column there, then first
-    position in row-major order.  The cost bounds the fill-in of eliminating
-    the pivot, so the unit entries of a sparse matrix are taken in an order
-    that keeps it sparse.  Non-divisible entries are folded into the pivot
-    by extended-gcd 2x2 transforms (one step per entry, no swap cascades, so
-    intermediate entries stay manageable); transforms are accumulated
-    explicitly and the divisibility chain is enforced before each advance.
+
+def _unit_pivots(
+    rows: dict[int, dict[int, int]],
+    cols: dict[int, set[int]],
+    u: dict[int, dict[int, int]],
+    v_t: dict[int, dict[int, int]],
+) -> list[tuple[int, int, dict[int, int], dict[int, int]]]:
+    """Phase 1: eliminate +-1 pivots from the sparse matrix ``rows``.
+
+    ``cols`` holds the rows of each column's nonzeros, and ``u`` and ``v_t``
+    the rows of ``u`` and of ``v`` transposed, all sparse.  The pivot is the
+    unit entry of least Markowitz cost ``(r - 1) * (c - 1)``, where ``r`` and
+    ``c`` count the nonzeros of its row and column, then of least row, then
+    of least column.  It is made +1, and its row and column leave ``rows``
+    and ``cols``.
+
+    Returns, per pivot in order, its row ``p`` and column ``c`` and the
+    column ``p`` of ``u^-1`` and row ``c`` of ``v^-1``.  Those are final once
+    the pivot is taken, and need no accumulation: the inverse of clearing
+    column ``c`` by row ``p`` only touches column ``p`` of ``u^-1``, which
+    is still a unit vector, since every earlier inverse touched the column of
+    an earlier pivot row.  The same holds for ``v^-1`` by rows.
     """
-    m, n = a.rows, a.cols
-    d = a.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
+    pivots = []
+    while True:
+        best = None
+        for i, row in rows.items():
+            # rows come in increasing order, so a later row cannot beat cost 0
+            if best is not None and not best[0]:
+                break
+            r = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    key = (r * (len(cols[j]) - 1), i, j)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            return pivots
+        _, p, c = best
+        row = rows.pop(p)
+        e = row.pop(c)
+        others = cols.pop(c)
+        others.discard(p)
+        # row i += q * row p clears column c; the fill-in lands in row p's columns
+        u_inv_col = {p: e}
+        for i in others:
+            target = rows[i]
+            q = -target.pop(c) * e
+            for j, x in row.items():
+                y = target.get(j, 0) + q * x
+                if y:
+                    target[j] = y
+                    cols[j].add(i)
+                else:
+                    del target[j]
+                    cols[j].discard(i)
+            _axpy(u[i], u[p], q)
+            u_inv_col[i] = -q * e
+        # column c is now zero outside row p, so column j += q * column c
+        # only clears entry (p, j) of the matrix
+        v_inv_row = {c: 1}
+        for j, x in row.items():
+            cols[j].discard(p)
+            q = -x * e
+            _axpy(v_t[j], v_t[c], q)
+            v_inv_row[j] = -q
+        if e < 0:
+            u[p] = {k: -x for k, x in u[p].items()}
+        pivots.append((p, c, u_inv_col, v_inv_row))
 
-    def row_swap(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
 
-    def row_add(dst: int, src: int, q: int) -> None:
-        d[dst] = [x + q * y if y else x for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y if y else x for x, y in zip(u[dst], u[src])]
+# Phase 2 works on a side, a triple of row lists (mat, fwd, inv): a row
+# operation R acts on the rows of mat and of its transform fwd, and the
+# transposed inverse of R on the rows of inv.  The row side is (core, U,
+# U^-1 transposed); the column side is (core transposed, V transposed, V^-1),
+# since a column operation C is the row operation C^T on the transpose.  So
+# every operation is a row operation, and U^-1, V^-1 come out as the inverse
+# operations applied in reverse order.
+_Side = tuple[list[list[int]], ...]
 
-    def row_combine(r1: int, r2: int, x: int, y: int, xx: int, yy: int) -> None:
-        # unimodular when x*yy - y*xx = +-1
-        for mat in (d, u):
-            one = [x * p + y * q for p, q in zip(mat[r1], mat[r2])]
-            two = [xx * p + yy * q for p, q in zip(mat[r1], mat[r2])]
-            mat[r1], mat[r2] = one, two
 
-    def row_negate(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+def _swap(side: _Side, i: int, j: int) -> None:
+    for rows in side:
+        rows[i], rows[j] = rows[j], rows[i]
 
-    def col_swap(i: int, j: int) -> None:
-        if i != j:
-            for mat in (d, v):
-                for row in mat:
-                    row[i], row[j] = row[j], row[i]
 
-    # column operations skip the rows that are 0 in every column they read
-    def col_add(dst: int, src: int, q: int) -> None:
-        for mat in (d, v):
-            for row in mat:
-                if row[src]:
-                    row[dst] += q * row[src]
+def _negate(side: _Side, i: int) -> None:
+    for rows in side:
+        rows[i] = [-x for x in rows[i]]
 
-    def col_combine(c1: int, c2: int, x: int, y: int, xx: int, yy: int) -> None:
-        for mat in (d, v):
-            for row in mat:
-                p, q = row[c1], row[c2]
-                if p or q:
-                    row[c1], row[c2] = x * p + y * q, xx * p + yy * q
 
-    def find_pivot(t: int) -> tuple[int, int] | None:
-        rest = [row[t:] for row in d[t:]]
-        lo = min(map(abs, filter(None, chain.from_iterable(rest))), default=0)
-        if not lo:
-            return None
-        # cost 0 is the least, so the first candidate of cost 0 is the pivot;
-        # column counts are taken only once a candidate needs them
-        col_nonzeros: list[int] = []
-        best = (-1, 0, 0)
-        for i, row in enumerate(rest):
-            if lo not in row and -lo not in row:
-                continue
-            cols = [j for j, x in enumerate(row) if x == lo or x == -lo]
-            r1 = len(row) - 1 - row.count(0)
-            if not r1:
-                return t + i, t + cols[0]
-            if not col_nonzeros:
-                col_nonzeros = [len(rest) - col.count(0) for col in zip(*rest)]
-            c = min(map(col_nonzeros.__getitem__, cols))
-            cost = r1 * (c - 1)
-            if best[0] < 0 or cost < best[0]:
-                best = (cost, i, next(j for j in cols if col_nonzeros[j] == c))
-                if not cost:
-                    break
-        return t + best[1], t + best[2]
+def _add(side: _Side, dst: int, src: int, q: int) -> None:
+    """Row ``dst += q * row src``; on inv, row ``src -= q * row dst``."""
+    mat, fwd, inv = side
+    mat[dst] = [x + q * y if y else x for x, y in zip(mat[dst], mat[src])]
+    fwd[dst] = [x + q * y if y else x for x, y in zip(fwd[dst], fwd[src])]
+    inv[src] = [x - q * y if y else x for x, y in zip(inv[src], inv[dst])]
+
+
+def _combine(side: _Side, r1: int, r2: int, x: int, y: int, xx: int, yy: int) -> None:
+    """Rows ``(r1, r2) := (x*r1 + y*r2, xx*r1 + yy*r2)``, where ``x*yy - y*xx = 1``."""
+    mat, fwd, inv = side
+    for rows in (mat, fwd):
+        one, two = rows[r1], rows[r2]
+        rows[r1] = [x * p + y * q for p, q in zip(one, two)]
+        rows[r2] = [xx * p + yy * q for p, q in zip(one, two)]
+    one, two = inv[r1], inv[r2]
+    inv[r1] = [yy * p - xx * q for p, q in zip(one, two)]
+    inv[r2] = [x * q - y * p for p, q in zip(one, two)]
+
+
+def _clear(side: _Side, t: int) -> None:
+    """Zero column t of mat below row t, folding each entry the pivot does
+    not divide into it by an extended-gcd 2x2 step (no swap cascades, so
+    intermediate entries stay manageable)."""
+    mat = side[0]
+    for i in range(t + 1, len(mat)):
+        b = mat[i][t]
+        if not b:
+            continue
+        p = mat[t][t]
+        if b % p == 0:
+            _add(side, i, t, -(b // p))
+        else:
+            g, x, y = _xgcd(p, b)
+            _combine(side, t, i, x, y, -(b // g), p // g)
+
+
+def _core_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
+    """Least nonzero absolute value in the submatrix from (t, t), then least
+    Markowitz cost, then first position in row-major order."""
+    rest = [row[t:] for row in d[t:]]
+    lo = min(map(abs, filter(None, chain.from_iterable(rest))), default=0)
+    if not lo:
+        return None
+    # cost 0 is the least, so the first candidate of cost 0 is the pivot;
+    # column counts are taken only once a candidate needs them
+    col_nonzeros: list[int] = []
+    best = (-1, 0, 0)
+    for i, row in enumerate(rest):
+        if lo not in row and -lo not in row:
+            continue
+        cols = [j for j, x in enumerate(row) if x == lo or x == -lo]
+        r1 = len(row) - 1 - row.count(0)
+        if not r1:
+            return t + i, t + cols[0]
+        if not col_nonzeros:
+            col_nonzeros = [len(rest) - col.count(0) for col in zip(*rest)]
+        c = min(map(col_nonzeros.__getitem__, cols))
+        cost = r1 * (c - 1)
+        if best[0] < 0 or cost < best[0]:
+            best = (cost, i, next(j for j in cols if col_nonzeros[j] == c))
+            if not cost:
+                break
+    return t + best[1], t + best[2]
+
+
+def _reduce_core(d: list[list[int]], width: int, row_side: _Side, col_side: _Side) -> list[int]:
+    """Phase 2: the dense gcd elimination of the core ``d`` (``width``
+    columns); returns its Smith diagonal.  Column steps run as row steps on
+    ``d`` transposed, which is transposed back after each."""
+
+    def transposed(rows: list[list[int]]) -> list[list[int]]:
+        return [list(col) for col in zip(*rows)]
 
     t = 0
-    while t < min(m, n):
-        pivot = find_pivot(t)
+    while t < min(len(d), width):
+        pivot = _core_pivot(d, t)
         if pivot is None:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        _swap((d, *row_side), t, pivot[0])
+        d_t = transposed(d)
+        _swap((d_t, *col_side), t, pivot[1])
+        d = transposed(d_t)
         while True:
-            for i in range(t + 1, m):
-                b = d[i][t]
-                if not b:
-                    continue
-                p = d[t][t]
-                if b % p == 0:
-                    row_add(i, t, -(b // p))
-                else:
-                    g, x, y = _xgcd(p, b)
-                    row_combine(t, i, x, y, -(b // g), p // g)
-            for j in range(t + 1, n):
-                b = d[t][j]
-                if not b:
-                    continue
-                p = d[t][t]
-                if b % p == 0:
-                    col_add(j, t, -(b // p))
-                else:
-                    g, x, y = _xgcd(p, b)
-                    col_combine(t, j, x, y, -(b // g), p // g)
-            # gcd column transforms can re-dirty column t, hence the re-check;
+            _clear((d, *row_side), t)
+            d_t = transposed(d)
+            _clear((d_t, *col_side), t)
+            d = transposed(d_t)
+            # gcd column steps can re-dirty column t, hence the re-check;
             # a unit pivot divides everything
-            if all(d[i][t] == 0 for i in range(t + 1, m)):
-                if abs(d[t][t]) == 1:
-                    break
-                offender = next(
-                    (
-                        i
-                        for i in range(t + 1, m)
-                        for j in range(t + 1, n)
-                        if d[i][j] % d[t][t]
-                    ),
-                    None,
-                )
-                if offender is None:
-                    break
-                row_add(t, offender, 1)
+            if any(row[t] for row in d[t + 1 :]):
+                continue
+            p = d[t][t]
+            offender = None
+            if abs(p) != 1:
+                below = range(t + 1, len(d))
+                offender = next((i for i in below if any(x % p for x in d[i][t + 1 :])), None)
+            if offender is None:
+                break
+            _add((d, *row_side), t, offender, 1)
         t += 1
+    diagonal = [d[t][t] for t in range(min(len(d), width))]
+    for t, x in enumerate(diagonal):
+        if x < 0:
+            _negate((d, *row_side), t)
+            diagonal[t] = -x
+    return diagonal
 
-    for i in range(min(m, n)):
-        if d[i][i] < 0:
-            row_negate(i)
 
-    def freeze(data: list[list[int]], nrows: int, ncols: int) -> IntMatrix:
-        return IntMatrix(nrows, ncols, tuple(chain.from_iterable(data)))
+def _dense(terms: Iterable[tuple[int, dict[int, int]]], size: int) -> list[int]:
+    """The dense row ``sum of q * row`` over the sparse rows of ``terms``."""
+    out = [0] * size
+    for q, row in terms:
+        if q:
+            for k, x in row.items():
+                out[k] += q * x
+    return out
 
+
+def _stack(
+    size: int,
+    head: list[dict[int, int]],
+    coefficients: list[list[int]],
+    basis: list[dict[int, int]],
+    transpose: bool = False,
+) -> IntMatrix:
+    """The square matrix whose rows (columns, if ``transpose``) are the
+    sparse rows ``head``, then the combinations ``coefficients`` of the
+    sparse rows ``basis``."""
+    rows = [_dense([(1, row)], size) for row in head]
+    rows += [_dense(zip(c, basis), size) for c in coefficients]
+    return IntMatrix(size, size, tuple(chain.from_iterable(zip(*rows) if transpose else rows)))
+
+
+def smith_normal_form(a: IntMatrix) -> SnfResult:
+    """Diagonalize by unimodular row/column operations, in two phases.
+
+    Phase 1 eliminates the +-1 entries on sparse rows (a dict per row, a set
+    per column) in Markowitz order, so its cost follows the nonzeros and the
+    fill-in rather than the matrix size (Kannan and Bachem, SIAM J. Comput.
+    8 (1979); Havas, Majewski and Matthews, Experimental Math. 7 (1998)).
+    Phase 2 hands the core left without a unit entry to a dense elimination:
+    least nonzero absolute value as the pivot, entries it does not divide
+    folded in by extended-gcd 2x2 steps, and the divisibility chain enforced
+    before each advance.  The core's transforms are of the core's size and
+    are combined with phase 1's rows at the end.  The diagonal holds the unit
+    pivots in the order they were taken, then the core's.
+
+    The transforms and their inverses are built along the way, and the
+    certificate is checked by ``verify_snf`` before the result is returned.
+    """
+    m, n = a.rows, a.cols
+    rows = {i: {j: x for j, x in enumerate(a.entries[i * n : (i + 1) * n]) if x} for i in range(m)}
+    cols: dict[int, set[int]] = {j: set() for j in range(n)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    u = {i: {i: 1} for i in range(m)}
+    v_t = {j: {j: 1} for j in range(n)}
+    pivots = _unit_pivots(rows, cols, u, v_t)
+
+    core_rows, core_cols = sorted(rows), sorted(cols)
+    k, width = len(core_rows), len(core_cols)
+    core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
+    # the core's own transforms: (U, U^-1 transposed), (V transposed, V^-1)
+    row_side = (IntMatrix.identity(k).to_rows(), IntMatrix.identity(k).to_rows())
+    col_side = (IntMatrix.identity(width).to_rows(), IntMatrix.identity(width).to_rows())
+    diagonal = [1] * len(pivots) + _reduce_core(core, width, row_side, col_side)
+
+    d = [0] * (m * n)
+    for t, x in enumerate(diagonal):
+        d[t * (n + 1)] = x
+    # phase 1 leaves the core columns of u^-1 and the core rows of v^-1 unit
+    # vectors, so the core's inverses are placed as they are
+    unit_rows, unit_cols = [{i: 1} for i in core_rows], [{j: 1} for j in core_cols]
     result = SnfResult(
-        d=freeze(d, m, n), u=freeze(u, m, m), v=freeze(v, n, n)
+        d=IntMatrix(m, n, tuple(d)),
+        u=_stack(m, [u[p] for p, *_ in pivots], row_side[0], [u[i] for i in core_rows]),
+        v=_stack(n, [v_t[c] for _, c, *_ in pivots], col_side[0], [v_t[j] for j in core_cols], True),
+        u_inv=_stack(m, [col for *_, col, _ in pivots], row_side[1], unit_rows, True),
+        v_inv=_stack(n, [row for *_, row in pivots], col_side[1], unit_cols),
     )
     verify_snf(a, result)
     return result

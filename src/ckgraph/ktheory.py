@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .errors import CertificateError, PreconditionError
 from .graph import Graph, is_regular
-from .intmatrix import IntMatrix, SnfResult, smith_normal_form
+from .intmatrix import IntMatrix, smith_normal_form
 
 DIVISIBILITY_FLAGS = 12
 
@@ -77,13 +77,13 @@ class _K0Engine:
     vertices: tuple[str, ...]  # sorted, as in every Graph
     regulars: tuple[str, ...]
     presentation: IntMatrix
-    snf: SnfResult
+    u: IntMatrix  # the Smith row transform; v and the inverses are not kept
     diagonal: tuple[int, ...]  # the Smith diagonal, padded with 0 to one entry per vertex
     torsion: tuple[int, ...]  # the Smith divisors greater than one
 
     def class_of(self, coefficients: Mapping[str, int]) -> K0Class:
         # y = u * x, summed over the columns of u that x has a nonzero for
-        u, size = self.snf.u.entries, len(self.vertices)
+        u, size = self.u.entries, len(self.vertices)
         y = [0] * size
         for v, c in coefficients.items():
             j = bisect_left(self.vertices, v)
@@ -99,7 +99,7 @@ class _K0Engine:
     @cached_property
     def invariants(self) -> KInvariants:
         # K0 and K1 ranks: the vertex and regular-vertex counts less the Smith rank
-        rank = self.snf.rank()
+        rank = sum(1 for d in self.diagonal if d)
         unit_class = self.class_of({v: 1 for v in self.vertices})
         return KInvariants(
             k0_torsion=self.torsion,
@@ -117,19 +117,23 @@ class _K0Engine:
 
 @lru_cache(maxsize=512)
 def _k0_engine(g: Graph) -> _K0Engine:
-    regulars = tuple(v for v in g.vertices if is_regular(g, v))
-    columns = {
-        w: [g.pair_count(w, v) - (1 if v == w else 0) for v in g.vertices]
-        for w in regulars
-    }
-    presentation = IntMatrix.from_rows(
-        [[columns[w][i] for w in regulars] for i in range(len(g.vertices))]
-    )
+    # the presentation in one pass over the out-edges: column w holds the
+    # edge counts from w, less 1 on the diagonal
+    vertices = g.vertices
+    row_of = {v: i for i, v in enumerate(vertices)}
+    regulars = tuple(v for v in vertices if is_regular(g, v))
+    width = len(regulars)
+    entries = [0] * (len(vertices) * width)
+    for j, w in enumerate(regulars):
+        entries[row_of[w] * width + j] = -1
+        for e in g.out_edges(w):
+            entries[row_of[e.dst] * width + j] += 1
+    presentation = IntMatrix(len(vertices), width, tuple(entries))
     snf = smith_normal_form(presentation)
     diagonal = snf.d.diagonal()
-    diagonal += (0,) * (len(g.vertices) - len(diagonal))
+    diagonal += (0,) * (len(vertices) - len(diagonal))
     torsion = tuple(d for d in diagonal if d > 1)
-    return _K0Engine(g.vertices, regulars, presentation, snf, diagonal, torsion)
+    return _K0Engine(vertices, regulars, presentation, snf.u, diagonal, torsion)
 
 
 def k_presentation_matrix(g: Graph) -> IntMatrix:

@@ -12,10 +12,18 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 from sympy import Matrix, ZZ  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
 
-from ckgraph import k_invariants, k_presentation_matrix, smith_normal_form  # noqa: E402
+from ckgraph import (  # noqa: E402
+    IntMatrix,
+    determinant,
+    k_invariants,
+    k_presentation_matrix,
+    smith_normal_form,
+)
 from ckgraph.randgen import (  # noqa: E402
     SplitMix64,
     derive_seed,
@@ -23,6 +31,7 @@ from ckgraph.randgen import (  # noqa: E402
     random_int_matrix,
 )
 from conftest import large_random_graphs  # noqa: E402
+from oracles import minors_divisors, naive_product  # noqa: E402
 
 
 def _sympy_divisors(rows: list[list[int]]) -> tuple[int, ...]:
@@ -59,6 +68,48 @@ def test_divisors_agree_with_sympy_at_benchmark_size():
         pres = k_presentation_matrix(g)
         ours = tuple(sorted(smith_normal_form(pres).divisors()))
         assert ours == _sympy_divisors(pres.to_rows())
+
+
+# mostly 0 and +-1, as in graph presentations, so the unit pivots do most of
+# the work and the dense core is small or empty
+UNIT_HEAVY = (0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3)
+
+
+@st.composite
+def unit_heavy_matrices(draw, max_dim: int):
+    rows, cols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    flat = draw(st.lists(st.sampled_from(UNIT_HEAVY), min_size=rows * cols, max_size=rows * cols))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows // 3))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 3))
+    return IntMatrix(
+        rows,
+        cols,
+        tuple(
+            0 if i in zero_rows or j in zero_cols else flat[i * cols + j]
+            for i in range(rows)
+            for j in range(cols)
+        ),
+    )
+
+
+def _check_unit_heavy(m: IntMatrix) -> None:
+    result = smith_normal_form(m)
+    assert tuple(sorted(result.divisors())) == _sympy_divisors(m.to_rows())
+    assert abs(determinant(result.u)) == 1 and abs(determinant(result.v)) == 1
+    assert naive_product(naive_product(result.u, m), result.v) == result.d
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_heavy_matrices(max_dim=12))
+def test_unit_heavy_sparse_matrices_agree_with_sympy(m):
+    _check_unit_heavy(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_heavy_matrices(max_dim=4))
+def test_small_unit_heavy_matrices_agree_with_sympy_and_the_minors(m):
+    _check_unit_heavy(m)
+    assert smith_normal_form(m).divisors() == minors_divisors(m)
 
 
 def test_k_invariants_and_unit_order_agree_with_sympy():

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckgraph import (
+    CertificateError,
     GraphFormatError,
     IntMatrix,
+    SnfResult,
     determinant,
     format_int_matrix,
     parse_int_matrix,
@@ -112,6 +114,51 @@ def test_matrix_text_round_trip():
     assert format_int_matrix(m) == "1 -2 3\n0 5 -6\n"
     with pytest.raises(GraphFormatError):
         parse_int_matrix("1 x\n")
+
+
+def _certificate(a, d, u, v, u_inv=None, v_inv=None):
+    """An input and a hand-made result; the inverses default to u and v."""
+    m = IntMatrix.from_rows
+    return m(a), SnfResult(d=m(d), u=m(u), v=m(v), u_inv=m(u_inv or u), v_inv=m(v_inv or v))
+
+
+# each case breaks exactly one of the four facts the certificate proves
+BROKEN_CERTIFICATES = {
+    "product": (_certificate([[1]], [[2]], [[1]], [[1]]), "u\\*a\\*v != d"),
+    "off-diagonal": (
+        _certificate([[1, 1], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+        "not diagonal",
+    ),
+    "divisor-chain": (
+        _certificate([[2, 0], [0, 1]], [[2, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+        "divisor chain",
+    ),
+    # u * a * v = d holds, but u = [[2]] has no integer inverse
+    "not-unimodular": (_certificate([[1]], [[2]], [[2]], [[1]], u_inv=[[1]]), "not unimodular"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CERTIFICATES))
+def test_verify_snf_refuses_a_broken_certificate(case):
+    (a, result), message = BROKEN_CERTIFICATES[case]
+    with pytest.raises(CertificateError, match=message):
+        verify_snf(a, result)
+
+
+def test_verify_snf_refuses_mismatched_shapes():
+    a, result = _certificate([[1, 0]], [[1, 0]], [[1]], [[1, 0], [0, 1]])
+    with pytest.raises(CertificateError, match="shapes"):
+        verify_snf(a, SnfResult(result.d, result.u, result.v, result.u_inv, IntMatrix.identity(3)))
+
+
+@settings(max_examples=100)
+@given(matrices)
+def test_snf_inverses_are_exact(m):
+    result = smith_normal_form(m)
+    assert naive_product(result.u, result.u_inv) == IntMatrix.identity(m.rows)
+    assert naive_product(result.u_inv, result.u) == IntMatrix.identity(m.rows)
+    assert naive_product(result.v, result.v_inv) == IntMatrix.identity(m.cols)
+    assert naive_product(naive_product(result.u, m), result.v) == result.d
 
 
 def test_certificate_is_checked_under_python_O():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +18,17 @@ from ckgraph import (
     k0_class_of,
     k_invariants,
     k_presentation_matrix,
+    normalize_to_ck,
+    parse_graph,
+    parse_multiset,
+    realize_corner,
+    smith_normal_form,
     vertex_matrix,
 )
 from ckgraph.ktheory import _K0Engine, _k0_engine
 from conftest import G, bouquet, graphs, large_random_graphs, no_sink_graphs
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_vertex_matrix_examples(two_loops, line_into_loops):
@@ -200,3 +210,56 @@ def test_presentation_columns_have_zero_class_at_benchmark_size():
         for c in range(pres.cols):
             column = {v: pres.at(i, c) for i, v in enumerate(g.vertices) if pres.at(i, c)}
             assert k0_class_of(g, column).is_zero()
+
+
+def _presentation_oracle(g: Graph) -> IntMatrix:
+    """One column per regular vertex w: the edges from w to each vertex, less
+    1 at w itself, counted pair by pair."""
+    regulars = [w for w in g.vertices if g.out_degree(w)]
+    return IntMatrix.from_rows(
+        [[g.pair_count(w, v) - (v == w) for w in regulars] for v in g.vertices]
+    )
+
+
+@settings(max_examples=150)
+@given(graphs(max_vertices=6, max_parallel=3))
+def test_presentation_matches_the_pair_count_oracle(g):
+    assert k_presentation_matrix(g) == _presentation_oracle(g)
+
+
+def test_presentation_matches_the_pair_count_oracle_at_benchmark_size():
+    for g in large_random_graphs("presentation-oracle", count=10):
+        assert k_presentation_matrix(g) == _presentation_oracle(g)
+
+
+def test_cached_engine_keeps_u_but_not_v_or_the_inverses(two_loops):
+    # the cache holds 512 engines; v and the inverses would double its size
+    assert {f.name for f in fields(_k0_engine(two_loops))} == {
+        "vertices", "regulars", "presentation", "u", "diagonal", "torsion"
+    }
+
+
+def _diamond_chain(k: int) -> Graph:
+    """k diamonds in a row, a_i -> b_i, c_i -> a_(i+1); a_k feeds a loop at z."""
+    edges = [("l", "z", "z"), ("t", f"a{k}", "z")]
+    for i in range(k):
+        edges += [
+            (f"ab{i}", f"a{i}", f"b{i}"),
+            (f"ac{i}", f"a{i}", f"c{i}"),
+            (f"bd{i}", f"b{i}", f"a{i + 1}"),
+            (f"cd{i}", f"c{i}", f"a{i + 1}"),
+        ]
+    vertices = ["z"] + [f"{x}{i}" for x in "abc" for i in range(k + 1) if x == "a" or i < k]
+    return Graph.build(vertices, edges)
+
+
+def test_large_presentations_keep_their_pinned_divisors():
+    # sizes where the former elimination was cubic: a 400-vertex head on the
+    # two-loop vertex, and the source elision of six diamonds
+    loops = parse_graph((DATA / "example_loops.graph").read_text())
+    head = k_presentation_matrix(realize_corner(loops, parse_multiset("v0=400")).graph)
+    assert (head.rows, head.cols) == (400, 400)
+    assert smith_normal_form(head).d.diagonal() == (1,) * 400
+    diamonds = k_presentation_matrix(normalize_to_ck(_diamond_chain(6)).graph)
+    assert (diamonds.rows, diamonds.cols) == (254, 254)
+    assert smith_normal_form(diamonds).d.diagonal() == (1,) * 253 + (0,)
