@@ -5,14 +5,19 @@ grow far past 64 bits even for small inputs, and every result here must be
 exact.  The Smith routine runs in two phases: sparse unit pivots in
 Markowitz order, then a dense extended-gcd elimination of the small core
 they leave.  It returns the diagonal together with the unimodular transforms
-that certify it and their inverses, and re-verifies the certificate on every
-call, ``python -O`` included, by matrix products alone.
+that certify it and their inverses, each kept as the two factors the phases
+build: sparse rows from the unit pivots, and the core's small dense
+transform.  The certificate is re-verified on those factors on every call,
+``python -O`` included, by sparse products alone; the dense m x m transforms
+are built only when a caller asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from heapq import heapify, heappop, heappush
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import CertificateError, GraphFormatError
@@ -151,19 +156,84 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][0]
 
 
+Row = dict[int, int]  # a sparse row or column: index -> nonzero entry
+
+
+def _sparse(rows: Iterable[Sequence[int]]) -> tuple[Row, ...]:
+    """The sparse forms of dense rows."""
+    return tuple({j: row[j] for j in compress(range(len(row)), row)} for row in rows)
+
+
+def _times(left: Sequence[Row], right: Sequence[Row]) -> list[Row]:
+    """The sparse product: row i is the sum of ``x * right[k]`` over the
+    entries ``(k, x)`` of ``left[i]``.  The first term is one comprehension,
+    so a short row of ``left`` costs little more than copying the rows of
+    ``right`` it picks."""
+    out = []
+    for row in left:
+        acc: Row = {}
+        for k, x in row.items():
+            if acc:
+                for j, y in right[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            else:
+                acc = {j: x * y for j, y in right[k].items()}
+        out.append({j: z for j, z in acc.items() if z})
+    return out
+
+
+def _transpose(rows: Sequence[Row], size: int) -> list[Row]:
+    out: list[Row] = [{} for _ in range(size)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _expand(outer: Sequence[Row], block: Sequence[Row], columns: bool = False) -> IntMatrix:
+    """The square matrix ``diag(I, block) * outer``, given and returned by
+    rows, or by columns if ``columns``."""
+    size = len(outer)
+    split = size - len(block)
+    flat = [0] * (size * size)
+    for i, row in enumerate(chain(outer[:split], _times(block, outer[split:]))):
+        for j, x in row.items():
+            flat[j * size + i if columns else i * size + j] = x
+    return IntMatrix(size, size, tuple(flat))
+
+
 @dataclass(frozen=True)
 class SnfResult:
-    """Diagonal ``d`` plus unimodular ``u``, ``v`` with ``u * a * v = d``, and
-    the inverses ``u_inv``, ``v_inv`` that prove the transforms unimodular.
+    """Diagonal ``d`` of an m x n matrix ``a`` with unimodular ``u``, ``v`` such
+    that ``u * a * v = d``, kept as the two factors the elimination builds.
 
-    Diagonal entries are non-negative and each divides the next.
+    Diagonal entries are non-negative and each divides the next.  The unit
+    pivots build the sparse factor ``u1``, ``v1`` with
+    ``u1 * a * v1 = I_p (+) core``; the dense elimination of the core builds
+    ``c``, ``vc`` with ``c * core * vc = D_core``.  So ``u = diag(I, c) * u1``
+    and ``v = v1 * diag(I, vc)``, where ``p = m - len(c) = n - len(vc)``.
+    Every factor is a tuple of sparse rows or columns, the p pivots' first:
+    ``u1``, ``c``, ``v1_inv`` and ``vc_inv`` by rows; ``u1_inv``, ``c_inv``,
+    ``v1`` and ``vc`` by columns.  ``core`` holds the rows of the block that
+    the pivots leave, indexed by core column.
+
+    ``u``, ``v``, ``u_inv`` and ``v_inv`` are the dense transforms and their
+    inverses, built on first access.  A certificate written out by hand as
+    dense matrices is the case where phase 1 took no pivot: ``u1``, ``v1``
+    and their inverses are identities, ``core`` is ``a``, and ``c``, ``vc``
+    and their inverses are the dense ones.
     """
 
     d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+    u1: tuple[Row, ...]
+    u1_inv: tuple[Row, ...]
+    v1: tuple[Row, ...]
+    v1_inv: tuple[Row, ...]
+    core: tuple[Row, ...]
+    c: tuple[Row, ...]
+    c_inv: tuple[Row, ...]
+    vc: tuple[Row, ...]
+    vc_inv: tuple[Row, ...]
 
     def divisors(self) -> tuple[int, ...]:
         """Nonzero diagonal entries, in chain order."""
@@ -172,30 +242,100 @@ class SnfResult:
     def rank(self) -> int:
         return len(self.divisors())
 
+    def u_row(self, t: int) -> Row:
+        """Row t of ``u``, sparse, without building ``u``."""
+        split = len(self.u1) - len(self.c)
+        return self.u1[t] if t < split else _times((self.c[t - split],), self.u1[split:])[0]
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        return _expand(self.u1, self.c)
+
+    @cached_property
+    def u_inv(self) -> IntMatrix:
+        return _expand(self.u1_inv, self.c_inv, columns=True)
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        return _expand(self.v1, self.vc, columns=True)
+
+    @cached_property
+    def v_inv(self) -> IntMatrix:
+        return _expand(self.v1_inv, self.vc_inv)
+
 
 def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     """Raise ``CertificateError`` unless the certificate is valid.
 
-    It proves four facts by matrix products alone, with no determinant:
-    ``d`` is diagonal; ``u * u_inv = I`` and ``v * v_inv = I``, so ``u`` and
-    ``v`` are unimodular, since an integer matrix with an integer inverse has
-    determinant +-1; ``u * a = d * v_inv``, which with ``v * v_inv = I``
-    gives ``u * a * v = d``; and the diagonal is a divisor chain.
+    It proves four facts on the factors, by sparse products alone, with no
+    determinant and without building ``u`` or ``v``:
+
+    * ``d`` is diagonal;
+    * ``u1_inv * u1 = I``, ``v1 * v1_inv = I``, ``c * c_inv = I`` and
+      ``vc_inv * vc = I``, so ``u`` and ``v`` are unimodular: a one-sided
+      inverse of a square matrix is two-sided, and an integer matrix with an
+      integer inverse has determinant +-1;
+    * ``a = u1_inv * (D_p (+) core) * v1_inv`` and
+      ``c * core = D_core * vc_inv``, where ``D_p`` and ``D_core`` are the
+      first p and the other diagonal entries of ``d`` and each product by
+      them is a row scaling; with the inverses, these give
+      ``u1 * a * v1 = D_p (+) core`` and ``c * core * vc = D_core``, hence
+      ``u * a * v = d``;
+    * the diagonal is a divisor chain.
+
+    Phase 1's identity multiplies ``a``'s side by the sparse inverses rather
+    than by ``u1``: on long unit-pivot chains the forward factors fill in,
+    their inverses do not.
     """
     m, n = a.rows, a.cols
-    shapes = [(x.rows, x.cols) for x in (result.d, result.u, result.u_inv, result.v, result.v_inv)]
-    if shapes != [(m, n), (m, m), (m, m), (n, n), (n, n)]:
-        raise CertificateError(f"Smith certificate broken: shapes {shapes} for a {m}x{n} matrix")
-    if not result.d.is_diagonal():
-        raise CertificateError("Smith certificate broken: d is not diagonal")
+    r = result
+    k, w = len(r.c), len(r.vc)
+    split = m - k
+    # each factor's length, and the bound on its indices
+    factors = [
+        (r.u1, m, m), (r.u1_inv, m, m), (r.v1, n, n), (r.v1_inv, n, n), (r.core, k, w),
+        (r.c, k, k), (r.c_inv, k, k), (r.vc, w, w), (r.vc_inv, w, w),
+    ]
     if (
-        result.u.mul(result.u_inv) != IntMatrix.identity(m)
-        or result.v.mul(result.v_inv) != IntMatrix.identity(n)
+        (r.d.rows, r.d.cols) != (m, n)
+        or split < 0
+        or n - w != split
+        or any(
+            len(rows) != size or any(row and (min(row) < 0 or max(row) >= bound) for row in rows)
+            for rows, size, bound in factors
+        )
     ):
+        shapes = [(r.d.rows, r.d.cols)] + [len(rows) for rows, *_ in factors]
+        raise CertificateError(f"Smith certificate broken: shapes {shapes} for a {m}x{n} matrix")
+    if not r.d.is_diagonal():
+        raise CertificateError("Smith certificate broken: d is not diagonal")
+    # each inverse is kept the other way round from its factor, so one
+    # transpose makes the rows of either product.  Phase 1's inverses go
+    # first: their rows stay short while the forward rows fill in.  The
+    # core's forward factors go first: on the 47-vertex sweep draw, whose
+    # core inverses hold 183,000-bit entries, that took 2.0 s against 4.3 s.
+    u1_inv = _transpose(r.u1_inv, m)
+    products = (
+        _times(u1_inv, r.u1),  # u1_inv * u1
+        _times(_transpose(r.v1_inv, n), r.v1),  # (v1 * v1_inv) transposed
+        _times(r.c, _transpose(r.c_inv, k)),  # c * c_inv
+        _times(r.vc, _transpose(r.vc_inv, w)),  # (vc_inv * vc) transposed
+    )
+    if any(product != [{i: 1} for i in range(len(product))] for product in products):
         raise CertificateError("Smith certificate broken: transform is not unimodular")
-    if result.u.mul(a) != result.d.mul(result.v_inv):
+    diag = r.d.diagonal()
+
+    def scaled(rows: Sequence[Row], by: Sequence[int]) -> list[Row]:
+        return [{j: x * e for j, x in row.items()} if e else {} for row, e in zip(rows, by)]
+
+    flat = [0] * (m * n)
+    middle = scaled(r.v1_inv, diag[:split]) + _times(r.core, r.v1_inv[split:])
+    for i, row in enumerate(_times(u1_inv, middle)):
+        for j, x in row.items():
+            flat[i * n + j] = x
+    core_right = scaled(r.vc_inv, diag[split:]) + [{}] * (k - min(k, w))
+    if tuple(flat) != a.entries or _times(r.c, r.core) != core_right:
         raise CertificateError("Smith certificate broken: u*a*v != d")
-    diag = result.d.diagonal()
     for x, y in zip(diag, diag[1:]):
         if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
             raise CertificateError(f"Smith certificate broken: bad divisor chain {diag}")
@@ -216,14 +356,24 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
-    """Sparse ``dst += q * src`` for ``q != 0``, dropping entries that cancel."""
-    for k, x in src.items():
-        y = dst.get(k, 0) + q * x
+def _axpy(dst: Row, src: Row, q: int) -> Row:
+    """Sparse ``dst + q * src`` for ``q != 0``, dropping entries that cancel.
+
+    The longer row is copied by one comprehension (``src``, scaled) or
+    updated in place (``dst``), and the shorter is folded in entry by entry:
+    on a chain of unit pivots, a short row takes in a long one at each step.
+    """
+    if len(dst) < len(src):
+        out, rest, scale = {k: q * x for k, x in src.items()}, dst, 1
+    else:
+        out, rest, scale = dst, src, q
+    for k, x in rest.items():
+        y = out.get(k, 0) + scale * x
         if y:
-            dst[k] = y
+            out[k] = y
         else:
-            del dst[k]
+            del out[k]
+    return out
 
 
 def _unit_pivots(
@@ -247,20 +397,37 @@ def _unit_pivots(
     column ``c`` by row ``p`` only touches column ``p`` of ``u^-1``, which
     is still a unit vector, since every earlier inverse touched the column of
     an earlier pivot row.  The same holds for ``v^-1`` by rows.
+
+    A pivot of cost 0 comes from a heap of the rows that may hold one: a
+    unit entry alone in its row or in its column.  A row gains one only when
+    a pivot's row operation changes it, or when it is left alone in one of
+    the pivot row's columns, and both push it; so the least valid row on the
+    heap is the least row holding a cost-0 unit, and the scan of every unit
+    entry runs only when there is none.
     """
     pivots = []
+    queue = [i for i, row in rows.items() if len(row) == 1]
+    queue += [next(iter(held)) for held in cols.values() if len(held) == 1]
+    heapify(queue)
     while True:
         best = None
-        for i, row in rows.items():
-            # rows come in increasing order, so a later row cannot beat cost 0
-            if best is not None and not best[0]:
-                break
-            r = len(row) - 1
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    key = (r * (len(cols[j]) - 1), i, j)
-                    if best is None or key < best:
-                        best = key
+        while queue and best is None:
+            i = heappop(queue)
+            row = rows.get(i, {})
+            j = min(
+                (j for j, x in row.items() if (x == 1 or x == -1) and (len(row) == 1 or len(cols[j]) == 1)),
+                default=None,
+            )
+            if j is not None:
+                best = (0, i, j)
+        if best is None:
+            for i, row in rows.items():
+                r = len(row) - 1
+                for j, x in row.items():
+                    if x == 1 or x == -1:
+                        key = (r * (len(cols[j]) - 1), i, j)
+                        if best is None or key < best:
+                            best = key
         if best is None:
             return pivots
         _, p, c = best
@@ -281,15 +448,18 @@ def _unit_pivots(
                 else:
                     del target[j]
                     cols[j].discard(i)
-            _axpy(u[i], u[p], q)
+            u[i] = _axpy(u[i], u[p], q)
             u_inv_col[i] = -q * e
+            heappush(queue, i)
         # column c is now zero outside row p, so column j += q * column c
         # only clears entry (p, j) of the matrix
         v_inv_row = {c: 1}
         for j, x in row.items():
             cols[j].discard(p)
+            if len(cols[j]) == 1:
+                heappush(queue, next(iter(cols[j])))
             q = -x * e
-            _axpy(v_t[j], v_t[c], q)
+            v_t[j] = _axpy(v_t[j], v_t[c], q)
             v_inv_row[j] = -q
         if e < 0:
             u[p] = {k: -x for k, x in u[p].items()}
@@ -425,31 +595,6 @@ def _reduce_core(d: list[list[int]], width: int, row_side: _Side, col_side: _Sid
     return diagonal
 
 
-def _dense(terms: Iterable[tuple[int, dict[int, int]]], size: int) -> list[int]:
-    """The dense row ``sum of q * row`` over the sparse rows of ``terms``."""
-    out = [0] * size
-    for q, row in terms:
-        if q:
-            for k, x in row.items():
-                out[k] += q * x
-    return out
-
-
-def _stack(
-    size: int,
-    head: list[dict[int, int]],
-    coefficients: list[list[int]],
-    basis: list[dict[int, int]],
-    transpose: bool = False,
-) -> IntMatrix:
-    """The square matrix whose rows (columns, if ``transpose``) are the
-    sparse rows ``head``, then the combinations ``coefficients`` of the
-    sparse rows ``basis``."""
-    rows = [_dense([(1, row)], size) for row in head]
-    rows += [_dense(zip(c, basis), size) for c in coefficients]
-    return IntMatrix(size, size, tuple(chain.from_iterable(zip(*rows) if transpose else rows)))
-
-
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Diagonalize by unimodular row/column operations, in two phases.
 
@@ -461,14 +606,16 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     least nonzero absolute value as the pivot, entries it does not divide
     folded in by extended-gcd 2x2 steps, and the divisibility chain enforced
     before each advance.  The core's transforms are of the core's size and
-    are combined with phase 1's rows at the end.  The diagonal holds the unit
-    pivots in the order they were taken, then the core's.
+    are kept apart from phase 1's sparse rows, as the second factor of the
+    result.  The diagonal holds the unit pivots in the order they were
+    taken, then the core's.
 
-    The transforms and their inverses are built along the way, and the
-    certificate is checked by ``verify_snf`` before the result is returned.
+    Both factors and their inverses are built along the way, and the
+    certificate is checked on them by ``verify_snf`` before the result is
+    returned.
     """
     m, n = a.rows, a.cols
-    rows = {i: {j: x for j, x in enumerate(a.entries[i * n : (i + 1) * n]) if x} for i in range(m)}
+    rows = dict(enumerate(_sparse(a.entries[i * n : (i + 1) * n] for i in range(m))))
     cols: dict[int, set[int]] = {j: set() for j in range(n)}
     for i, row in rows.items():
         for j in row:
@@ -480,6 +627,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     core_rows, core_cols = sorted(rows), sorted(cols)
     k, width = len(core_rows), len(core_cols)
     core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
+    core_sparse = _sparse(core)  # before _reduce_core swaps its rows
     # the core's own transforms: (U, U^-1 transposed), (V transposed, V^-1)
     row_side = (IntMatrix.identity(k).to_rows(), IntMatrix.identity(k).to_rows())
     col_side = (IntMatrix.identity(width).to_rows(), IntMatrix.identity(width).to_rows())
@@ -489,14 +637,18 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     for t, x in enumerate(diagonal):
         d[t * (n + 1)] = x
     # phase 1 leaves the core columns of u^-1 and the core rows of v^-1 unit
-    # vectors, so the core's inverses are placed as they are
-    unit_rows, unit_cols = [{i: 1} for i in core_rows], [{j: 1} for j in core_cols]
+    # vectors
     result = SnfResult(
         d=IntMatrix(m, n, tuple(d)),
-        u=_stack(m, [u[p] for p, *_ in pivots], row_side[0], [u[i] for i in core_rows]),
-        v=_stack(n, [v_t[c] for _, c, *_ in pivots], col_side[0], [v_t[j] for j in core_cols], True),
-        u_inv=_stack(m, [col for *_, col, _ in pivots], row_side[1], unit_rows, True),
-        v_inv=_stack(n, [row for *_, row in pivots], col_side[1], unit_cols),
+        u1=tuple(u[p] for p, *_ in pivots) + tuple(u[i] for i in core_rows),
+        u1_inv=tuple(col for *_, col, _ in pivots) + tuple({i: 1} for i in core_rows),
+        v1=tuple(v_t[c] for _, c, *_ in pivots) + tuple(v_t[j] for j in core_cols),
+        v1_inv=tuple(row for *_, row in pivots) + tuple({j: 1} for j in core_cols),
+        core=core_sparse,
+        c=_sparse(row_side[0]),
+        c_inv=_sparse(row_side[1]),
+        vc=_sparse(col_side[0]),
+        vc_inv=_sparse(col_side[1]),
     )
     verify_snf(a, result)
     return result

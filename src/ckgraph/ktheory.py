@@ -77,23 +77,28 @@ class _K0Engine:
     vertices: tuple[str, ...]  # sorted, as in every Graph
     regulars: tuple[str, ...]
     presentation: IntMatrix
-    u: IntMatrix  # the Smith row transform; v and the inverses are not kept
+    # the sparse rows of the Smith row transform u whose divisor is not 1,
+    # the only ones a class reads; v, the inverses and the other rows of u
+    # are not kept
+    u_rows: tuple[dict[int, int], ...]
     diagonal: tuple[int, ...]  # the Smith diagonal, padded with 0 to one entry per vertex
     torsion: tuple[int, ...]  # the Smith divisors greater than one
 
     def class_of(self, coefficients: Mapping[str, int]) -> K0Class:
-        # y = u * x, summed over the columns of u that x has a nonzero for
-        u, size = self.u.entries, len(self.vertices)
-        y = [0] * size
+        size = len(self.vertices)
+        x = {}
         for v, c in coefficients.items():
             j = bisect_left(self.vertices, v)
             if j == size or self.vertices[j] != v:
                 raise PreconditionError("unknown-vertex", f"no vertex {v!r} in graph")
             if c:
-                y = [acc + c * x if x else acc for acc, x in zip(y, u[j::size])]
+                x[j] = c
+        # the coordinates of u * x against the divisors other than 1
+        y = [sum(c * row.get(j, 0) for j, c in x.items()) for row in self.u_rows]
+        divisors = [d for d in self.diagonal if d != 1]
         return K0Class(
-            tuple(r % d for r, d in zip(y, self.diagonal) if d > 1),
-            tuple(r for r, d in zip(y, self.diagonal) if d == 0),
+            tuple(r % d for r, d in zip(y, divisors) if d > 1),
+            tuple(r for r, d in zip(y, divisors) if d == 0),
         )
 
     @cached_property
@@ -133,7 +138,8 @@ def _k0_engine(g: Graph) -> _K0Engine:
     diagonal = snf.d.diagonal()
     diagonal += (0,) * (len(vertices) - len(diagonal))
     torsion = tuple(d for d in diagonal if d > 1)
-    return _K0Engine(vertices, regulars, presentation, snf.u, diagonal, torsion)
+    u_rows = tuple(snf.u_row(t) for t, d in enumerate(diagonal) if d != 1)
+    return _K0Engine(vertices, regulars, presentation, u_rows, diagonal, torsion)
 
 
 def k_presentation_matrix(g: Graph) -> IntMatrix:

@@ -33,6 +33,18 @@ from .graph import Graph, _require_hereditary, _topological_order, graph_fingerp
 
 # -- the moves ----------------------------------------------------------------
 
+# The longest head, subdivision or star a move builds.  The output grows
+# with the length, and so does its K-theory: a 3,000-vertex head takes about
+# 2.4 s end to end (``ckgraph move --move add-head:v0:3000`` on the
+# one-vertex two-loop graph), 4,000 about 5 s.  A longer one is refused
+# before anything is built.
+MAX_LENGTH = 3000
+
+
+def _require_length(n: int, what: str) -> None:
+    if n > MAX_LENGTH:
+        raise PreconditionError("output-too-large", f"{what} {n} exceeds the limit of {MAX_LENGTH}")
+
 
 def _attach_fresh(g: Graph, counts: Iterable[tuple[str, int]], tag: str, chained: bool) -> Graph:
     # for each (v0, n), in order: n fresh vertices <v0>~<tag><k>, each emitting
@@ -54,6 +66,7 @@ def add_head(g: Graph, v0: str, n: int) -> Graph:
     g.require_vertex(v0)
     if n <= 0:
         raise PreconditionError("bad-parameter", f"head length must be positive, got {n}")
+    _require_length(n, "head length")
     return _attach_fresh(g, [(v0, n)], "h", chained=True)
 
 
@@ -62,6 +75,7 @@ def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
     target = g.edge(e0)
     if n <= 0:
         raise PreconditionError("bad-parameter", f"subdivision length must be positive, got {n}")
+    _require_length(n, "subdivision length")
     chain = g._fresh("vertex", [f"{e0}~s{k}" for k in range(1, n + 1)])
     eids = g._fresh("edge", [f"{e0}~s{k}e" for k in range(1, n + 2)], free=[e0])
     # chain[k-1] plays the k-th new vertex: edges run
@@ -76,6 +90,7 @@ def star_sources(g: Graph, v0: str, n: int) -> Graph:
     g.require_vertex(v0)
     if n <= 0:
         raise PreconditionError("bad-parameter", f"source count must be positive, got {n}")
+    _require_length(n, "source count")
     return _attach_fresh(g, [(v0, n)], "t", chained=False)
 
 
@@ -188,6 +203,7 @@ def attach_heads(g: Graph, lengths: Mapping[str, int] | Iterable[tuple[str, int]
         g.require_vertex(v)
         if n < 0:
             raise PreconditionError("bad-parameter", f"negative head length {n} at {v!r}")
+        _require_length(n, f"head length at {v!r}:")
     # one edit for all heads, with the ids of adding them one by one
     return _attach_fresh(g, heads, "h", chained=True)
 

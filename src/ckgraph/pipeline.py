@@ -176,18 +176,21 @@ def self_loop_saturate(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipe
 
 
 def _head_projection(base: Graph, corner: Graph) -> dict[str, str]:
-    # send every attached head vertex to the base vertex its chain feeds
-    projection: dict[str, str] = {}
+    # send every attached head vertex to the base vertex its chain feeds; a
+    # walk stops at the first vertex already sent, and sends its whole path
+    # there, so each head vertex is walked once
+    sent = {v: v for v in corner.vertices if base.has_vertex(v)}
     for v in corner.vertices:
+        path = []
         w = v
-        hops = 0
-        while not base.has_vertex(w):
-            w = corner.out_edges(w)[0].dst
-            hops += 1
-            if hops > len(corner.vertices):
+        while w not in sent:
+            path.append(w)
+            if len(path) > len(corner.vertices):
                 raise CertificateError(f"head chain from {v!r} never reaches the base graph")
-        projection[v] = w
-    return projection
+            w = corner.out_edges(w)[0].dst
+        for x in path:
+            sent[x] = sent[w]
+    return {v: sent[v] for v in corner.vertices}
 
 
 def realize_full_corner(g: Graph, m: VertexMultiset) -> PipelineResult:

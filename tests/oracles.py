@@ -115,3 +115,34 @@ def exhaustive_closure(g: Graph, start: set[str]) -> frozenset[str]:
                 best = candidate
     assert best is not None  # the full vertex set always qualifies
     return best
+
+
+def markowitz_unit_pivots(m: IntMatrix) -> list[tuple[int, int]]:
+    """The (row, column) pivots of eliminating +-1 entries in Markowitz
+    order, by a full scan of a dense copy at every step: least
+    ``(r - 1) * (c - 1)`` over the remaining rows and columns, then least
+    row, then least column."""
+    a = m.to_rows()
+    rows, cols = set(range(m.rows)), set(range(m.cols))
+    pivots = []
+    while True:
+        keys = [
+            (
+                (sum(1 for k in cols if a[i][k]) - 1) * (sum(1 for k in rows if a[k][j]) - 1),
+                i,
+                j,
+            )
+            for i in rows
+            for j in cols
+            if a[i][j] in (1, -1)
+        ]
+        if not keys:
+            return pivots
+        _, p, c = min(keys)
+        for i in rows - {p}:
+            # 1 / a[p][c] = a[p][c] for a unit pivot
+            q = a[i][c] * a[p][c]
+            a[i] = [x - q * y for x, y in zip(a[i], a[p])]
+        rows.discard(p)
+        cols.discard(c)
+        pivots.append((p, c))

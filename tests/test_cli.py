@@ -132,6 +132,23 @@ def test_module_entry_point_runs_in_a_subprocess():
     assert proc.stdout == "CK: yes (finite, no sinks; rank K0 = rank K1 = 0)\n"
 
 
+def test_huge_move_length_is_refused_in_a_subprocess():
+    # this input once ran past 5 s building its head; now nothing is built
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ckgraph", "move", "--move", "add-head:v0:99999999999",
+         str(HERE / "data" / "example_loops.graph")],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=HERE.parent,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "output-too-large" in proc.stderr and "99999999999" in proc.stderr
+
+
 def test_help_exits_cleanly(capsys):
     code, out, _ = _run(["--help"], capsys)
     assert code == 0

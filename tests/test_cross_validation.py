@@ -12,7 +12,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy import Matrix, ZZ  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
@@ -24,6 +24,7 @@ from ckgraph import (  # noqa: E402
     k_presentation_matrix,
     smith_normal_form,
 )
+from ckgraph.intmatrix import _unit_pivots  # noqa: E402
 from ckgraph.randgen import (  # noqa: E402
     SplitMix64,
     derive_seed,
@@ -31,7 +32,7 @@ from ckgraph.randgen import (  # noqa: E402
     random_int_matrix,
 )
 from conftest import large_random_graphs  # noqa: E402
-from oracles import minors_divisors, naive_product  # noqa: E402
+from oracles import markowitz_unit_pivots, minors_divisors, naive_product  # noqa: E402
 
 
 def _sympy_divisors(rows: list[list[int]]) -> tuple[int, ...]:
@@ -103,6 +104,22 @@ def _check_unit_heavy(m: IntMatrix) -> None:
 @given(unit_heavy_matrices(max_dim=12))
 def test_unit_heavy_sparse_matrices_agree_with_sympy(m):
     _check_unit_heavy(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_heavy_matrices(max_dim=10))
+# pivot (1, 2) leaves row 0 alone in column 1, so row 0 must come back on
+# the heap ahead of row 2, though no row operation touched it
+@example(IntMatrix.from_rows([[1, 1, 0, 0], [0, 2, 1, 0], [0, 0, 0, 1], [1, 0, 0, 1]]))
+def test_unit_pivots_follow_the_full_markowitz_scan(m):
+    # the heap of cost-0 candidates must pick the pivots a scan of every
+    # unit entry picks, so the transforms stay the same
+    rows = {i: {j: m.at(i, j) for j in range(m.cols) if m.at(i, j)} for i in range(m.rows)}
+    cols = {j: {i for i, row in rows.items() if j in row} for j in range(m.cols)}
+    u = {i: {i: 1} for i in range(m.rows)}
+    v_t = {j: {j: 1} for j in range(m.cols)}
+    pivots = [(p, c) for p, c, *_ in _unit_pivots(rows, cols, u, v_t)]
+    assert pivots == markowitz_unit_pivots(m)
 
 
 @settings(max_examples=100, deadline=None)

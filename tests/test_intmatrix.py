@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -116,10 +117,32 @@ def test_matrix_text_round_trip():
         parse_int_matrix("1 x\n")
 
 
+def _sparse(rows):
+    return tuple({j: x for j, x in enumerate(row) if x} for row in rows)
+
+
 def _certificate(a, d, u, v, u_inv=None, v_inv=None):
-    """An input and a hand-made result; the inverses default to u and v."""
-    m = IntMatrix.from_rows
-    return m(a), SnfResult(d=m(d), u=m(u), v=m(v), u_inv=m(u_inv or u), v_inv=m(v_inv or v))
+    """An input and a hand-made dense result; the inverses default to u and v.
+
+    A dense certificate is the case where phase 1 took no pivot: the sparse
+    factors are identities and the core is ``a`` itself.
+    """
+    m, n = len(a), len(a[0])
+    eye = lambda size: tuple({i: 1} for i in range(size))  # noqa: E731
+    columns = lambda rows: _sparse(zip(*rows))  # noqa: E731
+    result = SnfResult(
+        d=IntMatrix.from_rows(d),
+        u1=eye(m),
+        u1_inv=eye(m),
+        v1=eye(n),
+        v1_inv=eye(n),
+        core=_sparse(a),
+        c=_sparse(u),
+        c_inv=columns(u_inv or u),
+        vc=columns(v),
+        vc_inv=_sparse(v_inv or v),
+    )
+    return IntMatrix.from_rows(a), result
 
 
 # each case breaks exactly one of the four facts the certificate proves
@@ -147,18 +170,70 @@ def test_verify_snf_refuses_a_broken_certificate(case):
 
 def test_verify_snf_refuses_mismatched_shapes():
     a, result = _certificate([[1, 0]], [[1, 0]], [[1]], [[1, 0], [0, 1]])
+    verify_snf(a, result)
     with pytest.raises(CertificateError, match="shapes"):
-        verify_snf(a, SnfResult(result.d, result.u, result.v, result.u_inv, IntMatrix.identity(3)))
+        verify_snf(a, replace(result, vc_inv=_sparse(IntMatrix.identity(3).to_rows())))
+    # an index outside its factor is a shape error too
+    for row in ({1: 1}, {-1: 1}):
+        with pytest.raises(CertificateError, match="shapes"):
+            verify_snf(a, replace(result, u1=(row,)))
+
+
+# a factor and the inverse it is checked against, by name
+FACTORS = ("u1", "u1_inv", "v1", "v1_inv", "c", "c_inv", "vc", "vc_inv")
+
+
+@settings(max_examples=150)
+@given(matrices, st.data())
+def test_verify_snf_refuses_a_broken_factor(m, data):
+    # one changed entry of any factor breaks its product with its inverse,
+    # since every row and column of an invertible matrix is nonzero
+    result = smith_normal_form(m)
+    name = data.draw(st.sampled_from([f for f in FACTORS if getattr(result, f)]))
+    rows = list(getattr(result, name))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows) - 1))
+    delta = data.draw(st.integers(-3, 3).filter(bool))
+    changed = {**rows[i], j: rows[i].get(j, 0) + delta}
+    rows[i] = {k: x for k, x in changed.items() if x}
+    with pytest.raises(CertificateError):
+        verify_snf(m, replace(result, **{name: tuple(rows)}))
+
+
+@settings(max_examples=150)
+@given(matrices, st.data())
+def test_verify_snf_refuses_another_input_or_diagonal(m, data):
+    # the product identities tie the factors to a and to d: a changed entry
+    # of a, or of d on the diagonal, in the pivots' part or the core's
+    result = smith_normal_form(m)
+    delta = data.draw(st.integers(-3, 3).filter(bool))
+    i = data.draw(st.integers(0, len(m.entries) - 1))
+    entries = list(m.entries)
+    entries[i] += delta
+    with pytest.raises(CertificateError):
+        verify_snf(IntMatrix(m.rows, m.cols, tuple(entries)), result)
+    t = data.draw(st.integers(0, min(m.rows, m.cols) - 1))
+    rows = result.d.to_rows()
+    rows[t][t] += delta
+    with pytest.raises(CertificateError):
+        verify_snf(m, replace(result, d=IntMatrix.from_rows(rows)))
 
 
 @settings(max_examples=100)
 @given(matrices)
 def test_snf_inverses_are_exact(m):
+    # the dense transforms and inverses, built on access from the factors
     result = smith_normal_form(m)
     assert naive_product(result.u, result.u_inv) == IntMatrix.identity(m.rows)
     assert naive_product(result.u_inv, result.u) == IntMatrix.identity(m.rows)
     assert naive_product(result.v, result.v_inv) == IntMatrix.identity(m.cols)
+    assert naive_product(result.v_inv, result.v) == IntMatrix.identity(m.cols)
     assert naive_product(naive_product(result.u, m), result.v) == result.d
+    for t in (result.u, result.u_inv, result.v, result.v_inv):
+        assert abs(determinant(t)) == 1
+    assert [result.u_row(t) for t in range(m.rows)] == [
+        {j: x for j, x in enumerate(row) if x} for row in result.u.to_rows()
+    ]
 
 
 def test_certificate_is_checked_under_python_O():

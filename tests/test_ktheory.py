@@ -25,8 +25,10 @@ from ckgraph import (
     smith_normal_form,
     vertex_matrix,
 )
-from ckgraph.ktheory import _K0Engine, _k0_engine
+from ckgraph.ktheory import K0Class, _K0Engine, _k0_engine
+from ckgraph.randgen import SplitMix64, derive_seed
 from conftest import G, bouquet, graphs, large_random_graphs, no_sink_graphs
+from oracles import naive_product
 
 DATA = Path(__file__).parent / "data"
 
@@ -233,10 +235,33 @@ def test_presentation_matches_the_pair_count_oracle_at_benchmark_size():
 
 
 def test_cached_engine_keeps_u_but_not_v_or_the_inverses(two_loops):
-    # the cache holds 512 engines; v and the inverses would double its size
+    # the cache holds 512 engines; v and the inverses would double its size,
+    # and a dense m x m u would be mostly rows that no class reads
     assert {f.name for f in fields(_k0_engine(two_loops))} == {
-        "vertices", "regulars", "presentation", "u", "diagonal", "torsion"
+        "vertices", "regulars", "presentation", "u_rows", "diagonal", "torsion"
     }
+    for g in (two_loops, bouquet(3), G("v w", "a:v>w"), *large_random_graphs("engine-rows", count=5)):
+        engine = _k0_engine(g)
+        assert len(engine.u_rows) == sum(1 for d in engine.diagonal if d != 1)
+        assert all(isinstance(row, dict) for row in engine.u_rows)
+
+
+def test_class_of_matches_the_dense_u_at_benchmark_size():
+    # the engine keeps only the rows of u whose divisor is not 1; the oracle
+    # multiplies by the whole dense u that the Smith result builds on access
+    rng = SplitMix64(derive_seed(99, "class-of-oracle"))
+    for g in large_random_graphs("class-of-oracle", count=10):
+        snf = smith_normal_form(k_presentation_matrix(g))
+        size = len(g.vertices)
+        diagonal = snf.d.diagonal() + (0,) * (size - snf.d.cols)
+        for _ in range(3):
+            x = [rng.randint(-3, 3) for _ in range(size)]
+            y = naive_product(snf.u, IntMatrix(size, 1, tuple(x))).entries
+            expected = K0Class(
+                tuple(r % d for r, d in zip(y, diagonal) if d > 1),
+                tuple(r for r, d in zip(y, diagonal) if d == 0),
+            )
+            assert k0_class_of(g, dict(zip(g.vertices, x))) == expected
 
 
 def _diamond_chain(k: int) -> Graph:

@@ -39,7 +39,7 @@ from ckgraph import (
     star_sources,
     subdivide_edge,
 )
-from ckgraph.moves import _MOVES
+from ckgraph.moves import _MOVES, MAX_LENGTH
 from ckgraph.randgen import SplitMix64, random_no_sink_graph
 from conftest import G, graphs, no_sink_graphs
 from oracles import format_lines
@@ -299,6 +299,19 @@ def test_attach_heads_matches_the_fold_of_add_head(data):
 def test_attach_heads_rejects_negative(two_loops):
     with pytest.raises(PreconditionError, match="bad-parameter"):
         attach_heads(two_loops, {"v0": -1})
+
+
+def test_lengths_above_the_limit_are_refused(two_loops):
+    builds = {
+        "add_head": lambda n: add_head(two_loops, "v0", n),
+        "star_sources": lambda n: star_sources(two_loops, "v0", n),
+        "subdivide_edge": lambda n: subdivide_edge(two_loops, "e0", n),
+        "attach_heads": lambda n: attach_heads(two_loops, {"v0": n}),
+    }
+    for name, build in builds.items():
+        assert len(build(MAX_LENGTH).vertices) == MAX_LENGTH + 1, name
+        with pytest.raises(PreconditionError, match=f"output-too-large: .*{MAX_LENGTH + 1}"):
+            build(MAX_LENGTH + 1)
 
 
 # -- move records and logs ---------------------------------------------------------------

@@ -25,6 +25,8 @@ from ckgraph import (
     self_loop_saturate,
     subdivide_edge,
 )
+from ckgraph.pipeline import _head_projection
+from ckgraph.randgen import SplitMix64, derive_seed, random_all_loop_graph
 from conftest import G, all_loop_graphs, bouquet, no_sink_graphs
 
 
@@ -154,6 +156,26 @@ def test_full_corner_preconditions(two_loops):
         realize_full_corner(G("u v", "a:u>v b:v>u"), ms("u=1,v=1"))
 
 
+def _hop_walk(base: Graph, corner: Graph) -> dict[str, str]:
+    """Each corner vertex's base vertex, found by walking its head chain."""
+    projection = {}
+    for v in corner.vertices:
+        w = v
+        while not base.has_vertex(w):
+            w = corner.out_edges(w)[0].dst
+        projection[v] = w
+    return projection
+
+
+def test_head_projection_matches_the_hop_walk_on_random_corners():
+    rng = SplitMix64(derive_seed(5, "head-projection"))
+    for _ in range(40):
+        g = random_all_loop_graph(rng, max_vertices=5, max_parallel=2)
+        m = VertexMultiset.from_dict({v: rng.randint(1, 12) for v in g.vertices})
+        corner = realize_full_corner(g, m).graph
+        assert _head_projection(g, corner) == _hop_walk(g, corner)
+
+
 @settings(max_examples=50, deadline=None)
 @given(all_loop_graphs(max_vertices=4), st.data())
 def test_full_corner_unit_class_equals_multiset_class(g, data):
@@ -162,12 +184,7 @@ def test_full_corner_unit_class_equals_multiset_class(g, data):
     )
     result = realize_full_corner(g, m)
     # recompute the unit class through the head projection, independently
-    projection = {}
-    for v in result.graph.vertices:
-        w = v
-        while not g.has_vertex(w):
-            w = result.graph.out_edges(w)[0].dst
-        projection[v] = w
+    projection = _hop_walk(g, result.graph)
     unit_image: dict[str, int] = {}
     for v in result.graph.vertices:
         unit_image[projection[v]] = unit_image.get(projection[v], 0) + 1
