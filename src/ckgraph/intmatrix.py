@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import CertificateError, GraphFormatError
@@ -157,6 +158,7 @@ def determinant(m: IntMatrix) -> int:
 
 
 Row = dict[int, int]  # a sparse row or column: index -> nonzero entry
+Dense = tuple[tuple[int, ...], ...]  # dense rows or columns
 
 
 def _sparse(rows: Iterable[Sequence[int]]) -> tuple[Row, ...]:
@@ -168,9 +170,15 @@ def _times(left: Sequence[Row], right: Sequence[Row]) -> list[Row]:
     """The sparse product: row i is the sum of ``x * right[k]`` over the
     entries ``(k, x)`` of ``left[i]``.  The first term is one comprehension,
     so a short row of ``left`` costs little more than copying the rows of
-    ``right`` it picks."""
+    ``right`` it picks, and a row that is a unit vector shares the row of
+    ``right`` it picks; no caller changes a row it gets back."""
     out = []
     for row in left:
+        if len(row) == 1:
+            # rows hold no zeros, so neither does a multiple of one
+            ((k, x),) = row.items()
+            out.append(right[k] if x == 1 else {j: x * y for j, y in right[k].items()})
+            continue
         acc: Row = {}
         for k, x in row.items():
             if acc:
@@ -190,13 +198,27 @@ def _transpose(rows: Sequence[Row], size: int) -> list[Row]:
     return out
 
 
-def _expand(outer: Sequence[Row], block: Sequence[Row], columns: bool = False) -> IntMatrix:
+def _dot_all(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The dense product of ``rows`` by ``cols``, each entry one dot product."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+def _eye(size: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (size - i - 1) for i in range(size)]
+
+
+def _indices_below(rows: Sequence[Row], bound: int) -> bool:
+    keys = set().union(*rows)
+    return not keys or (min(keys) >= 0 and max(keys) < bound)
+
+
+def _expand(outer: Sequence[Row], block: Dense, columns: bool = False) -> IntMatrix:
     """The square matrix ``diag(I, block) * outer``, given and returned by
     rows, or by columns if ``columns``."""
     size = len(outer)
     split = size - len(block)
     flat = [0] * (size * size)
-    for i, row in enumerate(chain(outer[:split], _times(block, outer[split:]))):
+    for i, row in enumerate(chain(outer[:split], _times(_sparse(block), outer[split:]))):
         for j, x in row.items():
             flat[j * size + i if columns else i * size + j] = x
     return IntMatrix(size, size, tuple(flat))
@@ -212,10 +234,10 @@ class SnfResult:
     ``u1 * a * v1 = I_p (+) core``; the dense elimination of the core builds
     ``c``, ``vc`` with ``c * core * vc = D_core``.  So ``u = diag(I, c) * u1``
     and ``v = v1 * diag(I, vc)``, where ``p = m - len(c) = n - len(vc)``.
-    Every factor is a tuple of sparse rows or columns, the p pivots' first:
-    ``u1``, ``c``, ``v1_inv`` and ``vc_inv`` by rows; ``u1_inv``, ``c_inv``,
-    ``v1`` and ``vc`` by columns.  ``core`` holds the rows of the block that
-    the pivots leave, indexed by core column.
+    Phase 1's factors are tuples of sparse rows or columns, the p pivots'
+    first: ``u1`` and ``v1_inv`` by rows, ``u1_inv`` and ``v1`` by columns.
+    The core and its factors are dense: ``core``, ``c`` and ``vc_inv`` by
+    rows, ``c_inv`` and ``vc`` by columns.
 
     ``u``, ``v``, ``u_inv`` and ``v_inv`` are the dense transforms and their
     inverses, built on first access.  A certificate written out by hand as
@@ -229,11 +251,11 @@ class SnfResult:
     u1_inv: tuple[Row, ...]
     v1: tuple[Row, ...]
     v1_inv: tuple[Row, ...]
-    core: tuple[Row, ...]
-    c: tuple[Row, ...]
-    c_inv: tuple[Row, ...]
-    vc: tuple[Row, ...]
-    vc_inv: tuple[Row, ...]
+    core: Dense
+    c: Dense
+    c_inv: Dense
+    vc: Dense
+    vc_inv: Dense
 
     def divisors(self) -> tuple[int, ...]:
         """Nonzero diagonal entries, in chain order."""
@@ -245,7 +267,7 @@ class SnfResult:
     def u_row(self, t: int) -> Row:
         """Row t of ``u``, sparse, without building ``u``."""
         split = len(self.u1) - len(self.c)
-        return self.u1[t] if t < split else _times((self.c[t - split],), self.u1[split:])[0]
+        return self.u1[t] if t < split else _times(_sparse(self.c[t - split : t - split + 1]), self.u1[split:])[0]
 
     @cached_property
     def u(self) -> IntMatrix:
@@ -267,7 +289,7 @@ class SnfResult:
 def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     """Raise ``CertificateError`` unless the certificate is valid.
 
-    It proves four facts on the factors, by sparse products alone, with no
+    It proves four facts on the factors, by products alone, with no
     determinant and without building ``u`` or ``v``:
 
     * ``d`` is diagonal;
@@ -283,58 +305,57 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
       ``u * a * v = d``;
     * the diagonal is a divisor chain.
 
-    Phase 1's identity multiplies ``a``'s side by the sparse inverses rather
-    than by ``u1``: on long unit-pivot chains the forward factors fill in,
-    their inverses do not.
+    Phase 1's products are sparse, and its identity multiplies ``a``'s side
+    by the inverses rather than by ``u1``: on long unit-pivot chains the
+    forward factors fill in, their inverses do not.  The core's products
+    are dot products of its dense rows and columns.
     """
     m, n = a.rows, a.cols
     r = result
     k, w = len(r.c), len(r.vc)
     split = m - k
-    # each factor's length, and the bound on its indices
-    factors = [
-        (r.u1, m, m), (r.u1_inv, m, m), (r.v1, n, n), (r.v1_inv, n, n), (r.core, k, w),
-        (r.c, k, k), (r.c_inv, k, k), (r.vc, w, w), (r.vc_inv, w, w),
-    ]
+    factors = (r.u1, r.u1_inv, r.v1, r.v1_inv, r.core, r.c, r.c_inv, r.vc, r.vc_inv)
+    shapes = [(r.d.rows, r.d.cols)] + [len(rows) for rows in factors]
+    # the index bounds of phase 1's factors, and the lengths of the core's
+    # rows and columns: m for u1, n for v1, k for c, w for vc and the core
     if (
-        (r.d.rows, r.d.cols) != (m, n)
+        shapes != [(m, n), m, m, n, n, k, k, k, w, w]
         or split < 0
         or n - w != split
-        or any(
-            len(rows) != size or any(row and (min(row) < 0 or max(row) >= bound) for row in rows)
-            for rows, size, bound in factors
-        )
+        or not _indices_below(r.u1 + r.u1_inv, m)
+        or not _indices_below(r.v1 + r.v1_inv, n)
+        or not set(map(len, r.c + r.c_inv)) <= {k}
+        or not set(map(len, r.core + r.vc + r.vc_inv)) <= {w}
     ):
-        shapes = [(r.d.rows, r.d.cols)] + [len(rows) for rows, *_ in factors]
         raise CertificateError(f"Smith certificate broken: shapes {shapes} for a {m}x{n} matrix")
     if not r.d.is_diagonal():
         raise CertificateError("Smith certificate broken: d is not diagonal")
-    # each inverse is kept the other way round from its factor, so one
-    # transpose makes the rows of either product.  Phase 1's inverses go
-    # first: their rows stay short while the forward rows fill in.  The
-    # core's forward factors go first: on the 47-vertex sweep draw, whose
-    # core inverses hold 183,000-bit entries, that took 2.0 s against 4.3 s.
+    # each inverse is kept the other way round from its factor.  Phase 1's
+    # inverses are transposed and go first: their rows stay short while the
+    # forward rows fill in.  The core's products are c * c_inv and
+    # vc_inv * vc, rows by columns as kept: on the 47-vertex sweep draw,
+    # whose core inverses hold 183,000-bit entries, c * c_inv took about
+    # half the time of c_inv * c.
     u1_inv = _transpose(r.u1_inv, m)
-    products = (
-        _times(u1_inv, r.u1),  # u1_inv * u1
-        _times(_transpose(r.v1_inv, n), r.v1),  # (v1 * v1_inv) transposed
-        _times(r.c, _transpose(r.c_inv, k)),  # c * c_inv
-        _times(r.vc, _transpose(r.vc_inv, w)),  # (vc_inv * vc) transposed
-    )
-    if any(product != [{i: 1} for i in range(len(product))] for product in products):
+    if (
+        _times(u1_inv, r.u1) != [{i: 1} for i in range(m)]
+        or _times(_transpose(r.v1_inv, n), r.v1) != [{i: 1} for i in range(n)]  # (v1 * v1_inv)^T
+        or _dot_all(r.c, r.c_inv) != _eye(k)
+        or _dot_all(r.vc_inv, r.vc) != _eye(w)
+    ):
         raise CertificateError("Smith certificate broken: transform is not unimodular")
     diag = r.d.diagonal()
-
-    def scaled(rows: Sequence[Row], by: Sequence[int]) -> list[Row]:
-        return [{j: x * e for j, x in row.items()} if e else {} for row, e in zip(rows, by)]
-
+    # a = u1_inv * (D_p (+) core) * v1_inv, from the left: the few entries
+    # of D_p (+) core keep the rows of the first product short
+    middle = [{t: x} if x else {} for t, x in enumerate(diag[:split])]
+    middle += [{split + j: x for j, x in enumerate(row) if x} for row in r.core]
     flat = [0] * (m * n)
-    middle = scaled(r.v1_inv, diag[:split]) + _times(r.core, r.v1_inv[split:])
-    for i, row in enumerate(_times(u1_inv, middle)):
+    for i, row in enumerate(_times(_times(u1_inv, middle), r.v1_inv)):
         for j, x in row.items():
             flat[i * n + j] = x
-    core_right = scaled(r.vc_inv, diag[split:]) + [{}] * (k - min(k, w))
-    if tuple(flat) != a.entries or _times(r.c, r.core) != core_right:
+    core_right = [[e * x for x in row] for row, e in zip(r.vc_inv, diag[split:])]
+    core_right += [[0] * w for _ in range(k - len(core_right))]
+    if tuple(flat) != a.entries or _dot_all(r.c, tuple(zip(*r.core))) != core_right:
         raise CertificateError("Smith certificate broken: u*a*v != d")
     for x, y in zip(diag, diag[1:]):
         if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
@@ -356,24 +377,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _axpy(dst: Row, src: Row, q: int) -> Row:
-    """Sparse ``dst + q * src`` for ``q != 0``, dropping entries that cancel.
-
-    The longer row is copied by one comprehension (``src``, scaled) or
-    updated in place (``dst``), and the shorter is folded in entry by entry:
-    on a chain of unit pivots, a short row takes in a long one at each step.
-    """
-    if len(dst) < len(src):
-        out, rest, scale = {k: q * x for k, x in src.items()}, dst, 1
-    else:
-        out, rest, scale = dst, src, q
-    for k, x in rest.items():
-        y = out.get(k, 0) + scale * x
+def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """Sparse ``dst += q * src`` for ``q != 0``, dropping entries that cancel."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
         if y:
-            out[k] = y
+            dst[k] = y
         else:
-            del out[k]
-    return out
+            del dst[k]
 
 
 def _unit_pivots(
@@ -414,12 +425,10 @@ def _unit_pivots(
         while queue and best is None:
             i = heappop(queue)
             row = rows.get(i, {})
-            j = min(
-                (j for j, x in row.items() if (x == 1 or x == -1) and (len(row) == 1 or len(cols[j]) == 1)),
-                default=None,
-            )
-            if j is not None:
-                best = (0, i, j)
+            for j, x in row.items():
+                if (x == 1 or x == -1) and (len(row) == 1 or len(cols[j]) == 1):
+                    if best is None or j < best[2]:
+                        best = (0, i, j)
         if best is None:
             for i, row in rows.items():
                 r = len(row) - 1
@@ -448,9 +457,10 @@ def _unit_pivots(
                 else:
                     del target[j]
                     cols[j].discard(i)
-            u[i] = _axpy(u[i], u[p], q)
+            _axpy(u[i], u[p], q)
             u_inv_col[i] = -q * e
-            heappush(queue, i)
+            if len(target) == 1:
+                heappush(queue, i)
         # column c is now zero outside row p, so column j += q * column c
         # only clears entry (p, j) of the matrix
         v_inv_row = {c: 1}
@@ -459,7 +469,7 @@ def _unit_pivots(
             if len(cols[j]) == 1:
                 heappush(queue, next(iter(cols[j])))
             q = -x * e
-            v_t[j] = _axpy(v_t[j], v_t[c], q)
+            _axpy(v_t[j], v_t[c], q)
             v_inv_row[j] = -q
         if e < 0:
             u[p] = {k: -x for k, x in u[p].items()}
@@ -627,10 +637,10 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     core_rows, core_cols = sorted(rows), sorted(cols)
     k, width = len(core_rows), len(core_cols)
     core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
-    core_sparse = _sparse(core)  # before _reduce_core swaps its rows
+    phase1_core = tuple(map(tuple, core))  # _reduce_core swaps the rows of core
     # the core's own transforms: (U, U^-1 transposed), (V transposed, V^-1)
-    row_side = (IntMatrix.identity(k).to_rows(), IntMatrix.identity(k).to_rows())
-    col_side = (IntMatrix.identity(width).to_rows(), IntMatrix.identity(width).to_rows())
+    row_side = (_eye(k), _eye(k))
+    col_side = (_eye(width), _eye(width))
     diagonal = [1] * len(pivots) + _reduce_core(core, width, row_side, col_side)
 
     d = [0] * (m * n)
@@ -644,11 +654,11 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         u1_inv=tuple(col for *_, col, _ in pivots) + tuple({i: 1} for i in core_rows),
         v1=tuple(v_t[c] for _, c, *_ in pivots) + tuple(v_t[j] for j in core_cols),
         v1_inv=tuple(row for *_, row in pivots) + tuple({j: 1} for j in core_cols),
-        core=core_sparse,
-        c=_sparse(row_side[0]),
-        c_inv=_sparse(row_side[1]),
-        vc=_sparse(col_side[0]),
-        vc_inv=_sparse(col_side[1]),
+        core=phase1_core,
+        c=tuple(map(tuple, row_side[0])),
+        c_inv=tuple(map(tuple, row_side[1])),
+        vc=tuple(map(tuple, col_side[0])),
+        vc_inv=tuple(map(tuple, col_side[1])),
     )
     verify_snf(a, result)
     return result

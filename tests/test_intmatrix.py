@@ -117,10 +117,6 @@ def test_matrix_text_round_trip():
         parse_int_matrix("1 x\n")
 
 
-def _sparse(rows):
-    return tuple({j: x for j, x in enumerate(row) if x} for row in rows)
-
-
 def _certificate(a, d, u, v, u_inv=None, v_inv=None):
     """An input and a hand-made dense result; the inverses default to u and v.
 
@@ -129,18 +125,18 @@ def _certificate(a, d, u, v, u_inv=None, v_inv=None):
     """
     m, n = len(a), len(a[0])
     eye = lambda size: tuple({i: 1} for i in range(size))  # noqa: E731
-    columns = lambda rows: _sparse(zip(*rows))  # noqa: E731
+    rows = lambda matrix: tuple(map(tuple, matrix))  # noqa: E731
     result = SnfResult(
         d=IntMatrix.from_rows(d),
         u1=eye(m),
         u1_inv=eye(m),
         v1=eye(n),
         v1_inv=eye(n),
-        core=_sparse(a),
-        c=_sparse(u),
-        c_inv=columns(u_inv or u),
-        vc=columns(v),
-        vc_inv=_sparse(v_inv or v),
+        core=rows(a),
+        c=rows(u),
+        c_inv=tuple(zip(*(u_inv or u))),
+        vc=tuple(zip(*v)),
+        vc_inv=rows(v_inv or v),
     )
     return IntMatrix.from_rows(a), result
 
@@ -172,11 +168,14 @@ def test_verify_snf_refuses_mismatched_shapes():
     a, result = _certificate([[1, 0]], [[1, 0]], [[1]], [[1, 0], [0, 1]])
     verify_snf(a, result)
     with pytest.raises(CertificateError, match="shapes"):
-        verify_snf(a, replace(result, vc_inv=_sparse(IntMatrix.identity(3).to_rows())))
-    # an index outside its factor is a shape error too
+        verify_snf(a, replace(result, vc_inv=tuple(map(tuple, IntMatrix.identity(3).to_rows()))))
+    # an index outside a sparse factor, or a dense row of the wrong length,
+    # is a shape error too
     for row in ({1: 1}, {-1: 1}):
         with pytest.raises(CertificateError, match="shapes"):
             verify_snf(a, replace(result, u1=(row,)))
+    with pytest.raises(CertificateError, match="shapes"):
+        verify_snf(a, replace(result, vc_inv=((1, 0), (0, 1, 0))))
 
 
 # a factor and the inverse it is checked against, by name
@@ -191,11 +190,16 @@ def test_verify_snf_refuses_a_broken_factor(m, data):
     result = smith_normal_form(m)
     name = data.draw(st.sampled_from([f for f in FACTORS if getattr(result, f)]))
     rows = list(getattr(result, name))
+    # every factor is square: sparse rows map indices to entries, dense
+    # rows are tuples
     i = data.draw(st.integers(0, len(rows) - 1))
     j = data.draw(st.integers(0, len(rows) - 1))
     delta = data.draw(st.integers(-3, 3).filter(bool))
-    changed = {**rows[i], j: rows[i].get(j, 0) + delta}
-    rows[i] = {k: x for k, x in changed.items() if x}
+    if isinstance(rows[i], dict):
+        changed = {**rows[i], j: rows[i].get(j, 0) + delta}
+        rows[i] = {k: x for k, x in changed.items() if x}
+    else:
+        rows[i] = rows[i][:j] + (rows[i][j] + delta,) + rows[i][j + 1 :]
     with pytest.raises(CertificateError):
         verify_snf(m, replace(result, **{name: tuple(rows)}))
 
