@@ -8,8 +8,8 @@ they leave.  It returns the diagonal together with the unimodular transforms
 that certify it and their inverses, each kept as the two factors the phases
 build: sparse rows from the unit pivots, and the core's small dense
 transform.  The certificate is re-verified on those factors on every call,
-``python -O`` included, by sparse products alone; the dense m x m transforms
-are built only when a caller asks for them.
+``python -O`` included, by products alone; the dense m x m transforms are
+built only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -267,7 +267,9 @@ class SnfResult:
     def u_row(self, t: int) -> Row:
         """Row t of ``u``, sparse, without building ``u``."""
         split = len(self.u1) - len(self.c)
-        return self.u1[t] if t < split else _times(_sparse(self.c[t - split : t - split + 1]), self.u1[split:])[0]
+        if t < split:
+            return self.u1[t]
+        return _times(_sparse((self.c[t - split],)), self.u1[split:])[0]
 
     @cached_property
     def u(self) -> IntMatrix:
@@ -411,10 +413,10 @@ def _unit_pivots(
 
     A pivot of cost 0 comes from a heap of the rows that may hold one: a
     unit entry alone in its row or in its column.  A row gains one only when
-    a pivot's row operation changes it, or when it is left alone in one of
-    the pivot row's columns, and both push it; so the least valid row on the
-    heap is the least row holding a cost-0 unit, and the scan of every unit
-    entry runs only when there is none.
+    a pivot's row operation leaves it a single entry, or when it is left
+    alone in one of the pivot row's columns, and both push it; so the least
+    valid row on the heap is the least row holding a cost-0 unit, and the
+    scan of every unit entry runs only when there is none.
     """
     pivots = []
     queue = [i for i, row in rows.items() if len(row) == 1]

@@ -36,8 +36,8 @@ from .graph import Graph, _require_hereditary, _topological_order, graph_fingerp
 # The longest head, subdivision or star a move builds.  The output grows
 # with the length, and so does its K-theory: a 3,000-vertex head takes about
 # 2.4 s end to end (``ckgraph move --move add-head:v0:3000`` on the
-# one-vertex two-loop graph), 4,000 about 5 s.  A longer one is refused
-# before anything is built.
+# one-vertex two-loop graph, on a shared 2-vCPU Xeon host), 4,000 about
+# 5 s.  A longer one is refused before anything is built.
 MAX_LENGTH = 3000
 
 

@@ -178,7 +178,7 @@ def test_verify_snf_refuses_mismatched_shapes():
         verify_snf(a, replace(result, vc_inv=((1, 0), (0, 1, 0))))
 
 
-# a factor and the inverse it is checked against, by name
+# the factors of a Smith result, by name
 FACTORS = ("u1", "u1_inv", "v1", "v1_inv", "c", "c_inv", "vc", "vc_inv")
 
 

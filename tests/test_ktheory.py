@@ -240,7 +240,7 @@ def test_cached_engine_keeps_u_but_not_v_or_the_inverses(two_loops):
     assert {f.name for f in fields(_k0_engine(two_loops))} == {
         "vertices", "regulars", "presentation", "u_rows", "diagonal", "torsion"
     }
-    for g in (two_loops, bouquet(3), G("v w", "a:v>w"), *large_random_graphs("engine-rows", count=5)):
+    for g in (two_loops, bouquet(3), G("v w", "a:v>w"), *large_random_graphs("engine-rows", 5)):
         engine = _k0_engine(g)
         assert len(engine.u_rows) == sum(1 for d in engine.diagonal if d != 1)
         assert all(isinstance(row, dict) for row in engine.u_rows)
