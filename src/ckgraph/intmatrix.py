@@ -4,12 +4,13 @@ Entries are Python ints, never fixed-width machine words: Smith pivots can
 grow far past 64 bits even for small inputs, and every result here must be
 exact.  The Smith routine runs in two phases: sparse unit pivots in
 Markowitz order, then a dense extended-gcd elimination of the small core
-they leave.  It returns the diagonal together with the unimodular transforms
-that certify it and their inverses, each kept as the two factors the phases
-build: sparse rows from the unit pivots, and the core's small dense
-transform.  The certificate is re-verified on those factors on every call,
-``python -O`` included, by products alone; the dense m x m transforms are
-built only when a caller asks for them.
+they leave.  It returns the diagonal together with the factors that certify
+it: the unit pivots' inverse transforms, which are sparse and triangular in
+pivot order, and the core's small dense transforms and their inverses.  The
+certificate is re-verified on those factors on every call, ``python -O``
+included: unimodularity is read off the triangular factors' structure and
+checked by products on the core's; the dense m x m transforms are built
+only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -224,32 +225,95 @@ def _expand(outer: Sequence[Row], block: Dense, columns: bool = False) -> IntMat
     return IntMatrix(size, size, tuple(flat))
 
 
+def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """Sparse ``dst += q * src`` for ``q != 0``, dropping entries that cancel."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _solve(factor: Sequence[Row], order: Sequence[int]) -> list[Row]:
+    """The inverse of a unit triangular factor, by forward substitution.
+
+    ``factor[t]`` holds +-1 at index ``order[t]`` and its other entries at
+    indices later in ``order``.  For a factor given by columns this returns
+    the rows of its inverse, and for one given by rows the columns, in the
+    same order.
+    """
+    rest = {i: {i: 1} for i in order}
+    out = []
+    for vector, i in zip(factor, order):
+        # the pivot's own line is final once the earlier ones are subtracted
+        line = rest.pop(i)
+        if vector[i] != 1:
+            line = {j: -x for j, x in line.items()}
+        out.append(line)
+        for k, x in vector.items():
+            if k != i:
+                _axpy(rest[k], line, -x)
+    return out
+
+
+def _unit_triangular(factor: Sequence[Row], order: Sequence[int], units: tuple[int, ...]) -> bool:
+    """Whether ``factor[t]`` holds an entry of ``units`` at index ``order[t]``
+    and its other entries only at indices later in ``order``: a triangular
+    matrix with a unit diagonal once its indices are put in ``order``, so of
+    determinant +-1.  ``order`` is a permutation of the indices."""
+    position = {i: t for t, i in enumerate(order)}
+    return all(
+        vector.get(i) in units and all(position[j] >= t for j in vector)
+        for t, (i, vector) in enumerate(zip(order, factor))
+    )
+
+
+def _matches(rows: Sequence[Row], entries: Sequence[int], width: int) -> bool:
+    """Whether the sparse ``rows`` are the row-major dense ``entries``: every
+    entry they hold agrees, and they hold as many nonzeros as ``entries``."""
+    held = 0
+    for i, row in enumerate(rows):
+        base = i * width
+        for j, x in row.items():
+            if entries[base + j] != x:
+                return False
+            held += x != 0
+    return held == len(entries) - entries.count(0)
+
+
 @dataclass(frozen=True)
 class SnfResult:
     """Diagonal ``d`` of an m x n matrix ``a`` with unimodular ``u``, ``v`` such
-    that ``u * a * v = d``, kept as the two factors the elimination builds.
+    that ``u * a * v = d``, kept as the factors the elimination builds.
 
     Diagonal entries are non-negative and each divides the next.  The unit
-    pivots build the sparse factor ``u1``, ``v1`` with
-    ``u1 * a * v1 = I_p (+) core``; the dense elimination of the core builds
-    ``c``, ``vc`` with ``c * core * vc = D_core``.  So ``u = diag(I, c) * u1``
-    and ``v = v1 * diag(I, vc)``, where ``p = m - len(c) = n - len(vc)``.
-    Phase 1's factors are tuples of sparse rows or columns, the p pivots'
-    first: ``u1`` and ``v1_inv`` by rows, ``u1_inv`` and ``v1`` by columns.
-    The core and its factors are dense: ``core``, ``c`` and ``vc_inv`` by
-    rows, ``c_inv`` and ``vc`` by columns.
+    pivots take rows ``row_order[:p]`` and columns ``col_order[:p]`` of ``a``,
+    in that order; the rest of each order, increasing, is the core's.  They
+    record ``L = u1^-1`` by columns and ``R = v1^-1`` by rows, sparse and
+    indexed by the rows and columns of ``a``, with
+    ``a = L * (I_p (+) core) * R``.  Column t of ``L`` holds +-1 at row
+    ``row_order[t]`` and its other entries at rows later in ``row_order``;
+    row t of ``R`` holds 1 at column ``col_order[t]`` and its others at
+    columns later in ``col_order``.  So in pivot order ``L`` is lower and
+    ``R`` upper triangular, both with a unit diagonal.  The dense elimination
+    of the core builds ``c``, ``vc`` with ``c * core * vc = D_core``.  So
+    ``u = diag(I, c) * L^-1`` and ``v = R^-1 * diag(I, vc)``, where
+    ``p = m - len(c) = n - len(vc)``.  The core and its factors are dense:
+    ``core``, ``c`` and ``vc_inv`` by rows, ``c_inv`` and ``vc`` by columns.
 
     ``u``, ``v``, ``u_inv`` and ``v_inv`` are the dense transforms and their
-    inverses, built on first access.  A certificate written out by hand as
-    dense matrices is the case where phase 1 took no pivot: ``u1``, ``v1``
-    and their inverses are identities, ``core`` is ``a``, and ``c``, ``vc``
-    and their inverses are the dense ones.
+    inverses, built on first access, ``u`` and ``v`` by triangular solves.  A
+    certificate written out by hand as dense matrices is the case where
+    phase 1 took no pivot: both orders are the identity, ``L`` and ``R`` are
+    identities, ``core`` is ``a``, and ``c``, ``vc`` and their inverses are
+    the dense ones.
     """
 
     d: IntMatrix
-    u1: tuple[Row, ...]
+    row_order: tuple[int, ...]
+    col_order: tuple[int, ...]
     u1_inv: tuple[Row, ...]
-    v1: tuple[Row, ...]
     v1_inv: tuple[Row, ...]
     core: Dense
     c: Dense
@@ -264,16 +328,9 @@ class SnfResult:
     def rank(self) -> int:
         return len(self.divisors())
 
-    def u_row(self, t: int) -> Row:
-        """Row t of ``u``, sparse, without building ``u``."""
-        split = len(self.u1) - len(self.c)
-        if t < split:
-            return self.u1[t]
-        return _times(_sparse((self.c[t - split],)), self.u1[split:])[0]
-
     @cached_property
     def u(self) -> IntMatrix:
-        return _expand(self.u1, self.c)
+        return _expand(_solve(self.u1_inv, self.row_order), self.c)
 
     @cached_property
     def u_inv(self) -> IntMatrix:
@@ -281,7 +338,7 @@ class SnfResult:
 
     @cached_property
     def v(self) -> IntMatrix:
-        return _expand(self.v1, self.vc, columns=True)
+        return _expand(_solve(self.v1_inv, self.col_order), self.vc, columns=True)
 
     @cached_property
     def v_inv(self) -> IntMatrix:
@@ -291,73 +348,71 @@ class SnfResult:
 def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     """Raise ``CertificateError`` unless the certificate is valid.
 
-    It proves four facts on the factors, by products alone, with no
-    determinant and without building ``u`` or ``v``:
+    It proves four facts on the factors, with no determinant and without
+    building ``u`` or ``v``:
 
     * ``d`` is diagonal;
-    * ``u1_inv * u1 = I``, ``v1 * v1_inv = I``, ``c * c_inv = I`` and
-      ``vc_inv * vc = I``, so ``u`` and ``v`` are unimodular: a one-sided
-      inverse of a square matrix is two-sided, and an integer matrix with an
-      integer inverse has determinant +-1;
-    * ``a = u1_inv * (D_p (+) core) * v1_inv`` and
-      ``c * core = D_core * vc_inv``, where ``D_p`` and ``D_core`` are the
-      first p and the other diagonal entries of ``d`` and each product by
-      them is a row scaling; with the inverses, these give
-      ``u1 * a * v1 = D_p (+) core`` and ``c * core * vc = D_core``, hence
-      ``u * a * v = d``;
+    * ``u`` and ``v`` are unimodular.  The orders are permutations, and in
+      them ``L`` is lower triangular with a +-1 diagonal and ``R`` upper
+      triangular with a diagonal of 1, so both have determinant +-1; this
+      is read off their entries' positions.  For the core, ``c * c_inv = I``
+      and ``vc_inv * vc = I``: a one-sided inverse of a square matrix is
+      two-sided, and an integer matrix with an integer inverse has
+      determinant +-1;
+    * ``a = L * (D_p (+) core) * R`` and ``c * core = D_core * vc_inv``,
+      where ``D_p`` and ``D_core`` are the first p and the other diagonal
+      entries of ``d`` and each product by them is a row scaling; with the
+      inverses, these give ``L^-1 * a * R^-1 = D_p (+) core`` and
+      ``c * core * vc = D_core``, hence ``u * a * v = d``;
     * the diagonal is a divisor chain.
 
-    Phase 1's products are sparse, and its identity multiplies ``a``'s side
-    by the inverses rather than by ``u1``: on long unit-pivot chains the
-    forward factors fill in, their inverses do not.  The core's products
-    are dot products of its dense rows and columns.
+    So phase 1's checks cost time in the nonzeros of ``L`` and ``R``, which
+    do not fill in on long unit-pivot chains: its product is compared with
+    ``a`` as sparse rows, entry by entry, and against a count of ``a``'s
+    nonzeros.  The core's products are dot products of its dense rows and
+    columns.
     """
     m, n = a.rows, a.cols
     r = result
     k, w = len(r.c), len(r.vc)
     split = m - k
-    factors = (r.u1, r.u1_inv, r.v1, r.v1_inv, r.core, r.c, r.c_inv, r.vc, r.vc_inv)
+    factors = (r.row_order, r.col_order, r.u1_inv, r.v1_inv, r.core, r.c, r.c_inv, r.vc, r.vc_inv)
     shapes = [(r.d.rows, r.d.cols)] + [len(rows) for rows in factors]
-    # the index bounds of phase 1's factors, and the lengths of the core's
-    # rows and columns: m for u1, n for v1, k for c, w for vc and the core
+    # the index bounds of L and R, and the lengths of the core's rows and
+    # columns: m for L, n for R, k for c, w for vc and the core
     if (
-        shapes != [(m, n), m, m, n, n, k, k, k, w, w]
+        shapes != [(m, n), m, n, m, n, k, k, k, w, w]
         or split < 0
         or n - w != split
-        or not _indices_below(r.u1 + r.u1_inv, m)
-        or not _indices_below(r.v1 + r.v1_inv, n)
+        or not _indices_below(r.u1_inv, m)
+        or not _indices_below(r.v1_inv, n)
         or not set(map(len, r.c + r.c_inv)) <= {k}
         or not set(map(len, r.core + r.vc + r.vc_inv)) <= {w}
     ):
         raise CertificateError(f"Smith certificate broken: shapes {shapes} for a {m}x{n} matrix")
     if not r.d.is_diagonal():
         raise CertificateError("Smith certificate broken: d is not diagonal")
-    # each inverse is kept the other way round from its factor.  Phase 1's
-    # inverses are transposed and go first: their rows stay short while the
-    # forward rows fill in.  The core's products are c * c_inv and
-    # vc_inv * vc, rows by columns as kept: on the 47-vertex sweep draw,
-    # whose core inverses hold 183,000-bit entries, c * c_inv took about
-    # half the time of c_inv * c.
-    u1_inv = _transpose(r.u1_inv, m)
+    if sorted(r.row_order) != list(range(m)) or sorted(r.col_order) != list(range(n)):
+        raise CertificateError("Smith certificate broken: a pivot order is not a permutation")
+    # the core's products are c * c_inv and vc_inv * vc, rows by columns as
+    # kept: on the 47-vertex sweep draw, whose core inverses hold
+    # 183,000-bit entries, c * c_inv took about half the time of c_inv * c
     if (
-        _times(u1_inv, r.u1) != [{i: 1} for i in range(m)]
-        or _times(_transpose(r.v1_inv, n), r.v1) != [{i: 1} for i in range(n)]  # (v1 * v1_inv)^T
+        not _unit_triangular(r.u1_inv, r.row_order, (1, -1))
+        or not _unit_triangular(r.v1_inv, r.col_order, (1,))
         or _dot_all(r.c, r.c_inv) != _eye(k)
         or _dot_all(r.vc_inv, r.vc) != _eye(w)
     ):
         raise CertificateError("Smith certificate broken: transform is not unimodular")
     diag = r.d.diagonal()
-    # a = u1_inv * (D_p (+) core) * v1_inv, from the left: the few entries
-    # of D_p (+) core keep the rows of the first product short
+    # a = L * (D_p (+) core) * R, from the left: the few entries of
+    # D_p (+) core keep the rows of the first product short
     middle = [{t: x} if x else {} for t, x in enumerate(diag[:split])]
     middle += [{split + j: x for j, x in enumerate(row) if x} for row in r.core]
-    flat = [0] * (m * n)
-    for i, row in enumerate(_times(_times(u1_inv, middle), r.v1_inv)):
-        for j, x in row.items():
-            flat[i * n + j] = x
+    product = _times(_times(_transpose(r.u1_inv, m), middle), r.v1_inv)
     core_right = [[e * x for x in row] for row, e in zip(r.vc_inv, diag[split:])]
     core_right += [[0] * w for _ in range(k - len(core_right))]
-    if tuple(flat) != a.entries or _dot_all(r.c, tuple(zip(*r.core))) != core_right:
+    if not _matches(product, a.entries, n) or _dot_all(r.c, tuple(zip(*r.core))) != core_right:
         raise CertificateError("Smith certificate broken: u*a*v != d")
     for x, y in zip(diag, diag[1:]):
         if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
@@ -379,37 +434,24 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
-    """Sparse ``dst += q * src`` for ``q != 0``, dropping entries that cancel."""
-    for k, x in src.items():
-        y = dst.get(k, 0) + q * x
-        if y:
-            dst[k] = y
-        else:
-            del dst[k]
-
-
 def _unit_pivots(
-    rows: dict[int, dict[int, int]],
-    cols: dict[int, set[int]],
-    u: dict[int, dict[int, int]],
-    v_t: dict[int, dict[int, int]],
+    rows: dict[int, dict[int, int]], cols: dict[int, set[int]]
 ) -> list[tuple[int, int, dict[int, int], dict[int, int]]]:
     """Phase 1: eliminate +-1 pivots from the sparse matrix ``rows``.
 
-    ``cols`` holds the rows of each column's nonzeros, and ``u`` and ``v_t``
-    the rows of ``u`` and of ``v`` transposed, all sparse.  The pivot is the
-    unit entry of least Markowitz cost ``(r - 1) * (c - 1)``, where ``r`` and
+    ``cols`` holds the rows of each column's nonzeros.  The pivot is the unit
+    entry of least Markowitz cost ``(r - 1) * (c - 1)``, where ``r`` and
     ``c`` count the nonzeros of its row and column, then of least row, then
-    of least column.  It is made +1, and its row and column leave ``rows``
-    and ``cols``.
+    of least column.  Its row and column leave ``rows`` and ``cols``.
 
     Returns, per pivot in order, its row ``p`` and column ``c`` and the
     column ``p`` of ``u^-1`` and row ``c`` of ``v^-1``.  Those are final once
     the pivot is taken, and need no accumulation: the inverse of clearing
     column ``c`` by row ``p`` only touches column ``p`` of ``u^-1``, which
     is still a unit vector, since every earlier inverse touched the column of
-    an earlier pivot row.  The same holds for ``v^-1`` by rows.
+    an earlier pivot row.  The same holds for ``v^-1`` by rows.  The forward
+    transforms are not built: they fill in on long pivot chains, and their
+    inverses, triangular in pivot order, determine them.
 
     A pivot of cost 0 comes from a heap of the rows that may hold one: a
     unit entry alone in its row or in its column.  A row gains one only when
@@ -432,8 +474,15 @@ def _unit_pivots(
                     if best is None or j < best[2]:
                         best = (0, i, j)
         if best is None:
+            # no unit costs 0, so one in a row of r + 1 entries costs at
+            # least r: a row whose r reaches the best cost holds no better
+            # pivot, and as rows come in increasing order, cost 1 is final
             for i, row in rows.items():
                 r = len(row) - 1
+                if best is not None and r >= best[0]:
+                    if best[0] == 1:
+                        break
+                    continue
                 for j, x in row.items():
                     if x == 1 or x == -1:
                         key = (r * (len(cols[j]) - 1), i, j)
@@ -459,7 +508,6 @@ def _unit_pivots(
                 else:
                     del target[j]
                     cols[j].discard(i)
-            _axpy(u[i], u[p], q)
             u_inv_col[i] = -q * e
             if len(target) == 1:
                 heappush(queue, i)
@@ -470,27 +518,27 @@ def _unit_pivots(
             cols[j].discard(p)
             if len(cols[j]) == 1:
                 heappush(queue, next(iter(cols[j])))
-            q = -x * e
-            _axpy(v_t[j], v_t[c], q)
-            v_inv_row[j] = -q
-        if e < 0:
-            u[p] = {k: -x for k, x in u[p].items()}
+            v_inv_row[j] = x * e
         pivots.append((p, c, u_inv_col, v_inv_row))
 
 
-# Phase 2 works on a side, a triple of row lists (mat, fwd, inv): a row
-# operation R acts on the rows of mat and of its transform fwd, and the
-# transposed inverse of R on the rows of inv.  The row side is (core, U,
-# U^-1 transposed); the column side is (core transposed, V transposed, V^-1),
-# since a column operation C is the row operation C^T on the transpose.  So
-# every operation is a row operation, and U^-1, V^-1 come out as the inverse
-# operations applied in reverse order.
+# Phase 2 works on a side, a triple (mat, fwd, inv): an operation acts on
+# mat and on the rows of its transform fwd, and its transposed inverse on the
+# rows of inv.  The row side is (core, U, U^-1 transposed), with row
+# operations on the core; the column side is (core, V transposed, V^-1),
+# with column operations on the core's rows in place, which are row
+# operations on V transposed and V^-1.  So U^-1, V^-1 come out as the
+# inverse operations applied in reverse order.
 _Side = tuple[list[list[int]], ...]
 
 
-def _swap(side: _Side, i: int, j: int) -> None:
-    for rows in side:
+def _swap(side: _Side, i: int, j: int, columns: bool = False) -> None:
+    mat, *transforms = side
+    for rows in transforms if columns else side:
         rows[i], rows[j] = rows[j], rows[i]
+    if columns:
+        for row in mat:
+            row[i], row[j] = row[j], row[i]
 
 
 def _negate(side: _Side, i: int) -> None:
@@ -498,18 +546,31 @@ def _negate(side: _Side, i: int) -> None:
         rows[i] = [-x for x in rows[i]]
 
 
-def _add(side: _Side, dst: int, src: int, q: int) -> None:
-    """Row ``dst += q * row src``; on inv, row ``src -= q * row dst``."""
+def _add(side: _Side, dst: int, src: int, q: int, columns: bool = False) -> None:
+    """Row, or column, ``dst += q * src`` of mat, row ``dst += q * row src``
+    of fwd; on inv, row ``src -= q * row dst``."""
     mat, fwd, inv = side
-    mat[dst] = [x + q * y if y else x for x, y in zip(mat[dst], mat[src])]
+    if columns:
+        for row in mat:
+            if row[src]:
+                row[dst] += q * row[src]
+    else:
+        mat[dst] = [x + q * y if y else x for x, y in zip(mat[dst], mat[src])]
     fwd[dst] = [x + q * y if y else x for x, y in zip(fwd[dst], fwd[src])]
     inv[src] = [x - q * y if y else x for x, y in zip(inv[src], inv[dst])]
 
 
-def _combine(side: _Side, r1: int, r2: int, x: int, y: int, xx: int, yy: int) -> None:
-    """Rows ``(r1, r2) := (x*r1 + y*r2, xx*r1 + yy*r2)``, where ``x*yy - y*xx = 1``."""
+def _combine(
+    side: _Side, r1: int, r2: int, x: int, y: int, xx: int, yy: int, columns: bool = False
+) -> None:
+    """Rows, or columns, ``(r1, r2) := (x*r1 + y*r2, xx*r1 + yy*r2)`` of mat,
+    and rows of fwd, where ``x*yy - y*xx = 1``."""
     mat, fwd, inv = side
-    for rows in (mat, fwd):
+    if columns:
+        for row in mat:
+            one, two = row[r1], row[r2]
+            row[r1], row[r2] = x * one + y * two, xx * one + yy * two
+    for rows in (fwd,) if columns else (mat, fwd):
         one, two = rows[r1], rows[r2]
         rows[r1] = [x * p + y * q for p, q in zip(one, two)]
         rows[r2] = [xx * p + yy * q for p, q in zip(one, two)]
@@ -518,21 +579,21 @@ def _combine(side: _Side, r1: int, r2: int, x: int, y: int, xx: int, yy: int) ->
     inv[r2] = [x * q - y * p for p, q in zip(one, two)]
 
 
-def _clear(side: _Side, t: int) -> None:
-    """Zero column t of mat below row t, folding each entry the pivot does
-    not divide into it by an extended-gcd 2x2 step (no swap cascades, so
-    intermediate entries stay manageable)."""
+def _clear(side: _Side, t: int, columns: bool = False) -> None:
+    """Zero column t of mat below row t, or row t right of column t, folding
+    each entry the pivot does not divide into it by an extended-gcd 2x2 step
+    (no swap cascades, so intermediate entries stay manageable)."""
     mat = side[0]
-    for i in range(t + 1, len(mat)):
-        b = mat[i][t]
+    for i in range(t + 1, len(mat[t]) if columns else len(mat)):
+        b = mat[t][i] if columns else mat[i][t]
         if not b:
             continue
         p = mat[t][t]
         if b % p == 0:
-            _add(side, i, t, -(b // p))
+            _add(side, i, t, -(b // p), columns)
         else:
             g, x, y = _xgcd(p, b)
-            _combine(side, t, i, x, y, -(b // g), p // g)
+            _combine(side, t, i, x, y, -(b // g), p // g, columns)
 
 
 def _core_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -566,26 +627,17 @@ def _core_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
 
 def _reduce_core(d: list[list[int]], width: int, row_side: _Side, col_side: _Side) -> list[int]:
     """Phase 2: the dense gcd elimination of the core ``d`` (``width``
-    columns); returns its Smith diagonal.  Column steps run as row steps on
-    ``d`` transposed, which is transposed back after each."""
-
-    def transposed(rows: list[list[int]]) -> list[list[int]]:
-        return [list(col) for col in zip(*rows)]
-
+    columns); returns its Smith diagonal."""
     t = 0
     while t < min(len(d), width):
         pivot = _core_pivot(d, t)
         if pivot is None:
             break
         _swap((d, *row_side), t, pivot[0])
-        d_t = transposed(d)
-        _swap((d_t, *col_side), t, pivot[1])
-        d = transposed(d_t)
+        _swap((d, *col_side), t, pivot[1], columns=True)
         while True:
             _clear((d, *row_side), t)
-            d_t = transposed(d)
-            _clear((d_t, *col_side), t)
-            d = transposed(d_t)
+            _clear((d, *col_side), t, columns=True)
             # gcd column steps can re-dirty column t, hence the re-check;
             # a unit pivot divides everything
             if any(row[t] for row in d[t + 1 :]):
@@ -618,13 +670,13 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     least nonzero absolute value as the pivot, entries it does not divide
     folded in by extended-gcd 2x2 steps, and the divisibility chain enforced
     before each advance.  The core's transforms are of the core's size and
-    are kept apart from phase 1's sparse rows, as the second factor of the
-    result.  The diagonal holds the unit pivots in the order they were
-    taken, then the core's.
+    are kept apart from phase 1's sparse factors.  The diagonal holds the
+    unit pivots in the order they were taken, then the core's.
 
-    Both factors and their inverses are built along the way, and the
-    certificate is checked on them by ``verify_snf`` before the result is
-    returned.
+    Phase 1 records only the inverses of its transforms, which are
+    triangular in pivot order and do not fill in; the core's transforms and
+    their inverses are built along the way.  The certificate is checked on
+    these factors by ``verify_snf`` before the result is returned.
     """
     m, n = a.rows, a.cols
     rows = dict(enumerate(_sparse(a.entries[i * n : (i + 1) * n] for i in range(m))))
@@ -632,14 +684,12 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     for i, row in rows.items():
         for j in row:
             cols[j].add(i)
-    u = {i: {i: 1} for i in range(m)}
-    v_t = {j: {j: 1} for j in range(n)}
-    pivots = _unit_pivots(rows, cols, u, v_t)
+    pivots = _unit_pivots(rows, cols)
 
     core_rows, core_cols = sorted(rows), sorted(cols)
     k, width = len(core_rows), len(core_cols)
     core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
-    phase1_core = tuple(map(tuple, core))  # _reduce_core swaps the rows of core
+    phase1_core = tuple(map(tuple, core))  # _reduce_core changes core
     # the core's own transforms: (U, U^-1 transposed), (V transposed, V^-1)
     row_side = (_eye(k), _eye(k))
     col_side = (_eye(width), _eye(width))
@@ -652,9 +702,9 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     # vectors
     result = SnfResult(
         d=IntMatrix(m, n, tuple(d)),
-        u1=tuple(u[p] for p, *_ in pivots) + tuple(u[i] for i in core_rows),
+        row_order=tuple(p for p, *_ in pivots) + tuple(core_rows),
+        col_order=tuple(c for _, c, *_ in pivots) + tuple(core_cols),
         u1_inv=tuple(col for *_, col, _ in pivots) + tuple({i: 1} for i in core_rows),
-        v1=tuple(v_t[c] for _, c, *_ in pivots) + tuple(v_t[j] for j in core_cols),
         v1_inv=tuple(row for *_, row in pivots) + tuple({j: 1} for j in core_cols),
         core=phase1_core,
         c=tuple(map(tuple, row_side[0])),

@@ -77,14 +77,25 @@ class _K0Engine:
     vertices: tuple[str, ...]  # sorted, as in every Graph
     regulars: tuple[str, ...]
     presentation: IntMatrix
-    # the sparse rows of the Smith row transform u whose divisor is not 1,
-    # the only ones a class reads; v, the inverses and the other rows of u
-    # are not kept
-    u_rows: tuple[dict[int, int], ...]
+    # the Smith row transform u = diag(I, c) * L^-1, kept as the row order
+    # that makes the Smith result's L = u1^-1 triangular, the pivots'
+    # columns of L (its core columns are unit vectors), and the rows of c
+    # whose divisor is not 1, the only rows of u a class reads, sparse and
+    # indexed by position in that order; v, the dense transforms and the
+    # other rows of c are not kept
+    row_order: tuple[int, ...]
+    u1_inv: tuple[dict[int, int], ...]
+    c_rows: tuple[dict[int, int], ...]
     diagonal: tuple[int, ...]  # the Smith diagonal, padded with 0 to one entry per vertex
     torsion: tuple[int, ...]  # the Smith divisors greater than one
 
     def class_of(self, coefficients: Mapping[str, int]) -> K0Class:
+        """The coordinates of ``u * x`` against the divisors other than 1.
+
+        ``u`` is the certified ``diag(I, c) * L^-1``.  In pivot order ``L``
+        is lower triangular with a +-1 diagonal, so ``L^-1 * x`` comes by
+        forward substitution, one pass over the entries of ``L``; the kept
+        rows of ``c`` then read its core part."""
         size = len(self.vertices)
         x = {}
         for v, c in coefficients.items():
@@ -93,8 +104,17 @@ class _K0Engine:
                 raise PreconditionError("unknown-vertex", f"no vertex {v!r} in graph")
             if c:
                 x[j] = c
-        # the coordinates of u * x against the divisors other than 1
-        y = [sum(c * row.get(j, 0) for j, c in x.items()) for row in self.u_rows]
+        solved = []
+        for i, column in zip(self.row_order, self.u1_inv):
+            # the column's entry at its pivot row i is +-1, its own inverse
+            z = x.pop(i, 0) * column[i]
+            if z:
+                for k, w in column.items():
+                    if k != i:
+                        x[k] = x.get(k, 0) - w * z
+            solved.append(z)
+        solved += [x.get(i, 0) for i in self.row_order[len(solved) :]]
+        y = [sum(f * solved[t] for t, f in row.items()) for row in self.c_rows]
         divisors = [d for d in self.diagonal if d != 1]
         return K0Class(
             tuple(r % d for r, d in zip(y, divisors) if d > 1),
@@ -133,13 +153,29 @@ def _k0_engine(g: Graph) -> _K0Engine:
         entries[row_of[w] * width + j] = -1
         for e in g.out_edges(w):
             entries[row_of[e.dst] * width + j] += 1
-    presentation = IntMatrix(len(vertices), width, tuple(entries))
+    return _engine(vertices, regulars, IntMatrix(len(vertices), width, tuple(entries)))
+
+
+def _engine(
+    vertices: tuple[str, ...], regulars: tuple[str, ...], presentation: IntMatrix
+) -> _K0Engine:
+    """The engine of a presentation with one row per vertex and one column
+    per regular vertex: its Smith form, kept as the factors a class reads."""
     snf = smith_normal_form(presentation)
     diagonal = snf.d.diagonal()
     diagonal += (0,) * (len(vertices) - len(diagonal))
     torsion = tuple(d for d in diagonal if d > 1)
-    u_rows = tuple(snf.u_row(t) for t, d in enumerate(diagonal) if d != 1)
-    return _K0Engine(vertices, regulars, presentation, u_rows, diagonal, torsion)
+    # the first p entries of the diagonal are the unit pivots' 1s
+    split = len(vertices) - len(snf.c)
+    c_rows = tuple(
+        {split + s: x for s, x in enumerate(snf.c[t - split]) if x}
+        for t, d in enumerate(diagonal)
+        if d != 1
+    )
+    return _K0Engine(
+        vertices, regulars, presentation, snf.row_order, snf.u1_inv[:split], c_rows, diagonal,
+        torsion,
+    )
 
 
 def k_presentation_matrix(g: Graph) -> IntMatrix:

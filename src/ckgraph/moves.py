@@ -203,7 +203,7 @@ def attach_heads(g: Graph, lengths: Mapping[str, int] | Iterable[tuple[str, int]
         g.require_vertex(v)
         if n < 0:
             raise PreconditionError("bad-parameter", f"negative head length {n} at {v!r}")
-        _require_length(n, f"head length at {v!r}:")
+    _require_length(sum(n for _, n in heads), "total head length")
     # one edit for all heads, with the ids of adding them one by one
     return _attach_fresh(g, heads, "h", chained=True)
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from ckgraph import Graph
+from ckgraph import Graph, IntMatrix
 from ckgraph.randgen import SplitMix64, derive_seed, random_graph
 
 
@@ -91,3 +91,25 @@ def all_loop_graphs(draw, max_vertices: int = 4, max_parallel: int = 2) -> Graph
     if not extra:
         return g
     return Graph.build(g.vertices, [tuple(e) for e in g.edges] + extra)
+
+
+# mostly 0 and +-1, as in graph presentations, so the unit pivots do most of
+# the work and the dense core is small or empty
+UNIT_HEAVY = (0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3)
+
+
+@st.composite
+def unit_heavy_matrices(draw, max_dim: int):
+    rows, cols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    flat = draw(st.lists(st.sampled_from(UNIT_HEAVY), min_size=rows * cols, max_size=rows * cols))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows // 3))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 3))
+    return IntMatrix(
+        rows,
+        cols,
+        tuple(
+            0 if i in zero_rows or j in zero_cols else flat[i * cols + j]
+            for i in range(rows)
+            for j in range(cols)
+        ),
+    )

@@ -133,20 +133,26 @@ def test_module_entry_point_runs_in_a_subprocess():
 
 
 def test_huge_move_length_is_refused_in_a_subprocess():
-    # this input once ran past 5 s building its head; now nothing is built
+    # these inputs once ran for seconds building their heads: a head of
+    # 99,999,999,999 vertices, and two heads of 2,998 whose total is above
+    # the limit; now nothing is built
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ckgraph", "move", "--move", "add-head:v0:99999999999",
-         str(HERE / "data" / "example_loops.graph")],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=HERE.parent,
-        timeout=30,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "output-too-large" in proc.stderr and "99999999999" in proc.stderr
+    cases = [
+        (["move", "--move", "add-head:v0:99999999999", "example_loops.graph"], "99999999999"),
+        (["corner", "--proj", "u=2999,v=2999", "two_islands.graph"], "5996"),
+    ]
+    for (*args, graph), size in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ckgraph", *args, str(HERE / "data" / graph)],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=HERE.parent,
+            timeout=30,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "output-too-large" in proc.stderr and size in proc.stderr
 
 
 def test_help_exits_cleanly(capsys):

@@ -31,7 +31,7 @@ from ckgraph.randgen import (  # noqa: E402
     random_graph,
     random_int_matrix,
 )
-from conftest import large_random_graphs  # noqa: E402
+from conftest import large_random_graphs, unit_heavy_matrices  # noqa: E402
 from oracles import markowitz_unit_pivots, minors_divisors, naive_product  # noqa: E402
 
 
@@ -71,28 +71,6 @@ def test_divisors_agree_with_sympy_at_benchmark_size():
         assert ours == _sympy_divisors(pres.to_rows())
 
 
-# mostly 0 and +-1, as in graph presentations, so the unit pivots do most of
-# the work and the dense core is small or empty
-UNIT_HEAVY = (0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3)
-
-
-@st.composite
-def unit_heavy_matrices(draw, max_dim: int):
-    rows, cols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
-    flat = draw(st.lists(st.sampled_from(UNIT_HEAVY), min_size=rows * cols, max_size=rows * cols))
-    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows // 3))
-    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 3))
-    return IntMatrix(
-        rows,
-        cols,
-        tuple(
-            0 if i in zero_rows or j in zero_cols else flat[i * cols + j]
-            for i in range(rows)
-            for j in range(cols)
-        ),
-    )
-
-
 def _check_unit_heavy(m: IntMatrix) -> None:
     result = smith_normal_form(m)
     assert tuple(sorted(result.divisors())) == _sympy_divisors(m.to_rows())
@@ -116,10 +94,11 @@ def test_unit_pivots_follow_the_full_markowitz_scan(m):
     # unit entry picks, so the transforms stay the same
     rows = {i: {j: m.at(i, j) for j in range(m.cols) if m.at(i, j)} for i in range(m.rows)}
     cols = {j: {i for i, row in rows.items() if j in row} for j in range(m.cols)}
-    u = {i: {i: 1} for i in range(m.rows)}
-    v_t = {j: {j: 1} for j in range(m.cols)}
-    pivots = [(p, c) for p, c, *_ in _unit_pivots(rows, cols, u, v_t)]
+    pivots = [(p, c) for p, c, *_ in _unit_pivots(rows, cols)]
     assert pivots == markowitz_unit_pivots(m)
+    # the result's orders start with those pivots
+    result = smith_normal_form(m)
+    assert list(zip(result.row_order, result.col_order))[: len(pivots)] == pivots
 
 
 @settings(max_examples=100, deadline=None)

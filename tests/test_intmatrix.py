@@ -117,20 +117,21 @@ def test_matrix_text_round_trip():
         parse_int_matrix("1 x\n")
 
 
-def _certificate(a, d, u, v, u_inv=None, v_inv=None):
+def _certificate(a, d, u, v, u_inv=None, v_inv=None, **phase1):
     """An input and a hand-made dense result; the inverses default to u and v.
 
-    A dense certificate is the case where phase 1 took no pivot: the sparse
-    factors are identities and the core is ``a`` itself.
+    A dense certificate is the case where phase 1 took no pivot: both pivot
+    orders are the identity, ``L`` and ``R`` are identities and the core is
+    ``a`` itself.  ``phase1`` replaces any of those fields.
     """
     m, n = len(a), len(a[0])
     eye = lambda size: tuple({i: 1} for i in range(size))  # noqa: E731
     rows = lambda matrix: tuple(map(tuple, matrix))  # noqa: E731
     result = SnfResult(
         d=IntMatrix.from_rows(d),
-        u1=eye(m),
+        row_order=tuple(range(m)),
+        col_order=tuple(range(n)),
         u1_inv=eye(m),
-        v1=eye(n),
         v1_inv=eye(n),
         core=rows(a),
         c=rows(u),
@@ -138,22 +139,43 @@ def _certificate(a, d, u, v, u_inv=None, v_inv=None):
         vc=tuple(zip(*v)),
         vc_inv=rows(v_inv or v),
     )
-    return IntMatrix.from_rows(a), result
+    return IntMatrix.from_rows(a), replace(result, **phase1)
 
 
-# each case breaks exactly one of the four facts the certificate proves
+EYE2 = [[1, 0], [0, 1]]
+
+# each case fails exactly one of the certificate's checks
 BROKEN_CERTIFICATES = {
     "product": (_certificate([[1]], [[2]], [[1]], [[1]]), "u\\*a\\*v != d"),
-    "off-diagonal": (
-        _certificate([[1, 1], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
-        "not diagonal",
-    ),
+    "off-diagonal": (_certificate([[1, 1], [0, 1]], [[1, 1], [0, 1]], EYE2, EYE2), "not diagonal"),
     "divisor-chain": (
-        _certificate([[2, 0], [0, 1]], [[2, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+        _certificate([[2, 0], [0, 1]], [[2, 0], [0, 1]], EYE2, EYE2),
         "divisor chain",
     ),
     # u * a * v = d holds, but u = [[2]] has no integer inverse
     "not-unimodular": (_certificate([[1]], [[2]], [[2]], [[1]], u_inv=[[1]]), "not unimodular"),
+    # a = R = [[1, 0], [1, 1]] is unimodular, but row 1 of R holds an entry
+    # at column 0, which comes earlier in the pivot order: R is not
+    # triangular in it, so the certificate proves nothing
+    "earlier-entry": (
+        _certificate([[1, 0], [1, 1]], EYE2, EYE2, EYE2, v1_inv=({0: 1}, {0: 1, 1: 1})),
+        "not unimodular",
+    ),
+    # a = L * 1 * R with L = [[2]], which has no integer inverse
+    "pivot-diagonal": (
+        _certificate([[2]], [[1]], [[1]], [[1]], u1_inv=({0: 2},), core=((1,),)),
+        "not unimodular",
+    ),
+    # a = L * 1 * R with R = [[-1]]: unimodular, but phase 1 only ever
+    # records a diagonal of 1 in R, so this R is not one it made
+    "pivot-diagonal-r": (
+        _certificate([[-1]], [[1]], [[1]], [[1]], v1_inv=({0: -1},), core=((1,),)),
+        "not unimodular",
+    ),
+    "repeated-pivot": (
+        _certificate(EYE2, EYE2, EYE2, EYE2, row_order=(0, 0)),
+        "not a permutation",
+    ),
 }
 
 
@@ -165,43 +187,78 @@ def test_verify_snf_refuses_a_broken_certificate(case):
 
 
 def test_verify_snf_refuses_mismatched_shapes():
-    a, result = _certificate([[1, 0]], [[1, 0]], [[1]], [[1, 0], [0, 1]])
+    a, result = _certificate([[1, 0]], [[1, 0]], [[1]], EYE2)
     verify_snf(a, result)
     with pytest.raises(CertificateError, match="shapes"):
         verify_snf(a, replace(result, vc_inv=tuple(map(tuple, IntMatrix.identity(3).to_rows()))))
-    # an index outside a sparse factor, or a dense row of the wrong length,
-    # is a shape error too
+    # an index outside a sparse factor, a pivot order of the wrong length, or
+    # a dense row of the wrong length, is a shape error too
     for row in ({1: 1}, {-1: 1}):
         with pytest.raises(CertificateError, match="shapes"):
-            verify_snf(a, replace(result, u1=(row,)))
+            verify_snf(a, replace(result, u1_inv=(row,)))
+    with pytest.raises(CertificateError, match="shapes"):
+        verify_snf(a, replace(result, col_order=(0,)))
     with pytest.raises(CertificateError, match="shapes"):
         verify_snf(a, replace(result, vc_inv=((1, 0), (0, 1, 0))))
 
 
-# the factors of a Smith result, by name
-FACTORS = ("u1", "u1_inv", "v1", "v1_inv", "c", "c_inv", "vc", "vc_inv")
+# the dense factors of a Smith result, by name
+DENSE_FACTORS = ("c", "c_inv", "vc", "vc_inv")
+# phase 1's sparse factors, with the order each is triangular in and the
+# entries its diagonal may hold
+SPARSE_FACTORS = {"u1_inv": ("row_order", (1, -1)), "v1_inv": ("col_order", (1,))}
+
+
+def _break_sparse_factor(result, name, data):
+    """The result with one entry of L or R changed: at an earlier pivot
+    position, on the diagonal to a non-unit, or at a later position of a
+    pivot's vector, where the product with a changes."""
+    order_name, units = SPARSE_FACTORS[name]
+    vectors, order = list(getattr(result, name)), getattr(result, order_name)
+    split = len(order) - len(result.c)
+    t = data.draw(st.integers(0, len(vectors) - 1))
+    kinds = ["diagonal"] + ["earlier"] * (t > 0) + ["later"] * (t < split and t < len(order) - 1)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "diagonal":
+        index = order[t]
+        value = data.draw(st.integers(-3, 3).filter(lambda x: x not in units))
+    else:
+        positions = range(t) if kind == "earlier" else range(t + 1, len(order))
+        index = order[data.draw(st.sampled_from(positions))]
+        value = vectors[t].get(index, 0) + data.draw(st.integers(-3, 3).filter(bool))
+    changed = {**vectors[t], index: value}
+    vectors[t] = {k: x for k, x in changed.items() if x}
+    return replace(result, **{name: tuple(vectors)})
 
 
 @settings(max_examples=150)
 @given(matrices, st.data())
 def test_verify_snf_refuses_a_broken_factor(m, data):
-    # one changed entry of any factor breaks its product with its inverse,
-    # since every row and column of an invertible matrix is nonzero
+    # one changed entry of a dense factor breaks its product with its
+    # inverse, since every row and column of an invertible matrix is nonzero;
+    # L and R are checked by their shape and by the product with a, and a
+    # pivot order by being a permutation
     result = smith_normal_form(m)
-    name = data.draw(st.sampled_from([f for f in FACTORS if getattr(result, f)]))
-    rows = list(getattr(result, name))
-    # every factor is square: sparse rows map indices to entries, dense
-    # rows are tuples
-    i = data.draw(st.integers(0, len(rows) - 1))
-    j = data.draw(st.integers(0, len(rows) - 1))
-    delta = data.draw(st.integers(-3, 3).filter(bool))
-    if isinstance(rows[i], dict):
-        changed = {**rows[i], j: rows[i].get(j, 0) + delta}
-        rows[i] = {k: x for k, x in changed.items() if x}
+    names = [f for f in DENSE_FACTORS if getattr(result, f)] + list(SPARSE_FACTORS)
+    names += [f for f in ("row_order", "col_order") if len(getattr(result, f)) > 1]
+    name = data.draw(st.sampled_from(names))
+    if name in SPARSE_FACTORS:
+        broken = _break_sparse_factor(result, name, data)
+    elif name.endswith("order"):
+        order = list(getattr(result, name))
+        pair = st.lists(st.integers(0, len(order) - 1), min_size=2, max_size=2, unique=True)
+        i, j = data.draw(pair)
+        order[i] = order[j]
+        broken = replace(result, **{name: tuple(order)})
     else:
+        rows = list(getattr(result, name))
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(rows) - 1))
+        delta = data.draw(st.integers(-3, 3).filter(bool))
         rows[i] = rows[i][:j] + (rows[i][j] + delta,) + rows[i][j + 1 :]
+        broken = replace(result, **{name: tuple(rows)})
     with pytest.raises(CertificateError):
-        verify_snf(m, replace(result, **{name: tuple(rows)}))
+        verify_snf(m, broken)
 
 
 @settings(max_examples=150)
@@ -235,9 +292,6 @@ def test_snf_inverses_are_exact(m):
     assert naive_product(naive_product(result.u, m), result.v) == result.d
     for t in (result.u, result.u_inv, result.v, result.v_inv):
         assert abs(determinant(t)) == 1
-    assert [result.u_row(t) for t in range(m.rows)] == [
-        {j: x for j, x in enumerate(row) if x} for row in result.u.to_rows()
-    ]
 
 
 def test_certificate_is_checked_under_python_O():

@@ -25,9 +25,9 @@ from ckgraph import (
     smith_normal_form,
     vertex_matrix,
 )
-from ckgraph.ktheory import K0Class, _K0Engine, _k0_engine
+from ckgraph.ktheory import K0Class, _engine, _K0Engine, _k0_engine
 from ckgraph.randgen import SplitMix64, derive_seed
-from conftest import G, bouquet, graphs, large_random_graphs, no_sink_graphs
+from conftest import G, bouquet, graphs, large_random_graphs, no_sink_graphs, unit_heavy_matrices
 from oracles import naive_product
 
 DATA = Path(__file__).parent / "data"
@@ -235,33 +235,51 @@ def test_presentation_matches_the_pair_count_oracle_at_benchmark_size():
 
 
 def test_cached_engine_keeps_u_but_not_v_or_the_inverses(two_loops):
-    # the cache holds 512 engines; v and the inverses would double its size,
-    # and a dense m x m u would be mostly rows that no class reads
+    # the cache holds 512 engines; v and the dense transforms would multiply
+    # its size.  u is kept as the factors it is defined by: L = u1^-1, which
+    # does not fill in, its pivot order, and the rows of c that a class reads
     assert {f.name for f in fields(_k0_engine(two_loops))} == {
-        "vertices", "regulars", "presentation", "u_rows", "diagonal", "torsion"
+        "vertices", "regulars", "presentation", "row_order", "u1_inv", "c_rows", "diagonal",
+        "torsion",
     }
     for g in (two_loops, bouquet(3), G("v w", "a:v>w"), *large_random_graphs("engine-rows", 5)):
         engine = _k0_engine(g)
-        assert len(engine.u_rows) == sum(1 for d in engine.diagonal if d != 1)
-        assert all(isinstance(row, dict) for row in engine.u_rows)
+        assert len(engine.c_rows) == sum(1 for d in engine.diagonal if d != 1)
+        assert all(isinstance(row, dict) for row in engine.c_rows + engine.u1_inv)
+        assert sorted(engine.row_order) == list(range(len(g.vertices)))
+
+
+def _dense_class(snf, x: list[int]) -> K0Class:
+    """The class of x by the whole dense u that the Smith result builds on
+    access, against its diagonal padded with 0 to one entry per row."""
+    size = len(x)
+    diagonal = snf.d.diagonal() + (0,) * (size - snf.d.cols)
+    y = naive_product(snf.u, IntMatrix(size, 1, tuple(x))).entries
+    return K0Class(
+        tuple(r % d for r, d in zip(y, diagonal) if d > 1),
+        tuple(r for r, d in zip(y, diagonal) if d == 0),
+    )
 
 
 def test_class_of_matches_the_dense_u_at_benchmark_size():
-    # the engine keeps only the rows of u whose divisor is not 1; the oracle
-    # multiplies by the whole dense u that the Smith result builds on access
+    # the engine keeps L, its order and the rows of c whose divisor is not
+    # 1; the oracle multiplies by the whole dense u
     rng = SplitMix64(derive_seed(99, "class-of-oracle"))
     for g in large_random_graphs("class-of-oracle", count=10):
         snf = smith_normal_form(k_presentation_matrix(g))
-        size = len(g.vertices)
-        diagonal = snf.d.diagonal() + (0,) * (size - snf.d.cols)
         for _ in range(3):
-            x = [rng.randint(-3, 3) for _ in range(size)]
-            y = naive_product(snf.u, IntMatrix(size, 1, tuple(x))).entries
-            expected = K0Class(
-                tuple(r % d for r, d in zip(y, diagonal) if d > 1),
-                tuple(r for r, d in zip(y, diagonal) if d == 0),
-            )
-            assert k0_class_of(g, dict(zip(g.vertices, x))) == expected
+            x = [rng.randint(-3, 3) for _ in range(len(g.vertices))]
+            assert k0_class_of(g, dict(zip(g.vertices, x))) == _dense_class(snf, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_heavy_matrices(max_dim=10), st.data())
+def test_class_of_matches_the_dense_u_on_unit_heavy_matrices(m, data):
+    # long unit-pivot chains and small cores, where L is far from the identity
+    vertices = tuple(f"v{i:02d}" for i in range(m.rows))
+    engine = _engine(vertices, vertices[: m.cols], m)
+    x = data.draw(st.lists(st.integers(-5, 5), min_size=m.rows, max_size=m.rows))
+    assert engine.class_of(dict(zip(vertices, x))) == _dense_class(smith_normal_form(m), x)
 
 
 def _diamond_chain(k: int) -> Graph:
@@ -288,3 +306,17 @@ def test_large_presentations_keep_their_pinned_divisors():
     diamonds = k_presentation_matrix(normalize_to_ck(_diamond_chain(6)).graph)
     assert (diamonds.rows, diamonds.cols) == (254, 254)
     assert smith_normal_form(diamonds).d.diagonal() == (1,) * 253 + (0,)
+
+
+def test_phase_one_factors_stay_sparse_on_a_long_head():
+    # on this head the forward factors u1 and v1 filled in to about 500,000
+    # nonzeros each; L and R hold at most two entries per pivot
+    loops = parse_graph((DATA / "example_loops.graph").read_text())
+    head = k_presentation_matrix(realize_corner(loops, parse_multiset("v0=2000")).graph)
+    assert (head.rows, head.cols) == (2000, 2000)
+    result = smith_normal_form(head)
+    stored = [getattr(result, f.name) for f in fields(result)]
+    sparse = [f for f in stored if isinstance(f, tuple) and f and isinstance(f[0], dict)]
+    assert sparse
+    for factor in sparse:
+        assert sum(map(len, factor)) <= 2 * head.rows

@@ -312,6 +312,13 @@ def test_lengths_above_the_limit_are_refused(two_loops):
         assert len(build(MAX_LENGTH).vertices) == MAX_LENGTH + 1, name
         with pytest.raises(PreconditionError, match=f"output-too-large: .*{MAX_LENGTH + 1}"):
             build(MAX_LENGTH + 1)
+    # heads within the limit each, whose total is not
+    islands = G("u v", "lu:u>u lv:v>v")
+    half = MAX_LENGTH // 2
+    built = attach_heads(islands, {"u": half, "v": MAX_LENGTH - half})
+    assert len(built.vertices) == MAX_LENGTH + 2
+    with pytest.raises(PreconditionError, match=f"output-too-large: total .*{MAX_LENGTH + 1}"):
+        attach_heads(islands, {"u": half, "v": MAX_LENGTH - half + 1})
 
 
 # -- move records and logs ---------------------------------------------------------------
