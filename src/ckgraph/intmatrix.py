@@ -4,13 +4,13 @@ Entries are Python ints, never fixed-width machine words: Smith pivots can
 grow far past 64 bits even for small inputs, and every result here must be
 exact.  The Smith routine runs in two phases: sparse unit pivots in
 Markowitz order, then a dense extended-gcd elimination of the small core
-they leave.  It returns the diagonal together with the factors that certify
-it: the unit pivots' inverse transforms, which are sparse and triangular in
-pivot order, and the core's small dense transforms and their inverses.  The
-certificate is re-verified on those factors on every call, ``python -O``
-included: unimodularity is read off the triangular factors' structure and
-checked by products on the core's; the dense m x m transforms are built
-only when a caller asks for them.
+they leave.  It returns the diagonal together with what certifies it: the
+unit pivots' inverse transforms, which are sparse and triangular in pivot
+order, and the log of the core's elementary operations.  The certificate is
+re-verified on every call, ``python -O`` included: unimodularity is read off
+the triangular factors' structure and off each logged operation, and the
+log is replayed on the core; the dense m x m transforms are built only when
+a caller asks for them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import CertificateError, GraphFormatError
@@ -62,33 +61,6 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise GraphFormatError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        width = other.cols
-        right = [
-            [(j, x) for j, x in enumerate(other.entries[k * width : (k + 1) * width]) if x]
-            for k in range(other.rows)
-        ]
-        out: list[int] = []
-        for i in range(self.rows):
-            acc = [0] * width
-            for k, x in enumerate(self.entries[i * self.cols : (i + 1) * self.cols]):
-                if x:
-                    for j, y in right[k]:
-                        acc[j] += x * y
-            out.extend(acc)
-        return IntMatrix(self.rows, width, tuple(out))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
@@ -199,15 +171,6 @@ def _transpose(rows: Sequence[Row], size: int) -> list[Row]:
     return out
 
 
-def _dot_all(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The dense product of ``rows`` by ``cols``, each entry one dot product."""
-    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
-
-
-def _eye(size: int) -> list[list[int]]:
-    return [[0] * i + [1] + [0] * (size - i - 1) for i in range(size)]
-
-
 def _indices_below(rows: Sequence[Row], bound: int) -> bool:
     keys = set().union(*rows)
     return not keys or (min(keys) >= 0 and max(keys) < bound)
@@ -282,10 +245,117 @@ def _matches(rows: Sequence[Row], entries: Sequence[int], width: int) -> bool:
     return held == len(entries) - entries.count(0)
 
 
+# A phase-2 operation acts on two lines of the core, rows or, if
+# ``columns``, columns, or on one line for a negation.  It is logged as a
+# flat tuple:
+#   ("swap", columns, i, j)                lines i and j trade places
+#   ("negate", columns, i)                 line i := -line i
+#   ("add", columns, i, j, q)              line i += q * line j
+#   ("mix", columns, i, j, x, y, xx, yy)   (line i, line j) :=
+#                                          (x*i + y*j, xx*i + yy*j), x*yy - y*xx = 1
+# with i != j.  Each is unimodular by inspection, and the core's transforms
+# are their products: c = E_n * ... * E_1 over the row operations and
+# vc = F_1^T * ... * F_n^T over the column operations, where E and F are
+# the operations' matrices on lines.
+Op = tuple
+
+
+def _apply(mat: list[list[int]], op: Op, within: bool) -> None:
+    """Apply the line operation ``op`` to the rows of ``mat``, or, if
+    ``within``, to the entries of each row: ``mat := E * mat``, or
+    ``mat := mat * E^T``, where E is its matrix on lines.  ``op``'s own
+    ``columns`` flag is not read, so one applier serves the elimination, the
+    certificate's replay and the transforms built from the log."""
+    kind = op[0]
+    if kind == "add":
+        _, _, i, j, q = op
+        if within:
+            for row in mat:
+                if row[j]:
+                    row[i] += q * row[j]
+        else:
+            mat[i] = [x + q * y if y else x for x, y in zip(mat[i], mat[j])]
+    elif kind == "mix":
+        _, _, i, j, x, y, xx, yy = op
+        if within:
+            for row in mat:
+                one, two = row[i], row[j]
+                row[i], row[j] = x * one + y * two, xx * one + yy * two
+        else:
+            one, two = mat[i], mat[j]
+            mat[i] = [x * p + y * q for p, q in zip(one, two)]
+            mat[j] = [xx * p + yy * q for p, q in zip(one, two)]
+    elif kind == "swap":
+        _, _, i, j = op
+        if within:
+            for row in mat:
+                row[i], row[j] = row[j], row[i]
+        else:
+            mat[i], mat[j] = mat[j], mat[i]
+    else:
+        i = op[2]
+        if within:
+            for row in mat:
+                row[i] = -row[i]
+        else:
+            mat[i] = [-x for x in mat[i]]
+
+
+def _inverse(op: Op) -> Op:
+    kind, columns, i, *rest = op
+    if kind == "add":
+        j, q = rest
+        return (kind, columns, i, j, -q)
+    if kind == "mix":
+        j, x, y, xx, yy = rest
+        return (kind, columns, i, j, yy, -y, -xx, x)
+    return op
+
+
+def _transposed(op: Op) -> Op:
+    kind, columns, i, *rest = op
+    if kind == "add":
+        j, q = rest
+        return (kind, columns, j, i, q)
+    if kind == "mix":
+        j, x, y, xx, yy = rest
+        return (kind, columns, i, j, x, xx, y, yy)
+    return op
+
+
+def _unimodular(log: Sequence[Op], k: int, w: int) -> bool:
+    """Whether every logged operation is of a known kind, on distinct lines
+    in range (below ``k`` for rows, ``w`` for columns), with integer
+    coefficients and, for a mix, determinant 1: each operation's matrix then
+    has determinant +-1, whatever the lines hold."""
+    for op in log:
+        if type(op) is not tuple or len(op) < 3 or type(op[1]) is not bool:
+            return False
+        kind, columns, i, *rest = op
+        bound = w if columns else k
+        if type(i) is not int or not 0 <= i < bound:
+            return False
+        if kind == "negate" and not rest:
+            continue
+        if kind == "swap" and len(rest) == 1:
+            j = rest[0]
+        elif kind == "add" and len(rest) == 2 and type(rest[1]) is int:
+            j = rest[0]
+        elif kind == "mix" and len(rest) == 5:
+            j, x, y, xx, yy = rest
+            if not (type(x) is type(y) is type(xx) is type(yy) is int and x * yy - y * xx == 1):
+                return False
+        else:
+            return False
+        if type(j) is not int or not 0 <= j < bound or j == i:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class SnfResult:
     """Diagonal ``d`` of an m x n matrix ``a`` with unimodular ``u``, ``v`` such
-    that ``u * a * v = d``, kept as the factors the elimination builds.
+    that ``u * a * v = d``, kept as what the elimination did.
 
     Diagonal entries are non-negative and each divides the next.  The unit
     pivots take rows ``row_order[:p]`` and columns ``col_order[:p]`` of ``a``,
@@ -296,18 +366,20 @@ class SnfResult:
     ``row_order[t]`` and its other entries at rows later in ``row_order``;
     row t of ``R`` holds 1 at column ``col_order[t]`` and its others at
     columns later in ``col_order``.  So in pivot order ``L`` is lower and
-    ``R`` upper triangular, both with a unit diagonal.  The dense elimination
-    of the core builds ``c``, ``vc`` with ``c * core * vc = D_core``.  So
-    ``u = diag(I, c) * L^-1`` and ``v = R^-1 * diag(I, vc)``, where
-    ``p = m - len(c) = n - len(vc)``.  The core and its factors are dense:
-    ``core``, ``c`` and ``vc_inv`` by rows, ``c_inv`` and ``vc`` by columns.
+    ``R`` upper triangular, both with a unit diagonal.  ``core``, dense by
+    rows, is k x w with ``k = m - p`` and ``w = n - p``.  Its elimination is
+    kept as ``log``, the operations it applied in order (see ``Op``): ``c``
+    is the product of the row operations and ``vc`` of the column
+    operations, with ``c * core * vc = D_core``.  So
+    ``u = diag(I, c) * L^-1`` and ``v = R^-1 * diag(I, vc)``.
 
     ``u``, ``v``, ``u_inv`` and ``v_inv`` are the dense transforms and their
-    inverses, built on first access, ``u`` and ``v`` by triangular solves.  A
-    certificate written out by hand as dense matrices is the case where
-    phase 1 took no pivot: both orders are the identity, ``L`` and ``R`` are
-    identities, ``core`` is ``a``, and ``c``, ``vc`` and their inverses are
-    the dense ones.
+    inverses, built on first access: ``u`` and ``v`` by triangular solves
+    and the forward operations on the identity, the inverses by the inverse
+    operations in reverse order.  ``c_rows`` gives a few rows of ``c``
+    without building it.  A certificate written out by hand is the case
+    where phase 1 took no pivot: both orders are the identity, ``L`` and
+    ``R`` are identities, ``core`` is ``a`` and ``log`` its elimination.
     """
 
     d: IntMatrix
@@ -316,10 +388,7 @@ class SnfResult:
     u1_inv: tuple[Row, ...]
     v1_inv: tuple[Row, ...]
     core: Dense
-    c: Dense
-    c_inv: Dense
-    vc: Dense
-    vc_inv: Dense
+    log: tuple[Op, ...]
 
     def divisors(self) -> tuple[int, ...]:
         """Nonzero diagonal entries, in chain order."""
@@ -328,91 +397,116 @@ class SnfResult:
     def rank(self) -> int:
         return len(self.divisors())
 
+    def c_rows(self, indices: Iterable[int]) -> list[list[int]]:
+        """Rows ``indices`` of ``c``, dense.  Row t of ``c = E_n * ... * E_1``
+        is ``e_t * E_n * ... * E_1``: the row operations run backwards on the
+        unit vector, each transposed, so each operation costs two entries per
+        row asked for."""
+        k = len(self.core)
+        rows = [[0] * t + [1] + [0] * (k - t - 1) for t in indices]
+        for op in reversed(self.log):
+            if not op[1]:
+                _apply(rows, _transposed(op), True)
+        return rows
+
+    def _core_transform(self, columns: bool, inverse: bool = False) -> list[list[int]]:
+        """``c`` by rows, or ``vc`` by columns: that side's operations applied
+        in order to the rows of the identity.  With ``inverse``, ``c^-1`` by
+        columns, or ``vc^-1`` by rows: the inverse operations in reverse
+        order, applied within the rows of the identity."""
+        size = self.d.cols - self.d.rows + len(self.core) if columns else len(self.core)
+        mat = IntMatrix.identity(size).to_rows()
+        ops = [op for op in self.log if op[1] == columns]
+        for op in reversed(ops) if inverse else ops:
+            _apply(mat, _inverse(op) if inverse else op, inverse)
+        return mat
+
     @cached_property
     def u(self) -> IntMatrix:
-        return _expand(_solve(self.u1_inv, self.row_order), self.c)
+        return _expand(_solve(self.u1_inv, self.row_order), self._core_transform(False))
 
     @cached_property
     def u_inv(self) -> IntMatrix:
-        return _expand(self.u1_inv, self.c_inv, columns=True)
+        return _expand(self.u1_inv, self._core_transform(False, inverse=True), columns=True)
 
     @cached_property
     def v(self) -> IntMatrix:
-        return _expand(_solve(self.v1_inv, self.col_order), self.vc, columns=True)
+        vc = self._core_transform(True)
+        return _expand(_solve(self.v1_inv, self.col_order), vc, columns=True)
 
     @cached_property
     def v_inv(self) -> IntMatrix:
-        return _expand(self.v1_inv, self.vc_inv)
+        return _expand(self.v1_inv, self._core_transform(True, inverse=True))
 
 
 def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     """Raise ``CertificateError`` unless the certificate is valid.
 
-    It proves four facts on the factors, with no determinant and without
-    building ``u`` or ``v``:
+    It proves four facts, with no determinant and no product of transforms:
 
     * ``d`` is diagonal;
     * ``u`` and ``v`` are unimodular.  The orders are permutations, and in
       them ``L`` is lower triangular with a +-1 diagonal and ``R`` upper
       triangular with a diagonal of 1, so both have determinant +-1; this
-      is read off their entries' positions.  For the core, ``c * c_inv = I``
-      and ``vc_inv * vc = I``: a one-sided inverse of a square matrix is
-      two-sided, and an integer matrix with an integer inverse has
-      determinant +-1;
-    * ``a = L * (D_p (+) core) * R`` and ``c * core = D_core * vc_inv``,
-      where ``D_p`` and ``D_core`` are the first p and the other diagonal
-      entries of ``d`` and each product by them is a row scaling; with the
-      inverses, these give ``L^-1 * a * R^-1 = D_p (+) core`` and
-      ``c * core * vc = D_core``, hence ``u * a * v = d``;
+      is read off their entries' positions.  Each logged operation is of a
+      known kind, on distinct lines inside the core, with integer
+      coefficients and a mix of determinant 1, so ``c`` and ``vc``, their
+      products, have determinant +-1;
+    * ``a = L * (D_p (+) core) * R``, where ``D_p`` is the first p diagonal
+      entries of ``d``, and the log replayed on ``core`` gives ``D_core``,
+      the other entries: that replay is ``c * core * vc``, so
+      ``u * a * v = d``;
     * the diagonal is a divisor chain.
 
     So phase 1's checks cost time in the nonzeros of ``L`` and ``R``, which
     do not fill in on long unit-pivot chains: its product is compared with
     ``a`` as sparse rows, entry by entry, and against a count of ``a``'s
-    nonzeros.  The core's products are dot products of its dense rows and
-    columns.
+    nonzeros.  The core's check costs what its elimination cost on the core
+    itself, and no more: the transforms, whose entries grow far larger than
+    the core's, are never built.
     """
     m, n = a.rows, a.cols
     r = result
-    k, w = len(r.c), len(r.vc)
+    k = len(r.core)
     split = m - k
-    factors = (r.row_order, r.col_order, r.u1_inv, r.v1_inv, r.core, r.c, r.c_inv, r.vc, r.vc_inv)
-    shapes = [(r.d.rows, r.d.cols)] + [len(rows) for rows in factors]
-    # the index bounds of L and R, and the lengths of the core's rows and
-    # columns: m for L, n for R, k for c, w for vc and the core
+    w = n - split
+    factors = (r.row_order, r.col_order, r.u1_inv, r.v1_inv)
+    shapes = [(r.d.rows, r.d.cols)] + [len(x) for x in factors]
+    # the index bounds of L and R, and the core's k rows of w entries
     if (
-        shapes != [(m, n), m, n, m, n, k, k, k, w, w]
+        shapes != [(m, n), m, n, m, n]
         or split < 0
-        or n - w != split
+        or w < 0
         or not _indices_below(r.u1_inv, m)
         or not _indices_below(r.v1_inv, n)
-        or not set(map(len, r.c + r.c_inv)) <= {k}
-        or not set(map(len, r.core + r.vc + r.vc_inv)) <= {w}
+        or not set(map(len, r.core)) <= {w}
     ):
-        raise CertificateError(f"Smith certificate broken: shapes {shapes} for a {m}x{n} matrix")
+        raise CertificateError(
+            f"Smith certificate broken: shapes {shapes + [(k, w)]} for a {m}x{n} matrix"
+        )
     if not r.d.is_diagonal():
         raise CertificateError("Smith certificate broken: d is not diagonal")
     if sorted(r.row_order) != list(range(m)) or sorted(r.col_order) != list(range(n)):
         raise CertificateError("Smith certificate broken: a pivot order is not a permutation")
-    # the core's products are c * c_inv and vc_inv * vc, rows by columns as
-    # kept: on the 47-vertex sweep draw, whose core inverses hold
-    # 183,000-bit entries, c * c_inv took about half the time of c_inv * c
     if (
         not _unit_triangular(r.u1_inv, r.row_order, (1, -1))
         or not _unit_triangular(r.v1_inv, r.col_order, (1,))
-        or _dot_all(r.c, r.c_inv) != _eye(k)
-        or _dot_all(r.vc_inv, r.vc) != _eye(w)
+        or not _unimodular(r.log, k, w)
     ):
         raise CertificateError("Smith certificate broken: transform is not unimodular")
+    replay = [list(row) for row in r.core]
+    for op in r.log:
+        _apply(replay, op, op[1])
     diag = r.d.diagonal()
     # a = L * (D_p (+) core) * R, from the left: the few entries of
     # D_p (+) core keep the rows of the first product short
     middle = [{t: x} if x else {} for t, x in enumerate(diag[:split])]
     middle += [{split + j: x for j, x in enumerate(row) if x} for row in r.core]
     product = _times(_times(_transpose(r.u1_inv, m), middle), r.v1_inv)
-    core_right = [[e * x for x in row] for row, e in zip(r.vc_inv, diag[split:])]
-    core_right += [[0] * w for _ in range(k - len(core_right))]
-    if not _matches(product, a.entries, n) or _dot_all(r.c, tuple(zip(*r.core))) != core_right:
+    d_core = [[0] * w for _ in range(k)]
+    for t, x in enumerate(diag[split:]):
+        d_core[t][t] = x
+    if not _matches(product, a.entries, n) or replay != d_core:
         raise CertificateError("Smith certificate broken: u*a*v != d")
     for x, y in zip(diag, diag[1:]):
         if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
@@ -522,78 +616,25 @@ def _unit_pivots(
         pivots.append((p, c, u_inv_col, v_inv_row))
 
 
-# Phase 2 works on a side, a triple (mat, fwd, inv): an operation acts on
-# mat and on the rows of its transform fwd, and its transposed inverse on the
-# rows of inv.  The row side is (core, U, U^-1 transposed), with row
-# operations on the core; the column side is (core, V transposed, V^-1),
-# with column operations on the core's rows in place, which are row
-# operations on V transposed and V^-1.  So U^-1, V^-1 come out as the
-# inverse operations applied in reverse order.
-_Side = tuple[list[list[int]], ...]
+def _log(d: list[list[int]], log: list[Op], op: Op) -> None:
+    log.append(op)
+    _apply(d, op, op[1])
 
 
-def _swap(side: _Side, i: int, j: int, columns: bool = False) -> None:
-    mat, *transforms = side
-    for rows in transforms if columns else side:
-        rows[i], rows[j] = rows[j], rows[i]
-    if columns:
-        for row in mat:
-            row[i], row[j] = row[j], row[i]
-
-
-def _negate(side: _Side, i: int) -> None:
-    for rows in side:
-        rows[i] = [-x for x in rows[i]]
-
-
-def _add(side: _Side, dst: int, src: int, q: int, columns: bool = False) -> None:
-    """Row, or column, ``dst += q * src`` of mat, row ``dst += q * row src``
-    of fwd; on inv, row ``src -= q * row dst``."""
-    mat, fwd, inv = side
-    if columns:
-        for row in mat:
-            if row[src]:
-                row[dst] += q * row[src]
-    else:
-        mat[dst] = [x + q * y if y else x for x, y in zip(mat[dst], mat[src])]
-    fwd[dst] = [x + q * y if y else x for x, y in zip(fwd[dst], fwd[src])]
-    inv[src] = [x - q * y if y else x for x, y in zip(inv[src], inv[dst])]
-
-
-def _combine(
-    side: _Side, r1: int, r2: int, x: int, y: int, xx: int, yy: int, columns: bool = False
-) -> None:
-    """Rows, or columns, ``(r1, r2) := (x*r1 + y*r2, xx*r1 + yy*r2)`` of mat,
-    and rows of fwd, where ``x*yy - y*xx = 1``."""
-    mat, fwd, inv = side
-    if columns:
-        for row in mat:
-            one, two = row[r1], row[r2]
-            row[r1], row[r2] = x * one + y * two, xx * one + yy * two
-    for rows in (fwd,) if columns else (mat, fwd):
-        one, two = rows[r1], rows[r2]
-        rows[r1] = [x * p + y * q for p, q in zip(one, two)]
-        rows[r2] = [xx * p + yy * q for p, q in zip(one, two)]
-    one, two = inv[r1], inv[r2]
-    inv[r1] = [yy * p - xx * q for p, q in zip(one, two)]
-    inv[r2] = [x * q - y * p for p, q in zip(one, two)]
-
-
-def _clear(side: _Side, t: int, columns: bool = False) -> None:
-    """Zero column t of mat below row t, or row t right of column t, folding
-    each entry the pivot does not divide into it by an extended-gcd 2x2 step
-    (no swap cascades, so intermediate entries stay manageable)."""
-    mat = side[0]
-    for i in range(t + 1, len(mat[t]) if columns else len(mat)):
-        b = mat[t][i] if columns else mat[i][t]
+def _clear(d: list[list[int]], log: list[Op], t: int, columns: bool = False) -> None:
+    """Zero column t of the core below row t, or row t right of column t,
+    folding each entry the pivot does not divide into it by an extended-gcd
+    2x2 step (no swap cascades, so intermediate entries stay manageable)."""
+    for i in range(t + 1, len(d[t]) if columns else len(d)):
+        b = d[t][i] if columns else d[i][t]
         if not b:
             continue
-        p = mat[t][t]
+        p = d[t][t]
         if b % p == 0:
-            _add(side, i, t, -(b // p), columns)
+            _log(d, log, ("add", columns, i, t, -(b // p)))
         else:
             g, x, y = _xgcd(p, b)
-            _combine(side, t, i, x, y, -(b // g), p // g, columns)
+            _log(d, log, ("mix", columns, t, i, x, y, -(b // g), p // g))
 
 
 def _core_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -625,19 +666,22 @@ def _core_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
     return t + best[1], t + best[2]
 
 
-def _reduce_core(d: list[list[int]], width: int, row_side: _Side, col_side: _Side) -> list[int]:
+def _reduce_core(d: list[list[int]], width: int, log: list[Op]) -> list[int]:
     """Phase 2: the dense gcd elimination of the core ``d`` (``width``
-    columns); returns its Smith diagonal."""
+    columns), in place, appending its operations to ``log``; returns its
+    Smith diagonal."""
     t = 0
     while t < min(len(d), width):
         pivot = _core_pivot(d, t)
         if pivot is None:
             break
-        _swap((d, *row_side), t, pivot[0])
-        _swap((d, *col_side), t, pivot[1], columns=True)
+        if pivot[0] != t:
+            _log(d, log, ("swap", False, t, pivot[0]))
+        if pivot[1] != t:
+            _log(d, log, ("swap", True, t, pivot[1]))
         while True:
-            _clear((d, *row_side), t)
-            _clear((d, *col_side), t, columns=True)
+            _clear(d, log, t)
+            _clear(d, log, t, columns=True)
             # gcd column steps can re-dirty column t, hence the re-check;
             # a unit pivot divides everything
             if any(row[t] for row in d[t + 1 :]):
@@ -649,12 +693,12 @@ def _reduce_core(d: list[list[int]], width: int, row_side: _Side, col_side: _Sid
                 offender = next((i for i in below if any(x % p for x in d[i][t + 1 :])), None)
             if offender is None:
                 break
-            _add((d, *row_side), t, offender, 1)
+            _log(d, log, ("add", False, t, offender, 1))
         t += 1
     diagonal = [d[t][t] for t in range(min(len(d), width))]
     for t, x in enumerate(diagonal):
         if x < 0:
-            _negate((d, *row_side), t)
+            _log(d, log, ("negate", False, t))
             diagonal[t] = -x
     return diagonal
 
@@ -669,14 +713,15 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     Phase 2 hands the core left without a unit entry to a dense elimination:
     least nonzero absolute value as the pivot, entries it does not divide
     folded in by extended-gcd 2x2 steps, and the divisibility chain enforced
-    before each advance.  The core's transforms are of the core's size and
-    are kept apart from phase 1's sparse factors.  The diagonal holds the
-    unit pivots in the order they were taken, then the core's.
+    before each advance.  The diagonal holds the unit pivots in the order
+    they were taken, then the core's.
 
     Phase 1 records only the inverses of its transforms, which are
-    triangular in pivot order and do not fill in; the core's transforms and
-    their inverses are built along the way.  The certificate is checked on
-    these factors by ``verify_snf`` before the result is returned.
+    triangular in pivot order and do not fill in.  Phase 2 acts on the core
+    alone and logs its operations: the core's transforms, whose entries grow
+    far past the core's own, are never multiplied out.  The certificate is
+    checked on these factors and that log by ``verify_snf`` before the
+    result is returned.
     """
     m, n = a.rows, a.cols
     rows = dict(enumerate(_sparse(a.entries[i * n : (i + 1) * n] for i in range(m))))
@@ -687,13 +732,11 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     pivots = _unit_pivots(rows, cols)
 
     core_rows, core_cols = sorted(rows), sorted(cols)
-    k, width = len(core_rows), len(core_cols)
+    width = len(core_cols)
     core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
     phase1_core = tuple(map(tuple, core))  # _reduce_core changes core
-    # the core's own transforms: (U, U^-1 transposed), (V transposed, V^-1)
-    row_side = (_eye(k), _eye(k))
-    col_side = (_eye(width), _eye(width))
-    diagonal = [1] * len(pivots) + _reduce_core(core, width, row_side, col_side)
+    log: list[Op] = []
+    diagonal = [1] * len(pivots) + _reduce_core(core, width, log)
 
     d = [0] * (m * n)
     for t, x in enumerate(diagonal):
@@ -707,10 +750,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         u1_inv=tuple(col for *_, col, _ in pivots) + tuple({i: 1} for i in core_rows),
         v1_inv=tuple(row for *_, row in pivots) + tuple({j: 1} for j in core_cols),
         core=phase1_core,
-        c=tuple(map(tuple, row_side[0])),
-        c_inv=tuple(map(tuple, row_side[1])),
-        vc=tuple(map(tuple, col_side[0])),
-        vc_inv=tuple(map(tuple, col_side[1])),
+        log=tuple(log),
     )
     verify_snf(a, result)
     return result

@@ -166,11 +166,10 @@ def _engine(
     diagonal += (0,) * (len(vertices) - len(diagonal))
     torsion = tuple(d for d in diagonal if d > 1)
     # the first p entries of the diagonal are the unit pivots' 1s
-    split = len(vertices) - len(snf.c)
+    split = len(vertices) - len(snf.core)
     c_rows = tuple(
-        {split + s: x for s, x in enumerate(snf.c[t - split]) if x}
-        for t, d in enumerate(diagonal)
-        if d != 1
+        {split + s: x for s, x in enumerate(row) if x}
+        for row in snf.c_rows(t - split for t, d in enumerate(diagonal) if d != 1)
     )
     return _K0Engine(
         vertices, regulars, presentation, snf.row_order, snf.u1_inv[:split], c_rows, diagonal,

@@ -194,11 +194,17 @@ def source_elision(g: Graph, h) -> Graph:
 def attach_heads(g: Graph, lengths: Mapping[str, int] | Iterable[tuple[str, int]]) -> Graph:
     """Attach a line head of the given length to each vertex (0 = nothing).
 
-    ``lengths`` maps vertices to lengths, or lists ``(vertex, length)`` pairs.
+    ``lengths`` maps vertices to lengths, or lists ``(vertex, length)`` pairs,
+    at most one per vertex.
     This realizes the finite hereditary truncation of the stabilization that
     contains every original vertex.
     """
-    heads = sorted(dict(lengths).items())
+    pairs = list(lengths.items() if isinstance(lengths, Mapping) else lengths)
+    heads = sorted(dict(pairs).items())
+    if len(heads) != len(pairs):
+        vertices = [v for v, _ in pairs]
+        repeated = next(v for v in vertices if vertices.count(v) > 1)
+        raise PreconditionError("bad-parameter", f"two head lengths at {repeated!r}")
     for v, n in heads:
         g.require_vertex(v)
         if n < 0:

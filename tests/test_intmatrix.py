@@ -54,8 +54,6 @@ def test_from_rows_validation():
 
 def test_basic_algebra():
     m = IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.transpose() == IntMatrix.from_rows([[1, 3], [2, 4]])
-    assert m.mul(IntMatrix.identity(2)) == m
     assert m.at(1, 0) == 3
     assert determinant(m) == -2
     assert determinant(IntMatrix.from_rows([])) == 1
@@ -117,65 +115,87 @@ def test_matrix_text_round_trip():
         parse_int_matrix("1 x\n")
 
 
-def _certificate(a, d, u, v, u_inv=None, v_inv=None, **phase1):
-    """An input and a hand-made dense result; the inverses default to u and v.
+def _certificate(a, d, log=(), **phase1):
+    """An input and a hand-made result that eliminates ``a`` by ``log``.
 
-    A dense certificate is the case where phase 1 took no pivot: both pivot
-    orders are the identity, ``L`` and ``R`` are identities and the core is
-    ``a`` itself.  ``phase1`` replaces any of those fields.
+    A hand-made certificate is the case where phase 1 took no pivot: both
+    pivot orders are the identity, ``L`` and ``R`` are identities and the
+    core is ``a`` itself.  ``phase1`` replaces any of those fields.
     """
     m, n = len(a), len(a[0])
     eye = lambda size: tuple({i: 1} for i in range(size))  # noqa: E731
-    rows = lambda matrix: tuple(map(tuple, matrix))  # noqa: E731
     result = SnfResult(
         d=IntMatrix.from_rows(d),
         row_order=tuple(range(m)),
         col_order=tuple(range(n)),
         u1_inv=eye(m),
         v1_inv=eye(n),
-        core=rows(a),
-        c=rows(u),
-        c_inv=tuple(zip(*(u_inv or u))),
-        vc=tuple(zip(*v)),
-        vc_inv=rows(v_inv or v),
+        core=tuple(map(tuple, a)),
+        log=tuple(log),
     )
     return IntMatrix.from_rows(a), replace(result, **phase1)
 
 
 EYE2 = [[1, 0], [0, 1]]
+# a real elimination with more than one operation, for a log cut short
+CHAIN = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
 
 # each case fails exactly one of the certificate's checks
 BROKEN_CERTIFICATES = {
-    "product": (_certificate([[1]], [[2]], [[1]], [[1]]), "u\\*a\\*v != d"),
-    "off-diagonal": (_certificate([[1, 1], [0, 1]], [[1, 1], [0, 1]], EYE2, EYE2), "not diagonal"),
-    "divisor-chain": (
-        _certificate([[2, 0], [0, 1]], [[2, 0], [0, 1]], EYE2, EYE2),
-        "divisor chain",
+    "product": (_certificate([[1]], [[2]]), "u\\*a\\*v != d"),
+    "off-diagonal": (_certificate([[1, 1], [0, 1]], [[1, 1], [0, 1]]), "not diagonal"),
+    "divisor-chain": (_certificate([[2, 0], [0, 1]], [[2, 0], [0, 1]]), "divisor chain"),
+    # u * a * v = d holds, but u = diag(1, 2), a mix of determinant 2, has no
+    # integer inverse
+    "not-unimodular": (
+        _certificate(EYE2, [[1, 0], [0, 2]], [("mix", False, 0, 1, 1, 0, 0, 2)]),
+        "not unimodular",
     ),
-    # u * a * v = d holds, but u = [[2]] has no integer inverse
-    "not-unimodular": (_certificate([[1]], [[2]], [[2]], [[1]], u_inv=[[1]]), "not unimodular"),
+    # row 0 += row 0 doubles it: u = [[2]] again
+    "add-to-itself": (_certificate([[1]], [[2]], [("add", False, 0, 0, 1)]), "not unimodular"),
+    # lines outside the core: a row index within the width but not the
+    # height, and a column index within the height but not the width
+    "row-out-of-range": (
+        _certificate([[1, 0]], [[1, 0]], [("swap", False, 0, 1)]),
+        "not unimodular",
+    ),
+    "column-out-of-range": (
+        _certificate([[1], [0]], [[1], [0]], [("swap", True, 0, 1)]),
+        "not unimodular",
+    ),
+    "unknown-kind": (_certificate([[1]], [[2]], [("scale", False, 0, 2)]), "not unimodular"),
+    # a negative index would name a line from the end: here row 0 itself
+    "negative-line": (_certificate([[1]], [[2]], [("add", False, 0, -1, 1)]), "not unimodular"),
+    # adding half of a zero row leaves the core as it is, but u is not an
+    # integer matrix
+    "fractional-coefficient": (
+        _certificate([[1, 0], [0, 0]], [[1, 0], [0, 0]], [("add", False, 0, 1, 0.5)]),
+        "not unimodular",
+    ),
+    # the elimination's log without its last operation
+    "missing-last": (
+        (IntMatrix.from_rows([[2, 4], [6, 8]]), replace(CHAIN, log=CHAIN.log[:-1])),
+        "u\\*a\\*v != d",
+    ),
     # a = R = [[1, 0], [1, 1]] is unimodular, but row 1 of R holds an entry
     # at column 0, which comes earlier in the pivot order: R is not
     # triangular in it, so the certificate proves nothing
     "earlier-entry": (
-        _certificate([[1, 0], [1, 1]], EYE2, EYE2, EYE2, v1_inv=({0: 1}, {0: 1, 1: 1})),
+        _certificate([[1, 0], [1, 1]], EYE2, v1_inv=({0: 1}, {0: 1, 1: 1}), core=((1, 0), (0, 1))),
         "not unimodular",
     ),
     # a = L * 1 * R with L = [[2]], which has no integer inverse
     "pivot-diagonal": (
-        _certificate([[2]], [[1]], [[1]], [[1]], u1_inv=({0: 2},), core=((1,),)),
+        _certificate([[2]], [[1]], u1_inv=({0: 2},), core=((1,),)),
         "not unimodular",
     ),
     # a = L * 1 * R with R = [[-1]]: unimodular, but phase 1 only ever
     # records a diagonal of 1 in R, so this R is not one it made
     "pivot-diagonal-r": (
-        _certificate([[-1]], [[1]], [[1]], [[1]], v1_inv=({0: -1},), core=((1,),)),
+        _certificate([[-1]], [[1]], v1_inv=({0: -1},), core=((1,),)),
         "not unimodular",
     ),
-    "repeated-pivot": (
-        _certificate(EYE2, EYE2, EYE2, EYE2, row_order=(0, 0)),
-        "not a permutation",
-    ),
+    "repeated-pivot": (_certificate(EYE2, EYE2, row_order=(0, 0)), "not a permutation"),
 }
 
 
@@ -187,23 +207,24 @@ def test_verify_snf_refuses_a_broken_certificate(case):
 
 
 def test_verify_snf_refuses_mismatched_shapes():
-    a, result = _certificate([[1, 0]], [[1, 0]], [[1]], EYE2)
+    a, result = _certificate([[1, 0]], [[1, 0]])
     verify_snf(a, result)
-    with pytest.raises(CertificateError, match="shapes"):
-        verify_snf(a, replace(result, vc_inv=tuple(map(tuple, IntMatrix.identity(3).to_rows()))))
+    # a core of the wrong width, or with more rows than a
+    for core in (((1, 0, 0),), ((1, 0), (0, 0))):
+        with pytest.raises(CertificateError, match="shapes"):
+            verify_snf(a, replace(result, core=core))
     # an index outside a sparse factor, a pivot order of the wrong length, or
-    # a dense row of the wrong length, is a shape error too
+    # a ragged core, is a shape error too
     for row in ({1: 1}, {-1: 1}):
         with pytest.raises(CertificateError, match="shapes"):
             verify_snf(a, replace(result, u1_inv=(row,)))
     with pytest.raises(CertificateError, match="shapes"):
         verify_snf(a, replace(result, col_order=(0,)))
+    square, result = _certificate(EYE2, EYE2)
     with pytest.raises(CertificateError, match="shapes"):
-        verify_snf(a, replace(result, vc_inv=((1, 0), (0, 1, 0))))
+        verify_snf(square, replace(result, core=((1, 0), (0, 1, 0))))
 
 
-# the dense factors of a Smith result, by name
-DENSE_FACTORS = ("c", "c_inv", "vc", "vc_inv")
 # phase 1's sparse factors, with the order each is triangular in and the
 # entries its diagonal may hold
 SPARSE_FACTORS = {"u1_inv": ("row_order", (1, -1)), "v1_inv": ("col_order", (1,))}
@@ -215,7 +236,9 @@ def _break_sparse_factor(result, name, data):
     pivot's vector, where the product with a changes."""
     order_name, units = SPARSE_FACTORS[name]
     vectors, order = list(getattr(result, name)), getattr(result, order_name)
-    split = len(order) - len(result.c)
+    # the pivots come first in both orders; a change to a core line of L or
+    # R need not change the product when the core is zero
+    split = len(result.row_order) - len(result.core)
     t = data.draw(st.integers(0, len(vectors) - 1))
     kinds = ["diagonal"] + ["earlier"] * (t > 0) + ["later"] * (t < split and t < len(order) - 1)
     kind = data.draw(st.sampled_from(kinds))
@@ -231,32 +254,57 @@ def _break_sparse_factor(result, name, data):
     return replace(result, **{name: tuple(vectors)})
 
 
+def _break_log(result, data):
+    """The result with one logged operation changed: a line index or a
+    coefficient moved, the other side, another kind, or the operation
+    dropped."""
+    log = list(result.log)
+    t = data.draw(st.integers(0, len(log) - 1))
+    op = list(log[t])
+    change = data.draw(st.sampled_from(["entry", "side", "kind", "drop"]))
+    if change == "drop":
+        del log[t]
+    else:
+        if change == "entry":
+            at = data.draw(st.integers(2, len(op) - 1))
+            op[at] += data.draw(st.integers(-3, 3).filter(bool))
+        elif change == "side":
+            op[1] = not op[1]
+        else:
+            op[0] = data.draw(st.sampled_from(sorted({"swap", "negate", "add", "mix"} - {op[0]})))
+        log[t] = tuple(op)
+    return replace(result, log=tuple(log))
+
+
 @settings(max_examples=150)
 @given(matrices, st.data())
 def test_verify_snf_refuses_a_broken_factor(m, data):
-    # one changed entry of a dense factor breaks its product with its
-    # inverse, since every row and column of an invertible matrix is nonzero;
     # L and R are checked by their shape and by the product with a, and a
-    # pivot order by being a permutation
+    # pivot order by being a permutation; a changed log by its operations'
+    # kinds, lines and determinants and by its replay on the core
     result = smith_normal_form(m)
-    names = [f for f in DENSE_FACTORS if getattr(result, f)] + list(SPARSE_FACTORS)
+    names = list(SPARSE_FACTORS) + ["log"] * bool(result.log)
     names += [f for f in ("row_order", "col_order") if len(getattr(result, f)) > 1]
     name = data.draw(st.sampled_from(names))
+    if name == "log":
+        broken = _break_log(result, data)
+        try:
+            verify_snf(m, broken)
+        except CertificateError:
+            return
+        # a changed log can still certify, say a changed q on a zero line:
+        # then the dense u and v it gives must be a Smith certificate
+        assert naive_product(naive_product(broken.u, m), broken.v) == broken.d
+        assert abs(determinant(broken.u)) == 1 and abs(determinant(broken.v)) == 1
+        return
     if name in SPARSE_FACTORS:
         broken = _break_sparse_factor(result, name, data)
-    elif name.endswith("order"):
+    else:
         order = list(getattr(result, name))
         pair = st.lists(st.integers(0, len(order) - 1), min_size=2, max_size=2, unique=True)
         i, j = data.draw(pair)
         order[i] = order[j]
         broken = replace(result, **{name: tuple(order)})
-    else:
-        rows = list(getattr(result, name))
-        i = data.draw(st.integers(0, len(rows) - 1))
-        j = data.draw(st.integers(0, len(rows) - 1))
-        delta = data.draw(st.integers(-3, 3).filter(bool))
-        rows[i] = rows[i][:j] + (rows[i][j] + delta,) + rows[i][j + 1 :]
-        broken = replace(result, **{name: tuple(rows)})
     with pytest.raises(CertificateError):
         verify_snf(m, broken)
 
@@ -311,18 +359,6 @@ def test_certificate_is_checked_under_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.split() == ["False", "3"]
-
-
-@settings(max_examples=150)
-@given(
-    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).flatmap(
-        lambda dims: st.tuples(sparse_matrix(dims[0], dims[1]), sparse_matrix(dims[1], dims[2]))
-    )
-)
-def test_mul_matches_naive_product(pair):
-    # dimensions run from 0, so empty products are among the inputs
-    a, b = pair
-    assert a.mul(b) == naive_product(a, b)
 
 
 @settings(max_examples=100)

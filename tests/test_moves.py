@@ -301,6 +301,16 @@ def test_attach_heads_rejects_negative(two_loops):
         attach_heads(two_loops, {"v0": -1})
 
 
+def test_attach_heads_refuses_a_repeated_vertex(two_loops):
+    # a dict of the pairs would keep only the last length of v0, while the
+    # record and the log keep both
+    with pytest.raises(PreconditionError, match="bad-parameter: .*'v0'"):
+        attach_heads(two_loops, [("v0", 1), ("v0", 2)])
+    move = parse_move("attach-heads:v0=1,v0=2")
+    with pytest.raises(PreconditionError, match="bad-parameter: .*'v0'"):
+        apply_move(two_loops, move)
+
+
 def test_lengths_above_the_limit_are_refused(two_loops):
     builds = {
         "add_head": lambda n: add_head(two_loops, "v0", n),
