@@ -15,22 +15,14 @@ from .graph import (
     Path,
     VertexClass,
     classify_vertex,
-    compose_morphisms,
     format_graph,
     graph_fingerprint,
     graph_isomorphic,
     hereditary_saturated_closure,
-    identity_morphism,
-    invert_morphism,
-    is_ck_morphism,
-    is_graph_homomorphism,
     is_hereditary,
     is_regular,
-    is_saturated,
-    is_vertex_simple_cycle,
     make_path,
     parse_graph,
-    path_vertices,
     reachable_from,
     restrict_to_hereditary,
     shortest_path,
@@ -39,7 +31,6 @@ from .graph import (
 from .intmatrix import (
     IntMatrix,
     SnfResult,
-    determinant,
     format_int_matrix,
     parse_int_matrix,
     smith_normal_form,
@@ -74,7 +65,6 @@ from .monoid import (
     ones,
     parse_multiset,
     path_expansion,
-    path_expansion_trace,
 )
 from .moves import (
     AddHead,

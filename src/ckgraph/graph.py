@@ -432,24 +432,6 @@ def _require_hereditary(g: Graph, hset: set[str] | frozenset[str]) -> None:
                 )
 
 
-def is_saturated(g: Graph, s: Iterable[str]) -> bool:
-    """No regular vertex outside ``s`` sends all of its edges into ``s``.
-
-    Only regular vertices can force membership; sinks and isolated vertices
-    never do.
-    """
-    sset = set(s)
-    for v in sset:
-        g.require_vertex(v)
-    for v in g.vertices:
-        if v in sset:
-            continue
-        out = g.out_edges(v)
-        if out and all(e.dst in sset for e in out):
-            return False
-    return True
-
-
 def hereditary_saturated_closure(g: Graph, s: Iterable[str]) -> frozenset[str]:
     """Smallest hereditary and saturated vertex set containing ``s``.
 
@@ -514,16 +496,6 @@ def make_path(g: Graph, edge_ids: Sequence[str]) -> Path:
                 f"({first.dst!r} != {second.src!r})",
             )
     return Path(tuple(edge_ids), resolved[0].src, resolved[-1].dst)
-
-
-def path_vertices(g: Graph, p: Path) -> tuple[str, ...]:
-    """Vertices visited in order: each edge's source, then the final target."""
-    return tuple(g.edge(eid).src for eid in p.edges) + (p.target,)
-
-
-def is_vertex_simple_cycle(g: Graph, p: Path) -> bool:
-    sources = [g.edge(eid).src for eid in p.edges]
-    return p.is_cycle() and len(set(sources)) == len(sources)
 
 
 def vertex_simple_cycles_without_exit(g: Graph) -> list[Path]:
@@ -618,72 +590,6 @@ class GraphMorphism:
     @cached_property
     def emap(self) -> dict[str, str]:
         return dict(self.edge_map)
-
-
-def is_graph_homomorphism(f: GraphMorphism) -> bool:
-    """Total maps whose edge assignment commutes with both endpoint maps."""
-    vmap, emap = f.vmap, f.emap
-    if set(vmap) != set(f.domain.vertices) or set(emap) != {e.eid for e in f.domain.edges}:
-        return False
-    if not all(f.codomain.has_vertex(w) for w in vmap.values()):
-        return False
-    if not all(f.codomain.has_edge(x) for x in emap.values()):
-        return False
-    for e in f.domain.edges:
-        image = f.codomain.edge(emap[e.eid])
-        if image.src != vmap[e.src] or image.dst != vmap[e.dst]:
-            return False
-    return True
-
-
-def is_ck_morphism(f: GraphMorphism) -> bool:
-    """Injective homomorphism restricting to a bijection on the out-edge set
-    of every regular vertex."""
-    if not is_graph_homomorphism(f):
-        raise PreconditionError("not-homomorphism", "the maps do not form a graph homomorphism")
-    vmap, emap = f.vmap, f.emap
-    if len(set(vmap.values())) != len(vmap) or len(set(emap.values())) != len(emap):
-        return False
-    for v in f.domain.vertices:
-        if not is_regular(f.domain, v):
-            continue
-        # the edge map already sends out-edges of v into out-edges of f(v);
-        # with injectivity, bijectivity reduces to a degree count
-        if f.domain.out_degree(v) != f.codomain.out_degree(vmap[v]):
-            return False
-    return True
-
-
-def identity_morphism(g: Graph) -> GraphMorphism:
-    return GraphMorphism.build(g, g, {v: v for v in g.vertices}, {e.eid: e.eid for e in g.edges})
-
-
-def compose_morphisms(first: GraphMorphism, second: GraphMorphism) -> GraphMorphism:
-    """Apply ``first`` then ``second``; requires matching middle graph."""
-    if first.codomain != second.domain:
-        raise PreconditionError(
-            "not-composable", "codomain of the first map differs from domain of the second"
-        )
-    return GraphMorphism.build(
-        first.domain,
-        second.codomain,
-        {v: second.vmap[w] for v, w in first.vmap.items()},
-        {e: second.emap[x] for e, x in first.emap.items()},
-    )
-
-
-def invert_morphism(f: GraphMorphism) -> GraphMorphism:
-    vmap, emap = f.vmap, f.emap
-    if len(set(vmap.values())) != len(f.codomain.vertices) or len(set(emap.values())) != len(
-        f.codomain.edges
-    ):
-        raise PreconditionError("not-bijective", "only bijective morphisms can be inverted")
-    return GraphMorphism.build(
-        f.codomain,
-        f.domain,
-        {w: v for v, w in vmap.items()},
-        {x: e for e, x in emap.items()},
-    )
 
 
 # -- isomorphism --------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Exact integer matrices and certified Smith normal form.
 
-Entries are Python ints, never fixed-width machine words: Smith pivots can
-grow far past 64 bits even for small inputs, and every result here must be
-exact.  The Smith routine runs in two phases: sparse unit pivots in
-Markowitz order, then a dense extended-gcd elimination of the small core
-they leave.  It returns the diagonal together with what certifies it: the
-unit pivots' inverse transforms, which are sparse and triangular in pivot
-order, and the log of the core's elementary operations.  The certificate is
-re-verified on every call, ``python -O`` included: unimodularity is read off
-the triangular factors' structure and off each logged operation, and the
-log is replayed on the core; the dense m x m transforms are built only when
-a caller asks for them.
+A matrix keeps its rows sparse, each a dict from column to nonzero entry,
+and builds its dense row-major ``entries`` only when they are read.  A
+graph's presentation holds about as many nonzeros as the graph has edges,
+so it reaches the Smith routine and its certificate with no m x n dense
+copy, and the diagonal ``d`` is m rows of at most one entry.  Entries are
+Python ints, never fixed-width machine words: Smith pivots can grow far
+past 64 bits even for small inputs, and every result here must be exact.
+The Smith routine runs in two phases: sparse unit pivots in Markowitz
+order, then a dense extended-gcd elimination of the small core they leave.
+It returns the diagonal together with what certifies it: the unit pivots'
+inverse transforms, which are sparse and triangular in pivot order, and the
+log of the core's elementary operations.  The certificate is re-verified on
+every call, ``python -O`` included: unimodularity is read off the
+triangular factors' structure and off each logged operation, and the log
+is replayed on the core; the m x m transforms are built only when a caller
+asks for them.
 """
 
 from __future__ import annotations
@@ -18,57 +23,74 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import CertificateError, GraphFormatError
 
 
+Row = dict[int, int]  # a sparse row or column: index -> nonzero entry
+Dense = tuple[tuple[int, ...], ...]  # dense rows or columns
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable row-major integer matrix; dimensions may be zero."""
+    """Immutable integer matrix, kept as sparse rows; dimensions may be zero.
+
+    ``data[i]`` maps a column to the entry of row i there.  It holds no zero
+    and no column outside ``range(cols)``, so ``==`` compares entries
+    exactly.  ``from_rows`` is the validated entry for outside input; the
+    constructor trusts its caller.  ``entries``, the dense row-major tuple,
+    is built on first read.
+    """
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    data: tuple[Row, ...]
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        flat: list[int] = []
+        data = []
         for row in rows:
             if len(row) != ncols:
                 raise GraphFormatError("ragged rows in matrix data")
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise GraphFormatError(f"matrix entry {x!r} is not an integer")
-                flat.append(x)
-        return IntMatrix(nrows, ncols, tuple(flat))
+            data.append({j: x for j, x in enumerate(row) if x})
+        return IntMatrix(nrows, ncols, tuple(data))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        entries = [0] * (n * n)
-        entries[:: n + 1] = [1] * n
-        return IntMatrix(n, n, tuple(entries))
+        return IntMatrix(n, n, tuple({i: 1} for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
+        return IntMatrix(rows, cols, tuple({} for _ in range(rows)))
+
+    @cached_property
+    def entries(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(self.to_rows()))
 
     def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return self.data[i].get(j, 0)
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
+        out = []
+        for row in self.data:
+            dense = [0] * self.cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
     def is_diagonal(self) -> bool:
-        # every nonzero entry is a diagonal one
-        diagonal = self.diagonal()
-        return len(self.entries) - self.entries.count(0) == len(diagonal) - diagonal.count(0)
+        return all(row.keys() <= {i} for i, row in enumerate(self.data))
 
 
 def format_int_matrix(m: IntMatrix) -> str:
@@ -87,56 +109,6 @@ def parse_int_matrix(text: str) -> IntMatrix:
         except ValueError as exc:
             raise GraphFormatError(f"cannot parse matrix line {raw!r}") from exc
     return IntMatrix.from_rows(rows)
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination.
-
-    The Smith certificate does not use it; it stays as an independent check
-    that a transform is unimodular.  The pivot is the nonzero entry of least
-    absolute value in its column: on large unimodular Smith transforms the
-    first nonzero entry can make the intermediate minors, and the divisions
-    by them, orders of magnitude larger.  Step k keeps only the columns
-    right of the pivot.  A row with 0 in the pivot column is just rescaled
-    by ``pivot / previous pivot``, or left as it is when the two are equal.
-    """
-    if m.rows != m.cols:
-        raise GraphFormatError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        candidates = [(abs(row[0]), i) for i, row in enumerate(a[k:], k) if row[0]]
-        if not candidates:
-            return 0
-        i = min(candidates)[1]
-        if i != k:
-            a[k], a[i] = a[i], a[k]
-            sign = -sign
-        p, tail = a[k][0], a[k][1:]
-        for i in range(k + 1, n):
-            row = a[i]
-            x = row[0]
-            if x:
-                a[i] = [(y * p - x * z) // prev for y, z in zip(row[1:], tail)]
-            elif p == prev:
-                a[i] = row[1:]
-            else:
-                a[i] = [y * p // prev for y in row[1:]]
-        prev = p
-    return sign * a[n - 1][0]
-
-
-Row = dict[int, int]  # a sparse row or column: index -> nonzero entry
-Dense = tuple[tuple[int, ...], ...]  # dense rows or columns
-
-
-def _sparse(rows: Iterable[Sequence[int]]) -> tuple[Row, ...]:
-    """The sparse forms of dense rows."""
-    return tuple({j: row[j] for j in compress(range(len(row)), row)} for row in rows)
 
 
 def _times(left: Sequence[Row], right: Sequence[Row]) -> list[Row]:
@@ -171,21 +143,24 @@ def _transpose(rows: Sequence[Row], size: int) -> list[Row]:
     return out
 
 
+def _integral(vectors: Sequence[Row]) -> bool:
+    """Whether every index and entry of the sparse ``vectors`` is an int."""
+    return all(type(j) is type(x) is int for vector in vectors for j, x in vector.items())
+
+
 def _indices_below(rows: Sequence[Row], bound: int) -> bool:
     keys = set().union(*rows)
     return not keys or (min(keys) >= 0 and max(keys) < bound)
 
 
 def _expand(outer: Sequence[Row], block: Dense, columns: bool = False) -> IntMatrix:
-    """The square matrix ``diag(I, block) * outer``, given and returned by
+    """The square matrix ``diag(I, block) * outer``, with ``outer`` given by
     rows, or by columns if ``columns``."""
     size = len(outer)
     split = size - len(block)
-    flat = [0] * (size * size)
-    for i, row in enumerate(chain(outer[:split], _times(_sparse(block), outer[split:]))):
-        for j, x in row.items():
-            flat[j * size + i if columns else i * size + j] = x
-    return IntMatrix(size, size, tuple(flat))
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in block]
+    rows = list(outer[:split]) + _times(sparse, outer[split:])
+    return IntMatrix(size, size, tuple(_transpose(rows, size) if columns else rows))
 
 
 def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
@@ -230,19 +205,6 @@ def _unit_triangular(factor: Sequence[Row], order: Sequence[int], units: tuple[i
         vector.get(i) in units and all(position[j] >= t for j in vector)
         for t, (i, vector) in enumerate(zip(order, factor))
     )
-
-
-def _matches(rows: Sequence[Row], entries: Sequence[int], width: int) -> bool:
-    """Whether the sparse ``rows`` are the row-major dense ``entries``: every
-    entry they hold agrees, and they hold as many nonzeros as ``entries``."""
-    held = 0
-    for i, row in enumerate(rows):
-        base = i * width
-        for j, x in row.items():
-            if entries[base + j] != x:
-                return False
-            held += x != 0
-    return held == len(entries) - entries.count(0)
 
 
 # A phase-2 operation acts on two lines of the core, rows or, if
@@ -373,7 +335,7 @@ class SnfResult:
     operations, with ``c * core * vc = D_core``.  So
     ``u = diag(I, c) * L^-1`` and ``v = R^-1 * diag(I, vc)``.
 
-    ``u``, ``v``, ``u_inv`` and ``v_inv`` are the dense transforms and their
+    ``u``, ``v``, ``u_inv`` and ``v_inv`` are the whole transforms and their
     inverses, built on first access: ``u`` and ``v`` by triangular solves
     and the forward operations on the identity, the inverses by the inverse
     operations in reverse order.  ``c_rows`` gives a few rows of ``c``
@@ -445,13 +407,15 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     It proves four facts, with no determinant and no product of transforms:
 
     * ``d`` is diagonal;
-    * ``u`` and ``v`` are unimodular.  The orders are permutations, and in
-      them ``L`` is lower triangular with a +-1 diagonal and ``R`` upper
-      triangular with a diagonal of 1, so both have determinant +-1; this
-      is read off their entries' positions.  Each logged operation is of a
-      known kind, on distinct lines inside the core, with integer
-      coefficients and a mix of determinant 1, so ``c`` and ``vc``, their
-      products, have determinant +-1;
+    * ``u`` and ``v`` are unimodular.  Every order element, index and entry
+      of the factors is an int, so ``L``, ``R`` and the core are integer
+      matrices.  The orders are permutations, and in them ``L`` is lower
+      triangular with a +-1 diagonal and ``R`` upper triangular with a
+      diagonal of 1, so both have determinant +-1; this is read off their
+      entries' positions.  Each logged operation is of a known kind, on
+      distinct lines inside the core, with integer coefficients and a mix of
+      determinant 1, so ``c`` and ``vc``, their products, have determinant
+      +-1;
     * ``a = L * (D_p (+) core) * R``, where ``D_p`` is the first p diagonal
       entries of ``d``, and the log replayed on ``core`` gives ``D_core``,
       the other entries: that replay is ``c * core * vc``, so
@@ -459,11 +423,11 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     * the diagonal is a divisor chain.
 
     So phase 1's checks cost time in the nonzeros of ``L`` and ``R``, which
-    do not fill in on long unit-pivot chains: its product is compared with
-    ``a`` as sparse rows, entry by entry, and against a count of ``a``'s
-    nonzeros.  The core's check costs what its elimination cost on the core
-    itself, and no more: the transforms, whose entries grow far larger than
-    the core's, are never built.
+    do not fill in on long unit-pivot chains: its product, which holds no
+    zero, equals ``a`` exactly when it equals ``a``'s sparse rows.  The
+    core's check costs what its elimination cost on the core itself, and no
+    more: the transforms, whose entries grow far larger than the core's, are
+    never built.
     """
     m, n = a.rows, a.cols
     r = result
@@ -471,6 +435,12 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     split = m - k
     w = n - split
     factors = (r.row_order, r.col_order, r.u1_inv, r.v1_inv)
+    if not (
+        all(type(i) is int for i in chain(r.row_order, r.col_order, *r.core))
+        and _integral(r.u1_inv)
+        and _integral(r.v1_inv)
+    ):
+        raise CertificateError("Smith certificate broken: a factor holds a non-integer")
     shapes = [(r.d.rows, r.d.cols)] + [len(x) for x in factors]
     # the index bounds of L and R, and the core's k rows of w entries
     if (
@@ -506,7 +476,7 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     d_core = [[0] * w for _ in range(k)]
     for t, x in enumerate(diag[split:]):
         d_core[t][t] = x
-    if not _matches(product, a.entries, n) or replay != d_core:
+    if tuple(product) != a.data or replay != d_core:
         raise CertificateError("Smith certificate broken: u*a*v != d")
     for x, y in zip(diag, diag[1:]):
         if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
@@ -724,7 +694,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     result is returned.
     """
     m, n = a.rows, a.cols
-    rows = dict(enumerate(_sparse(a.entries[i * n : (i + 1) * n] for i in range(m))))
+    rows = {i: dict(row) for i, row in enumerate(a.data)}
     cols: dict[int, set[int]] = {j: set() for j in range(n)}
     for i, row in rows.items():
         for j in row:
@@ -738,9 +708,8 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     log: list[Op] = []
     diagonal = [1] * len(pivots) + _reduce_core(core, width, log)
 
-    d = [0] * (m * n)
-    for t, x in enumerate(diagonal):
-        d[t * (n + 1)] = x
+    d = [{t: x} if x else {} for t, x in enumerate(diagonal)]
+    d += [{} for _ in range(m - len(diagonal))]
     # phase 1 leaves the core columns of u^-1 and the core rows of v^-1 unit
     # vectors
     result = SnfResult(

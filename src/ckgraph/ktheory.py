@@ -75,8 +75,7 @@ def vertex_matrix(g: Graph) -> IntMatrix:
 @dataclass(frozen=True)
 class _K0Engine:
     vertices: tuple[str, ...]  # sorted, as in every Graph
-    regulars: tuple[str, ...]
-    presentation: IntMatrix
+    columns: int  # the presentation's, one per regular vertex
     # the Smith row transform u = diag(I, c) * L^-1, kept as the row order
     # that makes the Smith result's L = u1^-1 triangular, the pivots'
     # columns of L (its core columns are unit vectors), and the rows of c
@@ -123,13 +122,13 @@ class _K0Engine:
 
     @cached_property
     def invariants(self) -> KInvariants:
-        # K0 and K1 ranks: the vertex and regular-vertex counts less the Smith rank
+        # K0 and K1 ranks: the presentation's row and column counts less its rank
         rank = sum(1 for d in self.diagonal if d)
         unit_class = self.class_of({v: 1 for v in self.vertices})
         return KInvariants(
             k0_torsion=self.torsion,
             k0_rank=len(self.vertices) - rank,
-            k1_rank=len(self.regulars) - rank,
+            k1_rank=self.columns - rank,
             unit_profile=UnitProfile(
                 order=_class_order(unit_class, self.torsion),
                 divisible_by=tuple(
@@ -142,23 +141,10 @@ class _K0Engine:
 
 @lru_cache(maxsize=512)
 def _k0_engine(g: Graph) -> _K0Engine:
-    # the presentation in one pass over the out-edges: column w holds the
-    # edge counts from w, less 1 on the diagonal
-    vertices = g.vertices
-    row_of = {v: i for i, v in enumerate(vertices)}
-    regulars = tuple(v for v in vertices if is_regular(g, v))
-    width = len(regulars)
-    entries = [0] * (len(vertices) * width)
-    for j, w in enumerate(regulars):
-        entries[row_of[w] * width + j] = -1
-        for e in g.out_edges(w):
-            entries[row_of[e.dst] * width + j] += 1
-    return _engine(vertices, regulars, IntMatrix(len(vertices), width, tuple(entries)))
+    return _engine(g.vertices, k_presentation_matrix(g))
 
 
-def _engine(
-    vertices: tuple[str, ...], regulars: tuple[str, ...], presentation: IntMatrix
-) -> _K0Engine:
+def _engine(vertices: tuple[str, ...], presentation: IntMatrix) -> _K0Engine:
     """The engine of a presentation with one row per vertex and one column
     per regular vertex: its Smith form, kept as the factors a class reads."""
     snf = smith_normal_form(presentation)
@@ -172,15 +158,28 @@ def _engine(
         for row in snf.c_rows(t - split for t, d in enumerate(diagonal) if d != 1)
     )
     return _K0Engine(
-        vertices, regulars, presentation, snf.row_order, snf.u1_inv[:split], c_rows, diagonal,
-        torsion,
+        vertices, presentation.cols, snf.row_order, snf.u1_inv[:split], c_rows, diagonal, torsion
     )
 
 
 def k_presentation_matrix(g: Graph) -> IntMatrix:
     """The map whose cokernel is K0 and kernel is K1: one column per regular
-    vertex, one row per vertex."""
-    return _k0_engine(g).presentation
+    vertex, one row per vertex.  Column j, for the regular vertex w, holds
+    the edge counts from w, less 1 at w itself; its rows are built in one
+    pass over the out-edges."""
+    row_of = {v: i for i, v in enumerate(g.vertices)}
+    regulars = [w for w in g.vertices if is_regular(g, w)]
+    rows: list[dict[int, int]] = [{} for _ in g.vertices]
+    for j, w in enumerate(regulars):
+        column = {row_of[w]: -1}
+        for e in g.out_edges(w):
+            i = row_of[e.dst]
+            column[i] = column.get(i, 0) + 1
+        # a single loop at w cancels the -1: the matrix holds no zero
+        for i, x in column.items():
+            if x:
+                rows[i][j] = x
+    return IntMatrix(len(g.vertices), len(regulars), tuple(rows))
 
 
 def k0_class_of(g: Graph, coefficients: Mapping[str, int]) -> K0Class:

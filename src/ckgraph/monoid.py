@@ -193,12 +193,6 @@ def path_expansion(g: Graph, path: Path) -> VertexMultiset:
     return VertexMultiset.from_dict(counts)
 
 
-def path_expansion_trace(g: Graph, path: Path) -> RewriteTrace:
-    """The expand steps realizing :func:`path_expansion` from a single unit."""
-    checked = make_path(g, path.edges)
-    return RewriteTrace(tuple(RewriteStep("expand", g.edge(eid).src) for eid in checked.edges))
-
-
 @dataclass(frozen=True)
 class MvnResult:
     """``yes`` carries a replayable trace; ``no`` means the two closures under

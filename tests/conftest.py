@@ -104,12 +104,9 @@ def unit_heavy_matrices(draw, max_dim: int):
     flat = draw(st.lists(st.sampled_from(UNIT_HEAVY), min_size=rows * cols, max_size=rows * cols))
     zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows // 3))
     zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 3))
-    return IntMatrix(
-        rows,
-        cols,
-        tuple(
-            0 if i in zero_rows or j in zero_cols else flat[i * cols + j]
+    return IntMatrix.from_rows(
+        [
+            [0 if i in zero_rows or j in zero_cols else flat[i * cols + j] for j in range(cols)]
             for i in range(rows)
-            for j in range(cols)
-        ),
+        ]
     )

@@ -1,9 +1,10 @@
 """Independent oracles used to cross-check the main implementations.
 
 Nothing here imports the code paths under test: products are triple loops,
-determinants are Laplace expansions, elementary divisors come from gcds of
-minors, isomorphism is a plain permutation search, and the text format is
-written out from the sorted ids.
+determinants are Laplace expansions or fraction-free eliminations,
+elementary divisors come from gcds of minors, isomorphism is a plain
+permutation search, homomorphisms and saturated sets are checked edge by
+edge, and the text format is written out from the sorted ids.
 """
 
 from __future__ import annotations
@@ -11,19 +12,21 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from math import gcd
 
-from ckgraph import Graph, IntMatrix
+from ckgraph import Graph, GraphFormatError, GraphMorphism, IntMatrix
 
 
 def naive_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Triple-loop product, entry by entry, with no zero skipped."""
-    entries = []
+    rows = []
     for i in range(a.rows):
+        row = []
         for j in range(b.cols):
             total = 0
             for k in range(a.cols):
                 total += a.at(i, k) * b.at(k, j)
-            entries.append(total)
-    return IntMatrix(a.rows, b.cols, tuple(entries))
+            row.append(total)
+        rows.append(row)
+    return IntMatrix.from_rows(rows)
 
 
 def laplace_determinant(rows: list[list[int]]) -> int:
@@ -39,6 +42,46 @@ def laplace_determinant(rows: list[list[int]]) -> int:
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         total += (-1) ** j * head * laplace_determinant(minor)
     return total
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination.
+
+    The pivot is the nonzero entry of least absolute value in its column: on
+    large unimodular Smith transforms the first nonzero entry can make the
+    intermediate minors, and the divisions by them, orders of magnitude
+    larger.  Step k keeps only the columns right of the pivot.  A row with 0
+    in the pivot column is just rescaled by ``pivot / previous pivot``, or
+    left as it is when the two are equal.
+    """
+    if m.rows != m.cols:
+        raise GraphFormatError("determinant needs a square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        candidates = [(abs(row[0]), i) for i, row in enumerate(a[k:], k) if row[0]]
+        if not candidates:
+            return 0
+        i = min(candidates)[1]
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        p, tail = a[k][0], a[k][1:]
+        for i in range(k + 1, n):
+            row = a[i]
+            x = row[0]
+            if x:
+                a[i] = [(y * p - x * z) // prev for y, z in zip(row[1:], tail)]
+            elif p == prev:
+                a[i] = row[1:]
+            else:
+                a[i] = [y * p // prev for y in row[1:]]
+        prev = p
+    return sign * a[n - 1][0]
 
 
 def minors_gcd(m: IntMatrix, k: int) -> int:
@@ -72,6 +115,40 @@ def format_lines(g: Graph) -> str:
         [f"vertex {v}\n" for v in g.vertices]
         + [f"edge {eid} {src} {dst}\n" for eid, src, dst in g.edges]
     )
+
+
+def is_graph_homomorphism(f: GraphMorphism) -> bool:
+    """Total maps whose edge assignment commutes with both endpoint maps."""
+    vmap, emap = f.vmap, f.emap
+    if set(vmap) != set(f.domain.vertices) or set(emap) != {e.eid for e in f.domain.edges}:
+        return False
+    if not all(f.codomain.has_vertex(w) for w in vmap.values()):
+        return False
+    if not all(f.codomain.has_edge(x) for x in emap.values()):
+        return False
+    for e in f.domain.edges:
+        image = f.codomain.edge(emap[e.eid])
+        if image.src != vmap[e.src] or image.dst != vmap[e.dst]:
+            return False
+    return True
+
+
+def is_saturated(g: Graph, s) -> bool:
+    """No regular vertex outside ``s`` sends all of its edges into ``s``.
+
+    Only regular vertices can force membership; sinks and isolated vertices
+    never do.
+    """
+    sset = set(s)
+    for v in sset:
+        g.require_vertex(v)
+    for v in g.vertices:
+        if v in sset:
+            continue
+        out = g.out_edges(v)
+        if out and all(e.dst in sset for e in out):
+            return False
+    return True
 
 
 def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:

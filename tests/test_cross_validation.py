@@ -19,7 +19,6 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E
 
 from ckgraph import (  # noqa: E402
     IntMatrix,
-    determinant,
     k_invariants,
     k_presentation_matrix,
     smith_normal_form,
@@ -32,7 +31,12 @@ from ckgraph.randgen import (  # noqa: E402
     random_int_matrix,
 )
 from conftest import large_random_graphs, unit_heavy_matrices  # noqa: E402
-from oracles import markowitz_unit_pivots, minors_divisors, naive_product  # noqa: E402
+from oracles import (  # noqa: E402
+    determinant,
+    markowitz_unit_pivots,
+    minors_divisors,
+    naive_product,
+)
 
 
 def _sympy_divisors(rows: list[list[int]]) -> tuple[int, ...]:

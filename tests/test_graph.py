@@ -13,24 +13,15 @@ from hypothesis import strategies as st
 from ckgraph import (
     Graph,
     GraphFormatError,
-    GraphMorphism,
     PreconditionError,
     classify_vertex,
-    compose_morphisms,
     format_graph,
     graph_fingerprint,
     graph_isomorphic,
     hereditary_saturated_closure,
-    identity_morphism,
-    invert_morphism,
-    is_ck_morphism,
-    is_graph_homomorphism,
     is_hereditary,
-    is_saturated,
-    is_vertex_simple_cycle,
     make_path,
     parse_graph,
-    path_vertices,
     reachable_from,
     restrict_to_hereditary,
     shortest_path,
@@ -38,7 +29,13 @@ from ckgraph import (
 )
 from ckgraph.graph import _BAD_ID_CHAR
 from conftest import G, all_loop_graphs, graphs
-from oracles import brute_force_isomorphic, exhaustive_closure, format_lines
+from oracles import (
+    brute_force_isomorphic,
+    exhaustive_closure,
+    format_lines,
+    is_graph_homomorphism,
+    is_saturated,
+)
 
 
 # -- construction and text format -------------------------------------------
@@ -322,19 +319,10 @@ def test_reachability_includes_start(line_into_loops):
 def test_make_path_validates_composition(line_into_loops):
     p = make_path(line_into_loops, ["e2", "e1"])
     assert (p.source, p.target) == ("v2", "v0")
-    assert path_vertices(line_into_loops, p) == ("v2", "v1", "v0")
     with pytest.raises(PreconditionError, match="broken-path"):
         make_path(line_into_loops, ["e1", "e2"])
     with pytest.raises(PreconditionError, match="empty-path"):
         make_path(line_into_loops, [])
-
-
-def test_vertex_simple_cycle_predicate():
-    g = G("u v", "a:u>v b:v>u lu:u>u")
-    assert is_vertex_simple_cycle(g, make_path(g, ["a", "b"]))
-    assert is_vertex_simple_cycle(g, make_path(g, ["lu"]))
-    assert not is_vertex_simple_cycle(g, make_path(g, ["a", "b", "lu"]))
-    assert not is_vertex_simple_cycle(g, make_path(g, ["a", "b", "a", "b"]))
 
 
 def test_single_loop_is_the_only_exit_free_cycle():
@@ -370,56 +358,6 @@ def test_shortest_path_prefers_lexicographic_ties():
     assert cyc is not None and cyc.edges == ("l",)
 
 
-# -- morphisms -------------------------------------------------------------------
-
-
-def test_identity_is_ck(two_loops):
-    assert is_ck_morphism(identity_morphism(two_loops))
-
-
-def test_partial_loop_inclusion_is_not_ck(two_loops):
-    sub = G("v0", "e0:v0>v0")
-    inclusion = GraphMorphism.build(sub, two_loops, {"v0": "v0"}, {"e0": "e0"})
-    assert is_graph_homomorphism(inclusion)
-    assert not is_ck_morphism(inclusion)
-
-
-def test_truncated_head_inclusion_is_ck(two_loops):
-    from ckgraph import add_head
-
-    tower = add_head(two_loops, "v0", 2)
-    # the emitted-edge subgraph on a truncation of the head
-    kept = {"v0", "v0~h1"}
-    sub = Graph.build(sorted(kept), [tuple(e) for v in sorted(kept) for e in tower.out_edges(v)])
-    inclusion = GraphMorphism.build(
-        sub, tower, {v: v for v in sub.vertices}, {e.eid: e.eid for e in sub.edges}
-    )
-    assert is_ck_morphism(inclusion)
-
-
-def test_non_homomorphism_is_rejected(two_loops):
-    g = G("u v", "a:u>v")
-    bad = GraphMorphism.build(g, two_loops, {"u": "v0", "v": "v0"}, {"a": "missing"})
-    with pytest.raises(PreconditionError, match="not-homomorphism"):
-        is_ck_morphism(bad)
-
-
-@given(all_loop_graphs(max_vertices=3))
-def test_ck_morphisms_compose(g):
-    from ckgraph import add_head
-
-    bigger = add_head(g, g.vertices[0], 1)
-    biggest = add_head(bigger, g.vertices[0], 1)
-    inc1 = GraphMorphism.build(
-        g, bigger, {v: v for v in g.vertices}, {e.eid: e.eid for e in g.edges}
-    )
-    inc2 = GraphMorphism.build(
-        bigger, biggest, {v: v for v in bigger.vertices}, {e.eid: e.eid for e in bigger.edges}
-    )
-    assert is_ck_morphism(inc1) and is_ck_morphism(inc2)
-    assert is_ck_morphism(compose_morphisms(inc1, inc2))
-
-
 # -- isomorphism ------------------------------------------------------------------
 
 
@@ -433,7 +371,7 @@ def _renamed(g: Graph, prefix: str) -> Graph:
 def test_isomorphic_to_renaming(line_into_loops):
     witness = graph_isomorphic(line_into_loops, _renamed(line_into_loops, "x"))
     assert witness is not None
-    assert is_ck_morphism(witness)
+    assert is_graph_homomorphism(witness)
 
 
 def test_loop_count_distinguishes(two_loops):
@@ -444,8 +382,9 @@ def test_isomorphism_witness_is_a_bijective_homomorphism(line_into_loops, star_i
     witness = graph_isomorphic(star_into_loops, _renamed(star_into_loops, "y"))
     assert witness is not None
     assert is_graph_homomorphism(witness)
-    back = invert_morphism(witness)
-    assert is_graph_homomorphism(back)
+    # bijective: onto every vertex and edge of the codomain
+    assert sorted(witness.vmap.values()) == list(witness.codomain.vertices)
+    assert sorted(witness.emap.values()) == sorted(e.eid for e in witness.codomain.edges)
     assert graph_isomorphic(line_into_loops, star_into_loops) is None
 
 

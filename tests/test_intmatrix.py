@@ -15,13 +15,12 @@ from ckgraph import (
     GraphFormatError,
     IntMatrix,
     SnfResult,
-    determinant,
     format_int_matrix,
     parse_int_matrix,
     smith_normal_form,
     verify_snf,
 )
-from oracles import laplace_determinant, minors_divisors, naive_product
+from oracles import determinant, laplace_determinant, minors_divisors, naive_product
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -41,7 +40,7 @@ sparse_entries = st.tuples(st.integers(0, 3), st.integers(-(2**80), 2**80)).map(
 
 def sparse_matrix(rows: int, cols: int):
     return st.lists(sparse_entries, min_size=rows * cols, max_size=rows * cols).map(
-        lambda flat: IntMatrix(rows, cols, tuple(flat))
+        lambda flat: IntMatrix.from_rows([flat[i * cols : (i + 1) * cols] for i in range(rows)])
     )
 
 
@@ -50,6 +49,17 @@ def test_from_rows_validation():
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(GraphFormatError):
         IntMatrix.from_rows([[1.5]])  # type: ignore[list-item]
+
+
+@given(matrices)
+def test_sparse_rows_agree_with_the_dense_views(m):
+    rows = m.to_rows()
+    assert all(0 not in row.values() for row in m.data)
+    assert IntMatrix.from_rows(rows) == m
+    assert m.entries == tuple(x for row in rows for x in row)
+    for i in range(m.rows):
+        for j in range(m.cols):
+            assert m.at(i, j) == rows[i][j] == m.entries[i * m.cols + j]
 
 
 def test_basic_algebra():
@@ -196,6 +206,14 @@ BROKEN_CERTIFICATES = {
         "not unimodular",
     ),
     "repeated-pivot": (_certificate(EYE2, EYE2, row_order=(0, 0)), "not a permutation"),
+    # L = [[1, 0], [0.5, 1]] is triangular with a unit diagonal and gives
+    # L * diag(2, 2) = a, but diag(2, 2) is not the Smith form of a, diag(1, 4)
+    "fractional-factor": (
+        _certificate([[2, 0], [1, 2]], [[2, 0], [0, 2]], u1_inv=({0: 1, 1: 0.5}, {1: 1}), core=()),
+        "non-integer",
+    ),
+    "non-integer-index": (_certificate([[1]], [[1]], u1_inv=({"x": 1},)), "non-integer"),
+    "non-integer-order": (_certificate(EYE2, EYE2, col_order=(0, "1")), "non-integer"),
 }
 
 
@@ -316,11 +334,11 @@ def test_verify_snf_refuses_another_input_or_diagonal(m, data):
     # of a, or of d on the diagonal, in the pivots' part or the core's
     result = smith_normal_form(m)
     delta = data.draw(st.integers(-3, 3).filter(bool))
-    i = data.draw(st.integers(0, len(m.entries) - 1))
-    entries = list(m.entries)
-    entries[i] += delta
+    i = data.draw(st.integers(0, m.rows * m.cols - 1))
+    rows = m.to_rows()
+    rows[i // m.cols][i % m.cols] += delta
     with pytest.raises(CertificateError):
-        verify_snf(IntMatrix(m.rows, m.cols, tuple(entries)), result)
+        verify_snf(IntMatrix.from_rows(rows), result)
     t = data.draw(st.integers(0, min(m.rows, m.cols) - 1))
     rows = result.d.to_rows()
     rows[t][t] += delta

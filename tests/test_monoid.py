@@ -19,7 +19,6 @@ from ckgraph import (
     mvn_equivalent,
     parse_multiset,
     path_expansion,
-    path_expansion_trace,
     shortest_path,
 )
 from conftest import G, all_loop_graphs, graphs
@@ -121,8 +120,8 @@ def test_path_expansion_replays_as_expand_steps(g, data):
     v, w = data.draw(st.sampled_from(pairs))
     route = shortest_path(g, v, w)
     assert route is not None
-    trace = path_expansion_trace(g, route)
-    assert len(trace.steps) == len(route.edges)
+    # one expand step at the source of each edge of the route
+    trace = RewriteTrace(tuple(RewriteStep("expand", g.edge(eid).src) for eid in route.edges))
     assert trace.replay(g, ms(f"{v}=1")) == path_expansion(g, route)
 
 
