@@ -23,7 +23,7 @@ from ckgraph import (
 # u, v and a divisor chain down the diagonal.
 a = IntMatrix.from_rows([[2, 4], [6, 8]])
 result = smith_normal_form(a)
-print("diagonal:", result.d.diagonal())
+print("diagonal:", result.diagonal)
 verify_snf(a, result)  # raises if the certificate is broken
 print("u =", result.u.to_rows())
 print("v =", result.v.to_rows())

@@ -31,8 +31,6 @@ from .graph import (
 from .intmatrix import (
     IntMatrix,
     SnfResult,
-    format_int_matrix,
-    parse_int_matrix,
     smith_normal_form,
     verify_snf,
 )

@@ -7,8 +7,8 @@ serialization, fingerprints, and all derived reports are deterministic.
 
 The module also carries the vertex-set machinery used throughout: vertex
 classification, hereditary and saturated sets and their joint closure,
-vertex-simple cycles without exits, graph morphisms with the Cuntz-Krieger
-condition, and a backtracking isomorphism tester for desk-scale graphs.
+vertex-simple cycles without exits, and a backtracking isomorphism tester
+for desk-scale graphs.
 """
 
 from __future__ import annotations
@@ -476,12 +476,6 @@ class Path:
     edges: tuple[str, ...]
     source: str
     target: str
-
-    def is_cycle(self) -> bool:
-        return self.source == self.target
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 def make_path(g: Graph, edge_ids: Sequence[str]) -> Path:

@@ -4,9 +4,10 @@ A matrix keeps its rows sparse, each a dict from column to nonzero entry,
 and builds its dense row-major ``entries`` only when they are read.  A
 graph's presentation holds about as many nonzeros as the graph has edges,
 so it reaches the Smith routine and its certificate with no m x n dense
-copy, and the diagonal ``d`` is m rows of at most one entry.  Entries are
-Python ints, never fixed-width machine words: Smith pivots can grow far
-past 64 bits even for small inputs, and every result here must be exact.
+copy, and the Smith diagonal is kept as a tuple of min(m, n) entries.
+Entries are Python ints, never fixed-width machine words: Smith pivots can
+grow far past 64 bits even for small inputs, and every result here must be
+exact.
 The Smith routine runs in two phases: sparse unit pivots in Markowitz
 order, then a dense extended-gcd elimination of the small core they leave.
 It returns the diagonal together with what certifies it: the unit pivots'
@@ -14,8 +15,8 @@ inverse transforms, which are sparse and triangular in pivot order, and the
 log of the core's elementary operations.  The certificate is re-verified on
 every call, ``python -O`` included: unimodularity is read off the
 triangular factors' structure and off each logged operation, and the log
-is replayed on the core; the m x m transforms are built only when a caller
-asks for them.
+is replayed on the core; the dense ``d`` and the transforms are built only
+when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -85,30 +86,6 @@ class IntMatrix:
                 dense[j] = x
             out.append(dense)
         return out
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
-
-    def is_diagonal(self) -> bool:
-        return all(row.keys() <= {i} for i, row in enumerate(self.data))
-
-
-def format_int_matrix(m: IntMatrix) -> str:
-    """Row per line, space-separated integers."""
-    return "".join(" ".join(str(x) for x in row) + "\n" for row in m.to_rows())
-
-
-def parse_int_matrix(text: str) -> IntMatrix:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise GraphFormatError(f"cannot parse matrix line {raw!r}") from exc
-    return IntMatrix.from_rows(rows)
 
 
 def _times(left: Sequence[Row], right: Sequence[Row]) -> list[Row]:
@@ -263,17 +240,6 @@ def _apply(mat: list[list[int]], op: Op, within: bool) -> None:
             mat[i] = [-x for x in mat[i]]
 
 
-def _inverse(op: Op) -> Op:
-    kind, columns, i, *rest = op
-    if kind == "add":
-        j, q = rest
-        return (kind, columns, i, j, -q)
-    if kind == "mix":
-        j, x, y, xx, yy = rest
-        return (kind, columns, i, j, yy, -y, -xx, x)
-    return op
-
-
 def _transposed(op: Op) -> Op:
     kind, columns, i, *rest = op
     if kind == "add":
@@ -316,13 +282,14 @@ def _unimodular(log: Sequence[Op], k: int, w: int) -> bool:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Diagonal ``d`` of an m x n matrix ``a`` with unimodular ``u``, ``v`` such
-    that ``u * a * v = d``, kept as what the elimination did.
+    """The Smith form ``d`` of an m x n matrix ``a``, with unimodular ``u``,
+    ``v`` such that ``u * a * v = d``, kept as what the elimination did.
 
-    Diagonal entries are non-negative and each divides the next.  The unit
-    pivots take rows ``row_order[:p]`` and columns ``col_order[:p]`` of ``a``,
-    in that order; the rest of each order, increasing, is the core's.  They
-    record ``L = u1^-1`` by columns and ``R = v1^-1`` by rows, sparse and
+    ``diagonal`` holds the min(m, n) diagonal entries of ``d``; they are
+    non-negative and each divides the next.  The unit pivots take rows
+    ``row_order[:p]`` and columns ``col_order[:p]`` of ``a``, in that order;
+    the rest of each order, increasing, is the core's.  They record
+    ``L = u1^-1`` by columns and ``R = v1^-1`` by rows, sparse and
     indexed by the rows and columns of ``a``, with
     ``a = L * (I_p (+) core) * R``.  Column t of ``L`` holds +-1 at row
     ``row_order[t]`` and its other entries at rows later in ``row_order``;
@@ -335,16 +302,15 @@ class SnfResult:
     operations, with ``c * core * vc = D_core``.  So
     ``u = diag(I, c) * L^-1`` and ``v = R^-1 * diag(I, vc)``.
 
-    ``u``, ``v``, ``u_inv`` and ``v_inv`` are the whole transforms and their
-    inverses, built on first access: ``u`` and ``v`` by triangular solves
-    and the forward operations on the identity, the inverses by the inverse
-    operations in reverse order.  ``c_rows`` gives a few rows of ``c``
-    without building it.  A certificate written out by hand is the case
+    ``d``, ``u`` and ``v`` are the dense matrices, built on first access:
+    ``u`` and ``v`` by triangular solves and ``core_lines``, the one builder
+    of ``c`` and ``vc``, which also gives a few of their lines without
+    building the rest.  A certificate written out by hand is the case
     where phase 1 took no pivot: both orders are the identity, ``L`` and
     ``R`` are identities, ``core`` is ``a`` and ``log`` its elimination.
     """
 
-    d: IntMatrix
+    diagonal: tuple[int, ...]
     row_order: tuple[int, ...]
     col_order: tuple[int, ...]
     u1_inv: tuple[Row, ...]
@@ -354,51 +320,42 @@ class SnfResult:
 
     def divisors(self) -> tuple[int, ...]:
         """Nonzero diagonal entries, in chain order."""
-        return tuple(x for x in self.d.diagonal() if x != 0)
+        return tuple(x for x in self.diagonal if x != 0)
 
     def rank(self) -> int:
         return len(self.divisors())
 
-    def c_rows(self, indices: Iterable[int]) -> list[list[int]]:
-        """Rows ``indices`` of ``c``, dense.  Row t of ``c = E_n * ... * E_1``
-        is ``e_t * E_n * ... * E_1``: the row operations run backwards on the
-        unit vector, each transposed, so each operation costs two entries per
-        row asked for."""
-        k = len(self.core)
-        rows = [[0] * t + [1] + [0] * (k - t - 1) for t in indices]
+    def core_lines(self, columns: bool, indices: Iterable[int]) -> list[list[int]]:
+        """Rows ``indices`` of ``c``, or if ``columns`` columns ``indices`` of
+        ``vc``, dense.  Row t of ``c = E_n * ... * E_1`` is
+        ``e_t * E_n * ... * E_1``, and column t of ``vc = F_1^T * ... * F_n^T``
+        is, as a row, ``e_t * F_n * ... * F_1``: that side's operations run
+        backwards on the unit vector, each transposed, so each operation
+        costs two entries per line asked for."""
+        # k = m - p rows of c, w = n - p columns of vc
+        size = len(self.core) + (len(self.col_order) - len(self.row_order) if columns else 0)
+        lines = [[0] * t + [1] + [0] * (size - t - 1) for t in indices]
         for op in reversed(self.log):
-            if not op[1]:
-                _apply(rows, _transposed(op), True)
-        return rows
+            if op[1] == columns:
+                _apply(lines, _transposed(op), True)
+        return lines
 
-    def _core_transform(self, columns: bool, inverse: bool = False) -> list[list[int]]:
-        """``c`` by rows, or ``vc`` by columns: that side's operations applied
-        in order to the rows of the identity.  With ``inverse``, ``c^-1`` by
-        columns, or ``vc^-1`` by rows: the inverse operations in reverse
-        order, applied within the rows of the identity."""
-        size = self.d.cols - self.d.rows + len(self.core) if columns else len(self.core)
-        mat = IntMatrix.identity(size).to_rows()
-        ops = [op for op in self.log if op[1] == columns]
-        for op in reversed(ops) if inverse else ops:
-            _apply(mat, _inverse(op) if inverse else op, inverse)
-        return mat
+    @cached_property
+    def d(self) -> IntMatrix:
+        rows = [{t: x} if x else {} for t, x in enumerate(self.diagonal)]
+        rows += [{} for _ in range(len(self.row_order) - len(rows))]
+        return IntMatrix(len(self.row_order), len(self.col_order), tuple(rows))
 
     @cached_property
     def u(self) -> IntMatrix:
-        return _expand(_solve(self.u1_inv, self.row_order), self._core_transform(False))
-
-    @cached_property
-    def u_inv(self) -> IntMatrix:
-        return _expand(self.u1_inv, self._core_transform(False, inverse=True), columns=True)
+        c = self.core_lines(False, range(len(self.core)))
+        return _expand(_solve(self.u1_inv, self.row_order), c)
 
     @cached_property
     def v(self) -> IntMatrix:
-        vc = self._core_transform(True)
+        split = len(self.row_order) - len(self.core)
+        vc = self.core_lines(True, range(len(self.col_order) - split))
         return _expand(_solve(self.v1_inv, self.col_order), vc, columns=True)
-
-    @cached_property
-    def v_inv(self) -> IntMatrix:
-        return _expand(self.v1_inv, self._core_transform(True, inverse=True))
 
 
 def verify_snf(a: IntMatrix, result: SnfResult) -> None:
@@ -406,7 +363,8 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
 
     It proves four facts, with no determinant and no product of transforms:
 
-    * ``d`` is diagonal;
+    * ``diagonal`` holds min(m, n) ints, so ``d`` is an integer diagonal
+      matrix of ``a``'s shape;
     * ``u`` and ``v`` are unimodular.  Every order element, index and entry
       of the factors is an int, so ``L``, ``R`` and the core are integer
       matrices.  The orders are permutations, and in them ``L`` is lower
@@ -416,8 +374,8 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
       distinct lines inside the core, with integer coefficients and a mix of
       determinant 1, so ``c`` and ``vc``, their products, have determinant
       +-1;
-    * ``a = L * (D_p (+) core) * R``, where ``D_p`` is the first p diagonal
-      entries of ``d``, and the log replayed on ``core`` gives ``D_core``,
+    * ``a = L * (D_p (+) core) * R``, where ``D_p`` is the first p entries
+      of ``diagonal``, and the log replayed on ``core`` gives ``D_core``,
       the other entries: that replay is ``c * core * vc``, so
       ``u * a * v = d``;
     * the diagonal is a divisor chain.
@@ -436,15 +394,15 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     w = n - split
     factors = (r.row_order, r.col_order, r.u1_inv, r.v1_inv)
     if not (
-        all(type(i) is int for i in chain(r.row_order, r.col_order, *r.core))
+        all(type(i) is int for i in chain(r.diagonal, r.row_order, r.col_order, *r.core))
         and _integral(r.u1_inv)
         and _integral(r.v1_inv)
     ):
         raise CertificateError("Smith certificate broken: a factor holds a non-integer")
-    shapes = [(r.d.rows, r.d.cols)] + [len(x) for x in factors]
+    shapes = [len(r.diagonal)] + [len(x) for x in factors]
     # the index bounds of L and R, and the core's k rows of w entries
     if (
-        shapes != [(m, n), m, n, m, n]
+        shapes != [min(m, n), m, n, m, n]
         or split < 0
         or w < 0
         or not _indices_below(r.u1_inv, m)
@@ -454,8 +412,6 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
         raise CertificateError(
             f"Smith certificate broken: shapes {shapes + [(k, w)]} for a {m}x{n} matrix"
         )
-    if not r.d.is_diagonal():
-        raise CertificateError("Smith certificate broken: d is not diagonal")
     if sorted(r.row_order) != list(range(m)) or sorted(r.col_order) != list(range(n)):
         raise CertificateError("Smith certificate broken: a pivot order is not a permutation")
     if (
@@ -467,7 +423,7 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     replay = [list(row) for row in r.core]
     for op in r.log:
         _apply(replay, op, op[1])
-    diag = r.d.diagonal()
+    diag = r.diagonal
     # a = L * (D_p (+) core) * R, from the left: the few entries of
     # D_p (+) core keep the rows of the first product short
     middle = [{t: x} if x else {} for t, x in enumerate(diag[:split])]
@@ -693,7 +649,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     checked on these factors and that log by ``verify_snf`` before the
     result is returned.
     """
-    m, n = a.rows, a.cols
+    n = a.cols
     rows = {i: dict(row) for i, row in enumerate(a.data)}
     cols: dict[int, set[int]] = {j: set() for j in range(n)}
     for i, row in rows.items():
@@ -708,12 +664,10 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     log: list[Op] = []
     diagonal = [1] * len(pivots) + _reduce_core(core, width, log)
 
-    d = [{t: x} if x else {} for t, x in enumerate(diagonal)]
-    d += [{} for _ in range(m - len(diagonal))]
     # phase 1 leaves the core columns of u^-1 and the core rows of v^-1 unit
     # vectors
     result = SnfResult(
-        d=IntMatrix(m, n, tuple(d)),
+        diagonal=tuple(diagonal),
         row_order=tuple(p for p, *_ in pivots) + tuple(core_rows),
         col_order=tuple(c for _, c, *_ in pivots) + tuple(core_cols),
         u1_inv=tuple(col for *_, col, _ in pivots) + tuple({i: 1} for i in core_rows),

@@ -148,14 +148,13 @@ def _engine(vertices: tuple[str, ...], presentation: IntMatrix) -> _K0Engine:
     """The engine of a presentation with one row per vertex and one column
     per regular vertex: its Smith form, kept as the factors a class reads."""
     snf = smith_normal_form(presentation)
-    diagonal = snf.d.diagonal()
-    diagonal += (0,) * (len(vertices) - len(diagonal))
+    diagonal = snf.diagonal + (0,) * (len(vertices) - len(snf.diagonal))
     torsion = tuple(d for d in diagonal if d > 1)
     # the first p entries of the diagonal are the unit pivots' 1s
     split = len(vertices) - len(snf.core)
     c_rows = tuple(
         {split + s: x for s, x in enumerate(row) if x}
-        for row in snf.c_rows(t - split for t, d in enumerate(diagonal) if d != 1)
+        for row in snf.core_lines(False, (t - split for t, d in enumerate(diagonal) if d != 1))
     )
     return _K0Engine(
         vertices, presentation.cols, snf.row_order, snf.u1_inv[:split], c_rows, diagonal, torsion

@@ -395,9 +395,10 @@ def format_move_log(log: MoveLog) -> str:
 
 def parse_move_log(text: str) -> MoveLog:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("start "):
+    keyword, _, start = lines[0].partition(" ") if lines else ("", "", "")
+    # exactly one space, then one token: nothing after the fingerprint is dropped
+    if keyword != "start" or start.split() != [start]:
         raise GraphFormatError("move log must begin with a 'start <fingerprint>' line")
-    start = lines[0].split()[1]
     steps = []
     for line in lines[1:]:
         spelling, _, fp = line.rpartition(" ")

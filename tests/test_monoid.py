@@ -43,6 +43,15 @@ def test_multiset_literal_round_trip():
         parse_multiset("v0=x")
 
 
+def test_multiset_refuses_a_bool_multiplicity():
+    # True == 1, but format_multiset would write it as "v0=True", which
+    # parse_multiset refuses
+    for flag in (True, False):
+        with pytest.raises(GraphFormatError, match="non-negative int"):
+            VertexMultiset.from_dict({"v0": flag})
+    assert VertexMultiset.from_dict({"v0": 1}) == ms("v0=1")
+
+
 def test_multiset_arithmetic_guards():
     m = ms("v0=1")
     with pytest.raises(PreconditionError, match="insufficient-multiplicity"):

@@ -27,6 +27,7 @@ from ckgraph import (
     format_graph,
     format_move,
     format_move_log,
+    graph_fingerprint,
     graph_isomorphic,
     k_invariants,
     parse_move,
@@ -376,6 +377,14 @@ def test_move_log_replay_and_text(two_loops):
     log = builder.log()
     assert replay_move_log(two_loops, log) == builder.graph
     assert parse_move_log(format_move_log(log)) == log
+
+
+def test_move_log_refuses_a_start_line_with_anything_else(two_loops):
+    start = graph_fingerprint(two_loops)
+    assert parse_move_log(f"start {start}\n").start == start
+    for line in ("", "start", "start ", f"start {start} extra", f"start  {start}", f"begin {start}"):
+        with pytest.raises(GraphFormatError, match="start <fingerprint>"):
+            parse_move_log(line + "\n")
 
 
 def test_move_log_detects_divergence(two_loops):
