@@ -13,10 +13,12 @@ order, then a dense extended-gcd elimination of the small core they leave.
 It returns the diagonal together with what certifies it: the unit pivots'
 inverse transforms, which are sparse and triangular in pivot order, and the
 log of the core's elementary operations.  The certificate is re-verified on
-every call, ``python -O`` included: unimodularity is read off the
-triangular factors' structure and off each logged operation, and the log
-is replayed on the core; the dense ``d`` and the transforms are built only
-when a caller asks for them.
+every call, ``python -O`` included: one walk over each triangular factor
+checks its types, its index bounds and its triangular shape, the
+unimodularity of each logged operation is read off its kind, lines and
+coefficients, phase 1's product is summed as outer products straight into
+the rows it is compared with, and the log is replayed on the core; the
+dense ``d`` and the transforms are built only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -88,30 +90,6 @@ class IntMatrix:
         return out
 
 
-def _times(left: Sequence[Row], right: Sequence[Row]) -> list[Row]:
-    """The sparse product: row i is the sum of ``x * right[k]`` over the
-    entries ``(k, x)`` of ``left[i]``.  The first term is one comprehension,
-    so a short row of ``left`` costs little more than copying the rows of
-    ``right`` it picks, and a row that is a unit vector shares the row of
-    ``right`` it picks; no caller changes a row it gets back."""
-    out = []
-    for row in left:
-        if len(row) == 1:
-            # rows hold no zeros, so neither does a multiple of one
-            ((k, x),) = row.items()
-            out.append(right[k] if x == 1 else {j: x * y for j, y in right[k].items()})
-            continue
-        acc: Row = {}
-        for k, x in row.items():
-            if acc:
-                for j, y in right[k].items():
-                    acc[j] = acc.get(j, 0) + x * y
-            else:
-                acc = {j: x * y for j, y in right[k].items()}
-        out.append({j: z for j, z in acc.items() if z})
-    return out
-
-
 def _transpose(rows: Sequence[Row], size: int) -> list[Row]:
     out: list[Row] = [{} for _ in range(size)]
     for i, row in enumerate(rows):
@@ -120,23 +98,18 @@ def _transpose(rows: Sequence[Row], size: int) -> list[Row]:
     return out
 
 
-def _integral(vectors: Sequence[Row]) -> bool:
-    """Whether every index and entry of the sparse ``vectors`` is an int."""
-    return all(type(j) is type(x) is int for vector in vectors for j, x in vector.items())
-
-
-def _indices_below(rows: Sequence[Row], bound: int) -> bool:
-    keys = set().union(*rows)
-    return not keys or (min(keys) >= 0 and max(keys) < bound)
-
-
 def _expand(outer: Sequence[Row], block: Dense, columns: bool = False) -> IntMatrix:
     """The square matrix ``diag(I, block) * outer``, with ``outer`` given by
     rows, or by columns if ``columns``."""
     size = len(outer)
     split = size - len(block)
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in block]
-    rows = list(outer[:split]) + _times(sparse, outer[split:])
+    rows = list(outer[:split])
+    for line in block:
+        acc: Row = {}
+        for k, x in enumerate(line):
+            if x:
+                _axpy(acc, outer[split + k], x)
+        rows.append(acc)
     return IntMatrix(size, size, tuple(_transpose(rows, size) if columns else rows))
 
 
@@ -172,16 +145,41 @@ def _solve(factor: Sequence[Row], order: Sequence[int]) -> list[Row]:
     return out
 
 
-def _unit_triangular(factor: Sequence[Row], order: Sequence[int], units: tuple[int, ...]) -> bool:
-    """Whether ``factor[t]`` holds an entry of ``units`` at index ``order[t]``
-    and its other entries only at indices later in ``order``: a triangular
-    matrix with a unit diagonal once its indices are put in ``order``, so of
-    determinant +-1.  ``order`` is a permutation of the indices."""
+# the faults of a sparse factor that ``_factor_fault`` names, which are
+# also the words of the certificate's error messages
+NON_INTEGER, SHAPES, NOT_UNIMODULAR = "non-integer", "shapes", "not unimodular"
+
+
+def _factor_fault(
+    factor: Sequence[Row], order: Sequence[int], bound: int, units: tuple[int, ...]
+) -> str | None:
+    """The fault of a sparse factor of the certificate whose message comes
+    first, found in one walk over its entries, or ``None``.
+
+    The faults, in the order of their messages: an index or entry that is
+    not an int (``NON_INTEGER``, returned at once); an index outside
+    ``range(bound)`` (``SHAPES``); and ``factor[t]`` holding no entry of
+    ``units`` at index ``order[t]``, or an entry at an index earlier in
+    ``order`` (``NOT_UNIMODULAR``).  A factor with none of them is, once its
+    indices are put in ``order``, triangular with a unit diagonal, so of
+    determinant +-1.  ``order`` holds ints; what is read off it counts only
+    once the caller has found it a permutation of ``range(bound)``.  An
+    index's type is checked before its position is looked up, since ``1.0``
+    and ``True`` hash like ``1``.
+    """
     position = {i: t for t, i in enumerate(order)}
-    return all(
-        vector.get(i) in units and all(position[j] >= t for j in vector)
-        for t, (i, vector) in enumerate(zip(order, factor))
-    )
+    fault = None
+    for t, (i, vector) in enumerate(zip(order, factor)):
+        if vector.get(i) not in units:
+            fault = fault or NOT_UNIMODULAR
+        for j, x in vector.items():
+            if type(j) is not int or type(x) is not int:
+                return NON_INTEGER
+            if not 0 <= j < bound:
+                fault = SHAPES
+            elif position.get(j, t) < t:
+                fault = fault or NOT_UNIMODULAR
+    return fault
 
 
 # A phase-2 operation acts on two lines of the core, rows or, if
@@ -358,6 +356,34 @@ class SnfResult:
         return _expand(_solve(self.v1_inv, self.col_order), vc, columns=True)
 
 
+def _phase1_product(
+    columns: Sequence[Row], rows: Sequence[Row], diagonal: Sequence[int], core: Dense
+) -> tuple[Row, ...]:
+    """The rows of ``L * (D_p (+) core) * R``, with no zero, for ``L`` given
+    by ``columns`` and ``R`` by ``rows``, both of checked shape.
+
+    The product is a sum of outer products, added up straight into its
+    rows: ``diagonal[t] * L[:, t] (x) R[t, :]`` for each pivot t, and
+    ``core[s][j] * L[:, p + s] (x) R[p + j, :]`` for each nonzero of the
+    core.  Entries that cancel are dropped at the end.
+    """
+    split = len(diagonal)
+    core_terms = (
+        (x, columns[split + s], rows[split + j])
+        for s, line in enumerate(core)
+        for j, x in enumerate(line)
+        if x
+    )
+    product: list[Row] = [{} for _ in columns]
+    for x, column, row in chain(zip(diagonal, columns, rows), core_terms):
+        for i, y in column.items():
+            q = x * y
+            acc = product[i]
+            for j, z in row.items():
+                acc[j] = acc.get(j, 0) + q * z
+    return tuple({j: z for j, z in row.items() if z} for row in product)
+
+
 def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     """Raise ``CertificateError`` unless the certificate is valid.
 
@@ -370,10 +396,11 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
       matrices.  The orders are permutations, and in them ``L`` is lower
       triangular with a +-1 diagonal and ``R`` upper triangular with a
       diagonal of 1, so both have determinant +-1; this is read off their
-      entries' positions.  Each logged operation is of a known kind, on
-      distinct lines inside the core, with integer coefficients and a mix of
-      determinant 1, so ``c`` and ``vc``, their products, have determinant
-      +-1;
+      entries' positions, in the same walk over each factor that checks
+      its types and index bounds (``_factor_fault``).  Each logged
+      operation is of a known kind, on distinct lines inside the core, with
+      integer coefficients and a mix of determinant 1, so ``c`` and ``vc``,
+      their products, have determinant +-1;
     * ``a = L * (D_p (+) core) * R``, where ``D_p`` is the first p entries
       of ``diagonal``, and the log replayed on ``core`` gives ``D_core``,
       the other entries: that replay is ``c * core * vc``, so
@@ -381,32 +408,37 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     * the diagonal is a divisor chain.
 
     So phase 1's checks cost time in the nonzeros of ``L`` and ``R``, which
-    do not fill in on long unit-pivot chains: its product, which holds no
-    zero, equals ``a`` exactly when it equals ``a``'s sparse rows.  The
-    core's check costs what its elimination cost on the core itself, and no
-    more: the transforms, whose entries grow far larger than the core's, are
-    never built.
+    do not fill in on long unit-pivot chains: its product is a sum of one
+    outer product per pivot and per nonzero of the core, added up straight
+    into m sparse rows, which, once their cancelled zeros are dropped, equal
+    ``a`` exactly when they equal ``a``'s sparse rows.  The core's check
+    costs what its elimination cost on the core itself, and no more: the
+    transforms, whose entries grow far larger than the core's, are never
+    built.
     """
     m, n = a.rows, a.cols
     r = result
     k = len(r.core)
     split = m - k
     w = n - split
-    factors = (r.row_order, r.col_order, r.u1_inv, r.v1_inv)
-    if not (
-        all(type(i) is int for i in chain(r.diagonal, r.row_order, r.col_order, *r.core))
-        and _integral(r.u1_inv)
-        and _integral(r.v1_inv)
-    ):
+    # each sparse factor is walked once; its faults are raised below in the
+    # order of the messages: non-integer, shapes, permutation, unimodularity
+    if not all(type(i) is int for i in chain(r.diagonal, r.row_order, r.col_order, *r.core)):
         raise CertificateError("Smith certificate broken: a factor holds a non-integer")
+    faults = (
+        _factor_fault(r.u1_inv, r.row_order, m, (1, -1)),
+        _factor_fault(r.v1_inv, r.col_order, n, (1,)),
+    )
+    if NON_INTEGER in faults:
+        raise CertificateError("Smith certificate broken: a factor holds a non-integer")
+    factors = (r.row_order, r.col_order, r.u1_inv, r.v1_inv)
     shapes = [len(r.diagonal)] + [len(x) for x in factors]
     # the index bounds of L and R, and the core's k rows of w entries
     if (
         shapes != [min(m, n), m, n, m, n]
         or split < 0
         or w < 0
-        or not _indices_below(r.u1_inv, m)
-        or not _indices_below(r.v1_inv, n)
+        or SHAPES in faults
         or not set(map(len, r.core)) <= {w}
     ):
         raise CertificateError(
@@ -414,25 +446,16 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
         )
     if sorted(r.row_order) != list(range(m)) or sorted(r.col_order) != list(range(n)):
         raise CertificateError("Smith certificate broken: a pivot order is not a permutation")
-    if (
-        not _unit_triangular(r.u1_inv, r.row_order, (1, -1))
-        or not _unit_triangular(r.v1_inv, r.col_order, (1,))
-        or not _unimodular(r.log, k, w)
-    ):
+    if NOT_UNIMODULAR in faults or not _unimodular(r.log, k, w):
         raise CertificateError("Smith certificate broken: transform is not unimodular")
     replay = [list(row) for row in r.core]
     for op in r.log:
         _apply(replay, op, op[1])
     diag = r.diagonal
-    # a = L * (D_p (+) core) * R, from the left: the few entries of
-    # D_p (+) core keep the rows of the first product short
-    middle = [{t: x} if x else {} for t, x in enumerate(diag[:split])]
-    middle += [{split + j: x for j, x in enumerate(row) if x} for row in r.core]
-    product = _times(_times(_transpose(r.u1_inv, m), middle), r.v1_inv)
     d_core = [[0] * w for _ in range(k)]
     for t, x in enumerate(diag[split:]):
         d_core[t][t] = x
-    if tuple(product) != a.data or replay != d_core:
+    if replay != d_core or _phase1_product(r.u1_inv, r.v1_inv, diag[:split], r.core) != a.data:
         raise CertificateError("Smith certificate broken: u*a*v != d")
     for x, y in zip(diag, diag[1:]):
         if x < 0 or y < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
@@ -478,39 +501,44 @@ def _unit_pivots(
     a pivot's row operation leaves it a single entry, or when it is left
     alone in one of the pivot row's columns, and both push it; so the least
     valid row on the heap is the least row holding a cost-0 unit, and the
-    scan of every unit entry runs only when there is none.
+    scan of every unit entry runs only when there is none.  The scan keeps
+    the best cost, row and column so far in three locals and takes a unit
+    entry on a lower cost, or on an equal cost in the same row at a lower
+    column: rows come in increasing order, so that is the least
+    ``(cost, row, column)``, with no key built per entry.
     """
     pivots = []
     queue = [i for i, row in rows.items() if len(row) == 1]
     queue += [next(iter(held)) for held in cols.values() if len(held) == 1]
     heapify(queue)
     while True:
-        best = None
-        while queue and best is None:
+        # the best pivot so far: its cost, row p and column c; -1 for none
+        best = p = c = -1
+        while queue and best < 0:
             i = heappop(queue)
             row = rows.get(i, {})
             for j, x in row.items():
                 if (x == 1 or x == -1) and (len(row) == 1 or len(cols[j]) == 1):
-                    if best is None or j < best[2]:
-                        best = (0, i, j)
-        if best is None:
+                    if best < 0 or j < c:
+                        best, p, c = 0, i, j
+        if best < 0:
             # no unit costs 0, so one in a row of r + 1 entries costs at
             # least r: a row whose r reaches the best cost holds no better
-            # pivot, and as rows come in increasing order, cost 1 is final
+            # pivot, and as rows come in increasing order, a later row wins
+            # no tie and cost 1 is final
             for i, row in rows.items():
                 r = len(row) - 1
-                if best is not None and r >= best[0]:
-                    if best[0] == 1:
+                if 0 <= best <= r:
+                    if best == 1:
                         break
                     continue
                 for j, x in row.items():
                     if x == 1 or x == -1:
-                        key = (r * (len(cols[j]) - 1), i, j)
-                        if best is None or key < best:
-                            best = key
-        if best is None:
+                        cost = r * (len(cols[j]) - 1)
+                        if cost < best or best < 0 or (cost == best and i == p and j < c):
+                            best, p, c = cost, i, j
+        if best < 0:
             return pivots
-        _, p, c = best
         row = rows.pop(p)
         e = row.pop(c)
         others = cols.pop(c)

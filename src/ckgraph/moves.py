@@ -271,11 +271,21 @@ def _parse_kept(raw: str) -> tuple[str, ...]:
     return kept
 
 
+def _parse_int(raw: str) -> int:
+    """ASCII digits with an optional leading ``-``: ``int`` alone would also
+    take ``1_0``, spaces and non-ASCII digits, which ``format_move`` never
+    writes."""
+    digits = raw[1:] if raw.startswith("-") else raw
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad integer {raw!r}")
+    return int(raw)
+
+
 def _parse_lengths(raw: str) -> tuple[tuple[str, int], ...]:
     lengths = []
     for item in raw.split(","):
         v, _, n = item.partition("=")
-        lengths.append((v, int(n)))
+        lengths.append((v, _parse_int(n)))
     return tuple(sorted(lengths))
 
 
@@ -283,7 +293,7 @@ def _parse_lengths(raw: str) -> tuple[tuple[str, int], ...]:
 # annotation, which this module's ``from __future__`` import keeps a string.
 _FIELD_SPELLINGS = {
     "str": (str, str),
-    "int": (str, int),
+    "int": (str, _parse_int),
     "tuple[str, ...]": (",".join, _parse_kept),
     "tuple[tuple[str, int], ...]": (_format_lengths, _parse_lengths),
 }
@@ -401,8 +411,9 @@ def parse_move_log(text: str) -> MoveLog:
         raise GraphFormatError("move log must begin with a 'start <fingerprint>' line")
     steps = []
     for line in lines[1:]:
-        spelling, _, fp = line.rpartition(" ")
-        if not spelling or not fp:
+        spelling, _, fp = line.partition(" ")
+        # exactly one space between two tokens, as on the start line
+        if line.split() != [spelling, fp]:
             raise GraphFormatError(f"bad move log line {line!r}")
         steps.append((parse_move(spelling), fp))
     return MoveLog(start, tuple(steps))

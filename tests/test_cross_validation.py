@@ -88,11 +88,26 @@ def test_unit_heavy_sparse_matrices_agree_with_sympy(m):
     _check_unit_heavy(m)
 
 
+def _examples(inputs):
+    """Hypothesis's ``example`` for each of ``inputs``."""
+
+    def decorate(test):
+        for m in reversed(inputs):
+            test = example(m)(test)
+        return test
+
+    return decorate
+
+
 @settings(max_examples=150, deadline=None)
 @given(unit_heavy_matrices(max_dim=10))
 # pivot (1, 2) leaves row 0 alone in column 1, so row 0 must come back on
 # the heap ahead of row 2, though no row operation touched it
 @example(IntMatrix.from_rows([[1, 1, 0, 0], [0, 2, 1, 0], [0, 0, 0, 1], [1, 0, 0, 1]]))
+# the presentations of benchmark-size graphs, about half dense: rarely a
+# unit of cost 0, so the full scan picks nearly every pivot, among ties of
+# equal cost across rows
+@_examples([k_presentation_matrix(g) for g in large_random_graphs("dense-pivots")])
 def test_unit_pivots_follow_the_full_markowitz_scan(m):
     # the heap of cost-0 candidates must pick the pivots a scan of every
     # unit entry picks, so the transforms stay the same

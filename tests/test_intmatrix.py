@@ -208,6 +208,11 @@ BROKEN_CERTIFICATES = {
         "non-integer",
     ),
     "non-integer-index": (_certificate([[1]], (1,), u1_inv=({"x": 1},)), "non-integer"),
+    # 1.0 and True equal 1 and hash like it, so with them read as 1 each of
+    # these certificates is valid: only a type check made before an index's
+    # position is looked up refuses them
+    "float-index": (_certificate(EYE2, ONES, u1_inv=({0: 1}, {1.0: 1})), "non-integer"),
+    "bool-entry": (_certificate(EYE2, ONES, u1_inv=({0: True}, {1: 1})), "non-integer"),
     "non-integer-order": (_certificate(EYE2, ONES, col_order=(0, "1")), "non-integer"),
 }
 

@@ -387,6 +387,41 @@ def test_move_log_refuses_a_start_line_with_anything_else(two_loops):
             parse_move_log(line + "\n")
 
 
+def test_move_log_refuses_a_step_line_that_is_not_one_spelling_and_one_fingerprint(two_loops):
+    start = graph_fingerprint(two_loops)
+    log = parse_move_log(f"start {start}\nadd-head:v0:2 fp\n")
+    assert log.steps == ((AddHead("v0", 2), "fp"),)
+    # two spaces once left a trailing space on the spelling, which int() read
+    for line in ("add-head:v0:2  fp", "add-head:v0:2 fp extra", "add-head:v0:2\tfp", "add-head:v0:2"):
+        with pytest.raises(GraphFormatError, match="bad move log line"):
+            parse_move_log(f"start {start}\n{line}\n")
+
+
+def test_integer_fields_are_ascii_digits_with_an_optional_minus(two_loops):
+    assert parse_move("add-head:v0:12") == AddHead("v0", 12)
+    assert parse_move("attach-heads:u=3,v=0") == AttachHeads((("u", 3), ("v", 0)))
+    # int() reads the first four and the last two, as moves whose spelling
+    # differs from the text; it refuses the other two, though str.isdigit
+    # holds for a superscript two
+    for text in (
+        "add-head:v0:1_0",
+        "add-head:v0:\u0663",
+        "add-head:v0:+1",
+        "add-head:v0: 1",
+        "add-head:v0:-",
+        "subdivide-edge:e0:\u00b2",
+        "attach-heads:u=1_0",
+        "attach-heads:u=\u0663",
+    ):
+        with pytest.raises(GraphFormatError, match="bad move argument"):
+            parse_move(text)
+    # a negative length parses and is refused by the move itself
+    move = parse_move("add-head:v0:-1")
+    assert move == AddHead("v0", -1) and format_move(move) == "add-head:v0:-1"
+    with pytest.raises(PreconditionError, match="bad-parameter"):
+        apply_move(two_loops, move)
+
+
 def test_move_log_detects_divergence(two_loops):
     builder = MoveLogBuilder(two_loops)
     builder.apply(AddHead("v0", 1))
