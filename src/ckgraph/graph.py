@@ -18,6 +18,7 @@ import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import GraphFormatError, PreconditionError
@@ -33,13 +34,23 @@ class Edge(NamedTuple):
     dst: str
 
 
-def _check_id(kind: str, name: str) -> None:
+def _check_id(kind: str, name: str) -> str:
     if not isinstance(name, str) or not name:
         raise GraphFormatError(f"{kind} id must be a nonempty string, got {name!r}")
     if _BAD_ID_CHAR.search(name):
         raise GraphFormatError(
             f"bad {kind} id {name!r}: ids contain no whitespace and none of '#', ',', '='"
         )
+    return name
+
+
+def _new_edge(e: Sequence[str]) -> Edge:
+    try:
+        edge = Edge(*e)
+    except TypeError:
+        raise GraphFormatError(f"an edge is an (id, source, range) triple, got {e!r}") from None
+    _check_id("edge", edge.eid)
+    return edge
 
 
 def _edge_index(edges: Sequence[Edge], eid: object) -> Optional[int]:
@@ -153,13 +164,15 @@ class Graph:
         """This graph less the dropped ids, plus the added ones.
 
         Dropping a vertex drops the edges at it.  Only the added ids are
-        checked, in sorted order and vertices first: the id pattern,
-        uniqueness among the kept and added ids, and for an edge that both
-        endpoints are vertices of the result.  Each added id is inserted at
-        its place by bisection, so an edit that adds a few ids costs about
-        one copy of the base graph.  Derived data the base holds is carried
-        over: its formatted lines are cut and inserted at the same places,
-        and its edge tables are rewritten only at the vertices touched.
+        checked, vertices first: the id pattern and an edge's arity before
+        sorting, so that it compares only string ids (edges by id), then in
+        sorted order uniqueness among the kept and added ids, and for an
+        edge that both endpoints are vertices of the result.  Each added id
+        is inserted at its place by bisection, so an edit that adds a few
+        ids costs about one copy of the base graph.  Derived data the base
+        holds is carried over: its formatted lines are cut and inserted at
+        the same places, and its edge tables are rewritten only at the
+        vertices touched.
         """
         derived = self.__dict__
         drop_v = set(drop_vertices)
@@ -177,17 +190,15 @@ class Graph:
             _cut(vertices, vertex_lines, [bisect_left(self.vertices, v) for v in dropped])
         if gone:
             _cut(edges, edge_lines, [bisect_left(self.edges, e) for e in gone])
-        new_vertices = sorted(add_vertices)
-        new_edges = sorted(Edge(*e) for e in add_edges)
+        new_vertices = sorted([_check_id("vertex", v) for v in add_vertices])
+        new_edges = sorted([_new_edge(e) for e in add_edges], key=itemgetter(0))
         seen_v = set(vertices)
         for v in new_vertices:
-            _check_id("vertex", v)
             if v in seen_v:
                 raise GraphFormatError(f"duplicate vertex id {v!r}")
             seen_v.add(v)
         previous = None
         for e in new_edges:
-            _check_id("edge", e.eid)
             if e.eid == previous or _edge_index(edges, e.eid) is not None:
                 raise GraphFormatError(f"duplicate edge id {e.eid!r}")
             previous = e.eid
@@ -238,10 +249,6 @@ class Graph:
         return tuple(map(_vertex_line, self.vertices)), tuple(map(_edge_line, self.edges))
 
     @cached_property
-    def _vertex_set(self) -> frozenset[str]:
-        return frozenset(self.vertices)
-
-    @cached_property
     def _out(self) -> dict[str, tuple[Edge, ...]]:
         return _edge_table(self, 1)
 
@@ -257,13 +264,13 @@ class Graph:
         return counts
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._vertex_set
+        return v in self._out
 
     def has_edge(self, eid: str) -> bool:
         return _edge_index(self.edges, eid) is not None
 
     def require_vertex(self, v: str) -> None:
-        if v not in self._vertex_set:
+        if v not in self._out:
             raise PreconditionError("unknown-vertex", f"no vertex {v!r} in graph")
 
     def edge(self, eid: str) -> Edge:

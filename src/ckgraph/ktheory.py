@@ -3,23 +3,25 @@
 For a finite graph the K0 group is the cokernel and the K1 group the kernel
 of the map given by the transposed vertex matrix minus the identity,
 restricted to the columns of regular vertices, into the free abelian group on
-all vertices.  Both are read off one Smith normal form.  The class of the
-unit is the image of the all-ones vector; it is summarized by an
-automorphism-invariant profile (its order plus divisibility flags), which is
-what can be compared across different graphs.
+all vertices.  Both are read off one Smith normal form, computed once per
+graph object on first use and kept on that graph, so it is freed with it;
+no cache is shared across graphs.  The class of the unit is the image of
+the all-ones vector; it is summarized by an automorphism-invariant profile
+(its order plus divisibility flags), which is what can be compared across
+different graphs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping
 
 from .errors import CertificateError, PreconditionError
 from .graph import Graph, is_regular
-from .intmatrix import IntMatrix, smith_normal_form
+from .intmatrix import IntMatrix, SnfResult, smith_normal_form
 
 DIVISIBILITY_FLAGS = 12
 
@@ -75,15 +77,10 @@ def vertex_matrix(g: Graph) -> IntMatrix:
 @dataclass(frozen=True)
 class _K0Engine:
     vertices: tuple[str, ...]  # sorted, as in every Graph
-    columns: int  # the presentation's, one per regular vertex
-    # the Smith row transform u = diag(I, c) * L^-1, kept as the row order
-    # that makes the Smith result's L = u1^-1 triangular, the pivots'
-    # columns of L (its core columns are unit vectors), and the rows of c
-    # whose divisor is not 1, the only rows of u a class reads, sparse and
-    # indexed by position in that order; v, the dense transforms and the
-    # other rows of c are not kept
-    row_order: tuple[int, ...]
-    u1_inv: tuple[dict[int, int], ...]
+    # the presentation's Smith form; a class reads u = diag(I, c) * L^-1 as
+    # L's columns snf.u1_inv in the order snf.row_order, and the rows of c
+    # whose divisor is not 1, sparse and indexed by position in that order
+    snf: SnfResult
     c_rows: tuple[dict[int, int], ...]
     diagonal: tuple[int, ...]  # the Smith diagonal, padded with 0 to one entry per vertex
     torsion: tuple[int, ...]  # the Smith divisors greater than one
@@ -104,7 +101,7 @@ class _K0Engine:
             if c:
                 x[j] = c
         solved = []
-        for i, column in zip(self.row_order, self.u1_inv):
+        for i, column in zip(self.snf.row_order, self.snf.u1_inv):
             # the column's entry at its pivot row i is +-1, its own inverse
             z = x.pop(i, 0) * column[i]
             if z:
@@ -112,7 +109,6 @@ class _K0Engine:
                     if k != i:
                         x[k] = x.get(k, 0) - w * z
             solved.append(z)
-        solved += [x.get(i, 0) for i in self.row_order[len(solved) :]]
         y = [sum(f * solved[t] for t, f in row.items()) for row in self.c_rows]
         divisors = [d for d in self.diagonal if d != 1]
         return K0Class(
@@ -128,7 +124,7 @@ class _K0Engine:
         return KInvariants(
             k0_torsion=self.torsion,
             k0_rank=len(self.vertices) - rank,
-            k1_rank=self.columns - rank,
+            k1_rank=len(self.snf.col_order) - rank,
             unit_profile=UnitProfile(
                 order=_class_order(unit_class, self.torsion),
                 divisible_by=tuple(
@@ -139,14 +135,18 @@ class _K0Engine:
         )
 
 
-@lru_cache(maxsize=512)
-def _k0_engine(g: Graph) -> _K0Engine:
-    return _engine(g.vertices, k_presentation_matrix(g))
+def _engine_of(g: Graph) -> _K0Engine:
+    # built on first use and kept in the graph's instance dict beside its
+    # cached properties, so it dies with the graph; an edit carries none
+    engine = g.__dict__.get("_k0")
+    if engine is None:
+        engine = g.__dict__["_k0"] = _engine(g.vertices, k_presentation_matrix(g))
+    return engine
 
 
 def _engine(vertices: tuple[str, ...], presentation: IntMatrix) -> _K0Engine:
     """The engine of a presentation with one row per vertex and one column
-    per regular vertex: its Smith form, kept as the factors a class reads."""
+    per regular vertex: its Smith form and the rows of c a class reads."""
     snf = smith_normal_form(presentation)
     diagonal = snf.diagonal + (0,) * (len(vertices) - len(snf.diagonal))
     torsion = tuple(d for d in diagonal if d > 1)
@@ -156,9 +156,7 @@ def _engine(vertices: tuple[str, ...], presentation: IntMatrix) -> _K0Engine:
         {split + s: x for s, x in enumerate(row) if x}
         for row in snf.core_lines(False, (t - split for t, d in enumerate(diagonal) if d != 1))
     )
-    return _K0Engine(
-        vertices, presentation.cols, snf.row_order, snf.u1_inv[:split], c_rows, diagonal, torsion
-    )
+    return _K0Engine(vertices, snf, c_rows, diagonal, torsion)
 
 
 def k_presentation_matrix(g: Graph) -> IntMatrix:
@@ -183,14 +181,14 @@ def k_presentation_matrix(g: Graph) -> IntMatrix:
 
 def k0_class_of(g: Graph, coefficients: Mapping[str, int]) -> K0Class:
     """Coordinates of the class of a vertex-coefficient vector in K0."""
-    return _k0_engine(g).class_of(coefficients)
+    return _engine_of(g).class_of(coefficients)
 
 
 def k0_class_divisible(g: Graph, coefficients: Mapping[str, int], k: int) -> bool:
     """Whether the class lies in k * K0."""
     if k <= 0:
         raise PreconditionError("bad-parameter", f"divisor must be positive, got {k}")
-    engine = _k0_engine(g)
+    engine = _engine_of(g)
     return _divisible(engine.class_of(coefficients), engine.torsion, k)
 
 
@@ -207,8 +205,8 @@ def _class_order(cls: K0Class, torsion: tuple[int, ...]) -> int | None:
 
 
 def k_invariants(g: Graph) -> KInvariants:
-    """K0, K1 and the unit profile, computed once per cached K0 engine."""
-    return _k0_engine(g).invariants
+    """K0, K1 and the unit profile, computed once per graph object."""
+    return _engine_of(g).invariants
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ def is_cuntz_krieger(g: Graph) -> tuple[bool, CkWitness]:
     """
     if g.is_empty():
         raise PreconditionError("empty-graph", "the empty graph has no unital graph algebra")
-    inv = _k0_engine(g).invariants
+    inv = _engine_of(g).invariants
     witness = CkWitness(sinks=g.sinks, k0_rank=inv.k0_rank, k1_rank=inv.k1_rank)
     combinatorial = not witness.sinks
     ranks_agree = inv.k0_rank == inv.k1_rank

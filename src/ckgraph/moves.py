@@ -271,21 +271,11 @@ def _parse_kept(raw: str) -> tuple[str, ...]:
     return kept
 
 
-def _parse_int(raw: str) -> int:
-    """ASCII digits with an optional leading ``-``: ``int`` alone would also
-    take ``1_0``, spaces and non-ASCII digits, which ``format_move`` never
-    writes."""
-    digits = raw[1:] if raw.startswith("-") else raw
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"bad integer {raw!r}")
-    return int(raw)
-
-
 def _parse_lengths(raw: str) -> tuple[tuple[str, int], ...]:
     lengths = []
     for item in raw.split(","):
         v, _, n = item.partition("=")
-        lengths.append((v, _parse_int(n)))
+        lengths.append((v, int(n)))
     return tuple(sorted(lengths))
 
 
@@ -293,7 +283,7 @@ def _parse_lengths(raw: str) -> tuple[tuple[str, int], ...]:
 # annotation, which this module's ``from __future__`` import keeps a string.
 _FIELD_SPELLINGS = {
     "str": (str, str),
-    "int": (str, _parse_int),
+    "int": (str, int),
     "tuple[str, ...]": (",".join, _parse_kept),
     "tuple[tuple[str, int], ...]": (_format_lengths, _parse_lengths),
 }
@@ -332,24 +322,27 @@ def format_move(move: Move) -> str:
 
 
 def parse_move(text: str) -> Move:
-    """Parse the spelling produced by :func:`format_move`.
+    """Parse the spelling produced by :func:`format_move`, and only that:
+    ``02`` or ``v,u``, which it writes as ``2`` or ``u,v``, is refused.
 
     Trailing arguments are split from the right, so ids containing ``:``
-    (elision sources) survive; a missing leading argument reads as ``""``.
+    (elision sources) survive.
     """
     name, _, rest = text.partition(":")
     if name not in _MOVES:
         raise GraphFormatError(f"unknown move {text!r}")
     record = _MOVES[name][0]
-    specs = fields(record)
-    raws = rest.rsplit(":", len(specs) - 1)
-    raws = [""] * (len(specs) - len(raws)) + raws
+    parsers = [_FIELD_SPELLINGS[f.type][1] for f in fields(record)]
+    raws = rest.rsplit(":", len(parsers) - 1)
     try:
-        return record(*(_FIELD_SPELLINGS[f.type][1](raw) for f, raw in zip(specs, raws)))
+        move = record(*(parse(raw) for parse, raw in zip(parsers, raws, strict=True)))
     except ValueError as exc:
         raise GraphFormatError(f"bad move argument in {text!r}") from exc
     except GraphFormatError as exc:
         raise GraphFormatError(f"{exc} in {text!r}") from None
+    if format_move(move) != text:
+        raise GraphFormatError(f"bad move argument in {text!r}")
+    return move
 
 
 # -- move logs --------------------------------------------------------------------

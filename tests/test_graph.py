@@ -54,8 +54,20 @@ def test_build_rejects_duplicates_and_dangling_edges():
         Graph.build(["a,b"], [])
 
 
+def test_build_refuses_ids_and_edges_that_sorting_would_choke_on():
+    for vertices, edges in (
+        (["a", 1], []),
+        (["v"], [("e", "v")]),
+        (["v"], [("e", "v", "v", "x")]),
+        (["v"], [("e", "v", "v"), (1, "v", "v")]),
+        (["v"], [("e", "v", "v"), ("e", 1, "v")]),
+    ):
+        with pytest.raises(GraphFormatError):
+            Graph.build(vertices, edges)
+
+
 # edits of G("v w", "e:v>w") that add a bad id; the last two carry two
-# faults each, so the first one in sorted order must be the one reported
+# faults each, and the edit must report the one that build reports
 _BAD_EDITS = [
     {"add_vertices": [""]},
     {"add_vertices": ["has space"]},

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from ckgraph import (
     IntMatrix,
     PreconditionError,
     expand_at,
+    format_graph,
     format_k_invariants,
     is_cuntz_krieger,
     k0_class_divisible,
@@ -25,7 +28,8 @@ from ckgraph import (
     smith_normal_form,
     vertex_matrix,
 )
-from ckgraph.ktheory import K0Class, _engine, _K0Engine, _k0_engine
+from ckgraph import ktheory
+from ckgraph.ktheory import K0Class, _engine, _engine_of, _K0Engine
 from ckgraph.randgen import SplitMix64, derive_seed
 from conftest import G, bouquet, graphs, large_random_graphs, no_sink_graphs, unit_heavy_matrices
 from oracles import naive_product
@@ -131,7 +135,6 @@ def test_invariants_and_verdict_compute_the_unit_class_once(monkeypatch):
         return class_of(engine, coefficients)
 
     monkeypatch.setattr(_K0Engine, "class_of", counted)
-    _k0_engine.cache_clear()  # the engine cache is shared across tests
     g = G("u v w", "a:u>v b:v>u c:u>u d:w>u")
     assert k_invariants(g).unit_profile.divisible_by[0]
     assert is_cuntz_krieger(g)[0]
@@ -236,19 +239,35 @@ def test_presentation_matches_the_pair_count_oracle_at_benchmark_size():
         assert k_presentation_matrix(g) == _presentation_oracle(g)
 
 
-def test_cached_engine_keeps_u_but_not_v_or_the_inverses(two_loops):
-    # the cache holds 512 engines; v, the dense transforms and the
-    # presentation itself would multiply its size.  u is kept as the factors
-    # it is defined by: L = u1^-1, which does not fill in, its pivot order,
-    # and the rows of c that a class reads
-    assert {f.name for f in fields(_k0_engine(two_loops))} == {
-        "vertices", "columns", "row_order", "u1_inv", "c_rows", "diagonal", "torsion",
-    }
-    for g in (two_loops, bouquet(3), G("v w", "a:v>w"), *large_random_graphs("engine-rows", 5)):
-        engine = _k0_engine(g)
-        assert len(engine.c_rows) == sum(1 for d in engine.diagonal if d != 1)
-        assert all(isinstance(row, dict) for row in engine.c_rows + engine.u1_inv)
-        assert sorted(engine.row_order) == list(range(len(g.vertices)))
+def test_engine_lives_on_its_graph_object(monkeypatch, two_loops):
+    calls = []
+    real = ktheory.smith_normal_form
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(ktheory, "smith_normal_form", counted)
+    g = G("u v w", "a:u>v b:v>u c:u>u d:w>u")
+    # one graph object: one Smith form, whatever asks
+    inv = k_invariants(g)
+    assert is_cuntz_krieger(g)[0] and k0_class_of(g, {"w": 1}).is_zero()  # K0 is 0
+    assert k_invariants(g) is inv and len(calls) == 1
+    # an equal graph that is another object builds its own engine
+    for copy in (g._edit(), parse_graph(format_graph(g))):
+        assert copy == g and k_invariants(copy) == inv
+        assert _engine_of(copy) is not _engine_of(g)
+    assert len(calls) == 3
+    # the engine is freed with its graph
+    engine = weakref.ref(_engine_of(G("v", "a:v>v b:v>v")))
+    gc.collect()
+    assert engine() is None
+    # the K0 path builds none of the dense d, u and v of the Smith result
+    for h in (two_loops, bouquet(3), G("v w", "a:v>w"), *large_random_graphs("engine-rows", 5)):
+        k_invariants(h)
+        is_cuntz_krieger(h)
+        k0_class_divisible(h, {v: 1 for v in h.vertices}, 2)
+        assert not {"u", "v", "d"} & set(vars(_engine_of(h).snf))
 
 
 def _dense_class(snf, x: list[int]) -> K0Class:

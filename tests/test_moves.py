@@ -422,6 +422,21 @@ def test_integer_fields_are_ascii_digits_with_an_optional_minus(two_loops):
         apply_move(two_loops, move)
 
 
+def test_a_move_parses_from_the_one_text_format_move_writes(two_loops):
+    # each parses to a record that format_move writes differently
+    for text in (
+        "add-head:v0:02",
+        "add-head:v0:-0",
+        "attach-heads:v=1,u=2",
+        "source-elision:v,u",
+        "source-elision:u,,v",
+    ):
+        with pytest.raises(GraphFormatError, match="bad move argument"):
+            parse_move(text)
+    with pytest.raises(PreconditionError, match="bad-parameter"):
+        apply_move(two_loops, parse_move("add-head:v0:-1"))
+
+
 def test_move_log_detects_divergence(two_loops):
     builder = MoveLogBuilder(two_loops)
     builder.apply(AddHead("v0", 1))
