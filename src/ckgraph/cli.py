@@ -3,7 +3,8 @@
 Reports go to standard output and are byte-deterministic for a given input
 and flag set; diagnostics go to standard error.  Exit status: 0 on success,
 1 when a precondition or internal certificate fails (the diagnostic names the
-violated precondition), 2 on parse errors.
+violated precondition) or the ``--log`` file cannot be written, 2 on parse
+errors.
 
 The JSON report (``--format json``) always carries exactly the five top-level
 fields ``certificates``, ``graph``, ``invariants``, ``moves``, ``verdicts``;
@@ -244,7 +245,10 @@ def _cmd_pipeline(args) -> int:
     g = _load_graph(args.graph)
     result = _PIPELINES[args.command](args, g)
     if args.log:
-        Path(args.log).write_text(format_move_log(result.log), encoding="utf-8")
+        try:
+            Path(args.log).write_text(format_move_log(result.log), encoding="utf-8")
+        except OSError as exc:
+            raise CkGraphError(f"cannot write {args.log}: {exc.strerror or exc}") from exc
     _emit(_pipeline_report(g, result), _pipeline_text(args.command, g, result), args.format)
     return EXIT_OK
 

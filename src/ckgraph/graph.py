@@ -63,6 +63,10 @@ def _edge_index(edges: Sequence[Edge], eid: object) -> Optional[int]:
     return None
 
 
+def _unknown_vertex(v: object) -> PreconditionError:
+    return PreconditionError("unknown-vertex", f"no vertex {v!r} in graph")
+
+
 def _vertex_line(v: str) -> str:
     return f"vertex {v}\n"
 
@@ -107,13 +111,17 @@ def _edge_table(g: "Graph", end: int) -> dict[str, tuple[Edge, ...]]:
 def _patched(table: dict, end: int, dropped: Iterable[str], added_vertices: Iterable[str],
              gone: Iterable[Edge], added_edges: Iterable[Edge]) -> dict:
     # the _edge_table of an edited graph from its base's, rewritten only at
-    # the vertices the edit touches
-    table = dict(table)
+    # the vertices the edit touches; each vertex's tuple is in id order, and
+    # ids are unique, so a gone edge is found by bisection and cut by a slice
+    table = table.copy()
     for v in dropped:
         del table[v]
     for e in gone:
-        if e[end] in table:
-            table[e[end]] = tuple([x for x in table[e[end]] if x != e])
+        es = table.get(e[end])
+        if es is not None:
+            i = bisect_left(es, e)
+            if i < len(es) and es[i] == e:
+                table[e[end]] = es[:i] + es[i + 1:]
     new: dict[str, list[Edge]] = {v: [] for v in added_vertices}
     for e in added_edges:  # in id order
         new.setdefault(e[end], []).append(e)
@@ -127,23 +135,27 @@ class Graph:
     """Immutable finite directed multigraph.
 
     ``vertices`` and ``edges`` are stored sorted, with unique well-formed ids
-    and every edge endpoint a vertex.  A graph enters the program in one of
-    two ways: :meth:`build` for input from outside, and :meth:`_edit` for
-    the program's own edits of a graph it already holds.  ``_edit`` checks
-    only the ids an edit adds, so it relies on every ``Graph`` coming from
-    one of the two; the raw constructor is only for trusted callers that
-    keep the invariants themselves.  :meth:`_fresh` names the ids an edit
-    is about to add, so that they miss every id the edit keeps.  Edge ids
-    are looked up by bisection in the sorted ``edges``.
+    and every edge endpoint a vertex; edges sort by id, since ids are
+    unique.  A graph enters the program in one of two ways: :meth:`build`
+    for input from outside, and :meth:`_edit` for the program's own edits
+    of a graph it already holds.  ``_edit`` checks only the ids an edit
+    adds, so it relies on every ``Graph`` coming from one of the two; the
+    raw constructor is only for trusted callers that keep the invariants
+    themselves.  :meth:`_fresh` names the ids an edit is about to add, so
+    that they miss every id the edit keeps.
 
     Derived data is computed lazily and cached: the formatted vertex and
     edge lines ``_lines`` that :func:`format_graph` joins, and the edge
-    tables ``_out`` and ``_in``.  Whatever of these the base of an
-    ``_edit`` holds, the edit carries over to its result, cutting and
-    inserting lines at the places of the dropped and added ids and
-    rewriting the tables only at the vertices it touches.  The invariant
-    is that carried data always equals what the result would compute
-    fresh, so fingerprints and lookups do not depend on a graph's history.
+    tables ``_out`` and ``_in``, which map each vertex to its out- or
+    in-edges in id order.  The keys of ``_out`` are the vertex set: vertex
+    lookups and the checks of an edit read them, and edge ids are looked up
+    by bisection in the sorted ``edges``.  An edit reads its base's
+    ``_out``, so every edited graph holds one.  Whatever of the three the
+    base of an ``_edit`` holds, the edit carries over to its result, cutting
+    and inserting lines at the places of the dropped and added ids and
+    rewriting the tables only at the vertices it touches.  The invariant is
+    that carried data always equals what the result would compute fresh, so
+    fingerprints and lookups do not depend on a graph's history.
     """
 
     vertices: tuple[str, ...]
@@ -163,25 +175,35 @@ class Graph:
     ) -> "Graph":
         """This graph less the dropped ids, plus the added ones.
 
-        Dropping a vertex drops the edges at it.  Only the added ids are
-        checked, vertices first: the id pattern and an edge's arity before
-        sorting, so that it compares only string ids (edges by id), then in
-        sorted order uniqueness among the kept and added ids, and for an
-        edge that both endpoints are vertices of the result.  Each added id
+        Dropping a vertex drops the edges at it; dropped ids that are not
+        in this graph are ignored.  Only the added ids are checked, vertices
+        first: the id pattern and an edge's arity before sorting, so that it
+        compares only string ids (edges by id), then in sorted order each
+        vertex id against the keys of this graph's ``_out`` less the drops
+        and against the vertex ids added before it, each edge id against
+        the kept edges (by bisection) and the one added before it, and each
+        edge endpoint against the kept and the added vertex ids.  The first
+        fault raises the ``GraphFormatError`` that :meth:`build` raises for
+        the whole result.  Python-level work is done only on the dropped
+        and added ids: the base's ids are copied whole, and each added id
         is inserted at its place by bisection, so an edit that adds a few
-        ids costs about one copy of the base graph.  Derived data the base
-        holds is carried over: its formatted lines are cut and inserted at
-        the same places, and its edge tables are rewritten only at the
-        vertices touched.
+        ids costs about one C-level copy of the base graph.  Derived data
+        the base holds is carried over: its formatted lines are cut and
+        inserted at the same places, and its edge tables are rewritten only
+        at the vertices touched.
         """
         derived = self.__dict__
+        out, base_edges = self._out, self.edges
         drop_v = set(drop_vertices)
-        dropped = [v for v in self.vertices if v in drop_v] if drop_v else []
-        found = (_edge_index(self.edges, eid) for eid in drop_edges)
-        gone = {self.edges[i] for i in found if i is not None}
+        dropped = sorted(filter(out.__contains__, drop_v))
+        gone = set()
+        for eid in drop_edges:
+            i = _edge_index(base_edges, eid)
+            if i is not None:
+                gone.add(base_edges[i])
         for v in dropped:
-            gone.update(self._out[v], self._in[v])
-        vertices, edges = list(self.vertices), list(self.edges)
+            gone.update(out[v], self._in[v])
+        vertices, edges = list(self.vertices), list(base_edges)
         vertex_lines = edge_lines = None
         lines = derived.get("_lines")
         if lines is not None:
@@ -189,21 +211,21 @@ class Graph:
         if dropped:
             _cut(vertices, vertex_lines, [bisect_left(self.vertices, v) for v in dropped])
         if gone:
-            _cut(edges, edge_lines, [bisect_left(self.edges, e) for e in gone])
+            _cut(edges, edge_lines, [bisect_left(base_edges, e) for e in gone])
         new_vertices = sorted([_check_id("vertex", v) for v in add_vertices])
         new_edges = sorted([_new_edge(e) for e in add_edges], key=itemgetter(0))
-        seen_v = set(vertices)
+        added: set[str] = set()
         for v in new_vertices:
-            if v in seen_v:
+            if v in added or (v in out and v not in drop_v):
                 raise GraphFormatError(f"duplicate vertex id {v!r}")
-            seen_v.add(v)
+            added.add(v)
         previous = None
         for e in new_edges:
             if e.eid == previous or _edge_index(edges, e.eid) is not None:
                 raise GraphFormatError(f"duplicate edge id {e.eid!r}")
             previous = e.eid
             for endpoint in (e.src, e.dst):
-                if endpoint not in seen_v:
+                if endpoint not in added and (endpoint not in out or endpoint in drop_v):
                     raise GraphFormatError(
                         f"edge {e.eid!r} endpoint {endpoint!r} is not a vertex"
                     )
@@ -211,13 +233,12 @@ class Graph:
             _merge(vertices, vertex_lines, new_vertices, _vertex_line),
             _merge(edges, edge_lines, new_edges, _edge_line),
         )
+        carried = result.__dict__
         if lines is not None:
-            result.__dict__["_lines"] = (tuple(vertex_lines), tuple(edge_lines))
-        for name, end in (("_out", 1), ("_in", 2)):
-            if name in derived:
-                result.__dict__[name] = _patched(
-                    derived[name], end, dropped, new_vertices, gone, new_edges
-                )
+            carried["_lines"] = (tuple(vertex_lines), tuple(edge_lines))
+        carried["_out"] = _patched(out, 1, dropped, new_vertices, gone, new_edges)
+        if "_in" in derived:
+            carried["_in"] = _patched(derived["_in"], 2, dropped, new_vertices, gone, new_edges)
         return result
 
     def _fresh(self, kind: str, bases: Iterable[str], free: Iterable[str] = ()) -> list[str]:
@@ -228,13 +249,15 @@ class Graph:
         name given earlier in the same call.  The ids in ``free``, which
         the same edit drops, count as free.
         """
-        taken = self.has_vertex if kind == "vertex" else self.has_edge
+        out, edges = self._out, self.edges
         free = set(free)
         given: set[str] = set()
         names = []
         for base in bases:
             name, k = base, 2
-            while name in given or (taken(name) and name not in free):
+            while name in given or name not in free and (
+                name in out if kind == "vertex" else _edge_index(edges, name) is not None
+            ):
                 name = f"{base}_{k}"
                 k += 1
             given.add(name)
@@ -271,7 +294,7 @@ class Graph:
 
     def require_vertex(self, v: str) -> None:
         if v not in self._out:
-            raise PreconditionError("unknown-vertex", f"no vertex {v!r} in graph")
+            raise _unknown_vertex(v)
 
     def edge(self, eid: str) -> Edge:
         i = _edge_index(self.edges, eid)
@@ -280,12 +303,16 @@ class Graph:
         return self.edges[i]
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
-        self.require_vertex(v)
-        return self._out[v]
+        es = self._out.get(v)
+        if es is None:
+            raise _unknown_vertex(v)
+        return es
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
-        self.require_vertex(v)
-        return self._in[v]
+        es = self._in.get(v)
+        if es is None:
+            raise _unknown_vertex(v)
+        return es
 
     def out_degree(self, v: str) -> int:
         return len(self.out_edges(v))
@@ -294,7 +321,7 @@ class Graph:
         return len(self.in_edges(v))
 
     def loops_at(self, v: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.out_edges(v) if e.dst == v)
+        return tuple([e for e in self.out_edges(v) if e.dst == v])
 
     def pair_count(self, src: str, dst: str) -> int:
         return self._pair_counts.get((src, dst), 0)

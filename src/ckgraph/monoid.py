@@ -93,7 +93,12 @@ def ones(g: Graph) -> VertexMultiset:
 
 
 def parse_multiset(text: str) -> VertexMultiset:
-    """Parse the literal form ``v0=2,v1=1``; the empty string is the zero multiset."""
+    """Parse the literal form ``v0=2,v1=1``; the empty string is the zero multiset.
+
+    A multiplicity is ASCII decimal digits, with spaces around it allowed;
+    a sign, an underscore or a non-ASCII digit, which ``int`` would take, is
+    refused.
+    """
     counts: dict[str, int] = {}
     if not text.strip():
         return VertexMultiset.from_dict({})
@@ -101,14 +106,12 @@ def parse_multiset(text: str) -> VertexMultiset:
         if "=" not in item:
             raise GraphFormatError(f"bad multiset item {item!r}, expected <vertex>=<count>")
         v, _, raw = item.partition("=")
-        v = v.strip()
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise GraphFormatError(f"bad multiplicity in {item!r}") from exc
-        if not v or n < 0:
+        v, digits = v.strip(), raw.strip()
+        if not (digits.isascii() and digits.isdigit()):
+            raise GraphFormatError(f"bad multiplicity in {item!r}")
+        if not v:
             raise GraphFormatError(f"bad multiset item {item!r}")
-        counts[v] = counts.get(v, 0) + n
+        counts[v] = counts.get(v, 0) + int(digits)
     return VertexMultiset.from_dict(counts)
 
 

@@ -7,8 +7,9 @@ input, naming the ids it drops and the fresh ids it adds: the edit keeps the
 input's edges as they are and checks only the added ids, since the input
 already meets every invariant that ``Graph.build`` enforces.  The table
 ``_MOVES`` is the one list of move spellings: it ties each spelling name to
-its record type and its function, and :func:`apply_move`,
-:func:`format_move` and :func:`parse_move` all read it.
+its record type, its function and its record's field names and spellings,
+read once at import, and :func:`apply_move`, :func:`format_move` and
+:func:`parse_move` all read it.
 Fresh ids are generated deterministically from the move's parameters and
 suffixed with ``_2``, ``_3``, ... on collision, by ``Graph._fresh``.  A
 collision is with an id of the graph left after the move's drops, or with an
@@ -25,7 +26,7 @@ id named earlier in the same move; so a move may reuse an id it drops:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .errors import CertificateError, GraphFormatError, PreconditionError
 from .graph import Graph, _require_hereditary, _topological_order, graph_fingerprint
@@ -288,37 +289,52 @@ _FIELD_SPELLINGS = {
     "tuple[tuple[str, int], ...]": (_format_lengths, _parse_lengths),
 }
 
-# The one list of move spellings: name -> (record type, move function).  A
-# move is spelled as its name followed by its record's fields, each after a
-# ``:``; applying it calls the function with the graph and those fields.
+
+class _MoveKind(NamedTuple):
+    name: str
+    record: type
+    function: Callable[..., Graph]
+    # (field name, format, parse) for each field of the record, in order
+    fields: tuple[tuple[str, Callable, Callable], ...]
+
+
+# The one list of move spellings: name -> its record type, its move function
+# and its record's fields with their spellings, read once here.  A move is
+# spelled as its name followed by its record's fields, each after a ``:``;
+# applying it calls the function with the graph and those fields.
 _MOVES = {
-    "add-head": (AddHead, add_head),
-    "subdivide-edge": (SubdivideEdge, subdivide_edge),
-    "star-sources": (StarSources, star_sources),
-    "source-elision": (SourceElision, source_elision),
-    "remove-source": (RemoveSource, remove_source),
-    "collapse": (CollapseVertex, collapse_vertex),
-    "attach-heads": (AttachHeads, attach_heads),
+    name: _MoveKind(
+        name, record, function,
+        tuple((f.name, *_FIELD_SPELLINGS[f.type]) for f in fields(record)),
+    )
+    for name, record, function in (
+        ("add-head", AddHead, add_head),
+        ("subdivide-edge", SubdivideEdge, subdivide_edge),
+        ("star-sources", StarSources, star_sources),
+        ("source-elision", SourceElision, source_elision),
+        ("remove-source", RemoveSource, remove_source),
+        ("collapse", CollapseVertex, collapse_vertex),
+        ("attach-heads", AttachHeads, attach_heads),
+    )
 }
-_NAME_OF = {record: name for name, (record, _) in _MOVES.items()}
+_KIND_OF = {kind.record: kind for kind in _MOVES.values()}
 
 
-def _move_name(move: Move) -> str:
-    name = _NAME_OF.get(type(move))
-    if name is None:
+def _kind_of(move: Move) -> _MoveKind:
+    kind = _KIND_OF.get(type(move))
+    if kind is None:
         raise PreconditionError("bad-parameter", f"unknown move {move!r}")
-    return name
+    return kind
 
 
 def apply_move(g: Graph, move: Move) -> Graph:
-    move_function = _MOVES[_move_name(move)][1]
-    return move_function(g, *(getattr(move, f.name) for f in fields(move)))
+    kind = _kind_of(move)
+    return kind.function(g, *[getattr(move, name) for name, _, _ in kind.fields])
 
 
 def format_move(move: Move) -> str:
-    parts = [_move_name(move)]
-    parts += [_FIELD_SPELLINGS[f.type][0](getattr(move, f.name)) for f in fields(move)]
-    return ":".join(parts)
+    kind = _kind_of(move)
+    return ":".join([kind.name, *[spell(getattr(move, name)) for name, spell, _ in kind.fields]])
 
 
 def parse_move(text: str) -> Move:
@@ -329,13 +345,14 @@ def parse_move(text: str) -> Move:
     (elision sources) survive.
     """
     name, _, rest = text.partition(":")
-    if name not in _MOVES:
+    kind = _MOVES.get(name)
+    if kind is None:
         raise GraphFormatError(f"unknown move {text!r}")
-    record = _MOVES[name][0]
-    parsers = [_FIELD_SPELLINGS[f.type][1] for f in fields(record)]
-    raws = rest.rsplit(":", len(parsers) - 1)
+    raws = rest.rsplit(":", len(kind.fields) - 1)
     try:
-        move = record(*(parse(raw) for parse, raw in zip(parsers, raws, strict=True)))
+        move = kind.record(
+            *[parse(raw) for (_, _, parse), raw in zip(kind.fields, raws, strict=True)]
+        )
     except ValueError as exc:
         raise GraphFormatError(f"bad move argument in {text!r}") from exc
     except GraphFormatError as exc:

@@ -4,7 +4,9 @@ Nothing here imports the code paths under test: products are triple loops,
 determinants are Laplace expansions or fraction-free eliminations,
 elementary divisors come from gcds of minors, isomorphism is a plain
 permutation search, homomorphisms and saturated sets are checked edge by
-edge, and the text format is written out from the sorted ids.
+edge, and the text format is written out from the sorted ids.  The module
+also builds the large inputs that the tests and the CI jobs share; it needs
+no test framework.
 """
 
 from __future__ import annotations
@@ -223,3 +225,17 @@ def markowitz_unit_pivots(m: IntMatrix) -> list[tuple[int, int]]:
         rows.discard(p)
         cols.discard(c)
         pivots.append((p, c))
+
+
+def diamond_chain(k: int) -> Graph:
+    """k diamonds in a row, a_i -> b_i, c_i -> a_(i+1); a_k feeds a loop at z."""
+    edges = [("l", "z", "z"), ("t", f"a{k}", "z")]
+    for i in range(k):
+        edges += [
+            (f"ab{i}", f"a{i}", f"b{i}"),
+            (f"ac{i}", f"a{i}", f"c{i}"),
+            (f"bd{i}", f"b{i}", f"a{i + 1}"),
+            (f"cd{i}", f"c{i}", f"a{i + 1}"),
+        ]
+    vertices = ["z"] + [f"{x}{i}" for x in "abc" for i in range(k + 1) if x == "a" or i < k]
+    return Graph.build(vertices, edges)

@@ -174,3 +174,14 @@ def test_log_flag_writes_a_replayable_file(tmp_path, capsys, monkeypatch):
     source = parse_graph(Path("tests/data/line_into_loops.graph").read_text())
     replayed = replay_move_log(source, log)
     assert graph_fingerprint(replayed) == log.steps[-1][1]
+
+
+def test_an_unwritable_log_path_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(HERE.parent)
+    log_path = tmp_path / "no" / "such" / "dir" / "normalize.log"
+    code, out, err = _run(
+        ["normalize", "--log", str(log_path), "tests/data/line_into_loops.graph"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {log_path}: No such file or directory\n"
+    assert not log_path.parent.exists()

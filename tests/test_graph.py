@@ -150,6 +150,42 @@ def test_edit_keeps_the_base_edges_and_drops_a_vertex_with_its_edges():
     assert g._edit(drop_edges=["a", "b"]) == G("u v w", "c:w>w d:u>u")
 
 
+def test_an_edit_may_drop_a_vertex_and_add_the_same_id_again():
+    # as source_elision does when a fresh source takes a dropped vertex's id
+    g = G("u v w", "a:u>v b:v>w c:w>w")
+    for name in ("_lines", "_out", "_in"):
+        getattr(g, name)  # computed now, so the edit carries it
+    out = g._edit(
+        drop_vertices=["v"], add_vertices=["v"], add_edges=[("d", "v", "w"), ("b", "u", "v")]
+    )
+    assert out == Graph.build(["u", "v", "w"], [("b", "u", "v"), ("c", "w", "w"), ("d", "v", "w")])
+    fresh = Graph(out.vertices, out.edges)
+    for name in ("_lines", "_out", "_in"):
+        assert out.__dict__[name] == getattr(fresh, name), name
+    assert out.out_edges("v") == (("d", "v", "w"),) and out.in_edges("v") == (("b", "u", "v"),)
+
+
+_VERTEX_LOOKUPS = ("out_edges", "in_edges", "out_degree", "in_degree", "loops_at", "require_vertex")
+
+
+def test_vertex_lookups_refuse_an_unknown_vertex_on_fresh_and_edited_graphs():
+    # dropping a vertex reads both edge tables, so the edit carries both
+    edited = G("v w", "e:v>w l:w>w")._edit(
+        drop_vertices=["v"], add_vertices=["u"], add_edges=[("f", "u", "w")]
+    )
+    assert {"_out", "_in"} <= edited.__dict__.keys()
+    for g, unknown in ((G("v w", "e:v>w l:w>w"), ["x", "", 3]), (edited, ["v", "x", 3])):
+        for name in _VERTEX_LOOKUPS:
+            for v in unknown:
+                with pytest.raises(PreconditionError) as excinfo:
+                    getattr(g, name)(v)
+                assert excinfo.value.reason == "unknown-vertex"
+                assert str(excinfo.value) == f"unknown-vertex: no vertex {v!r} in graph"
+    assert [edited.out_degree("u"), edited.in_degree("u"), edited.in_degree("w")] == [1, 0, 2]
+    assert edited.loops_at("w") == (("l", "w", "w"),) and edited.loops_at("u") == ()
+    assert edited.require_vertex("u") is None
+
+
 def test_id_check_agrees_with_isspace_and_separators_on_every_code_point():
     def forbidden(c: str) -> bool:
         return c.isspace() or c in "#,="

@@ -32,7 +32,7 @@ from ckgraph import ktheory
 from ckgraph.ktheory import K0Class, _engine, _engine_of, _K0Engine
 from ckgraph.randgen import SplitMix64, derive_seed
 from conftest import G, bouquet, graphs, large_random_graphs, no_sink_graphs, unit_heavy_matrices
-from oracles import naive_product
+from oracles import diamond_chain, naive_product
 
 DATA = Path(__file__).parent / "data"
 
@@ -303,20 +303,6 @@ def test_class_of_matches_the_dense_u_on_unit_heavy_matrices(m, data):
     assert engine.class_of(dict(zip(vertices, x))) == _dense_class(smith_normal_form(m), x)
 
 
-def _diamond_chain(k: int) -> Graph:
-    """k diamonds in a row, a_i -> b_i, c_i -> a_(i+1); a_k feeds a loop at z."""
-    edges = [("l", "z", "z"), ("t", f"a{k}", "z")]
-    for i in range(k):
-        edges += [
-            (f"ab{i}", f"a{i}", f"b{i}"),
-            (f"ac{i}", f"a{i}", f"c{i}"),
-            (f"bd{i}", f"b{i}", f"a{i + 1}"),
-            (f"cd{i}", f"c{i}", f"a{i + 1}"),
-        ]
-    vertices = ["z"] + [f"{x}{i}" for x in "abc" for i in range(k + 1) if x == "a" or i < k]
-    return Graph.build(vertices, edges)
-
-
 def test_large_presentations_keep_their_pinned_divisors():
     # sizes where the former elimination was cubic: a 400-vertex head on the
     # two-loop vertex, and the source elision of six diamonds
@@ -324,7 +310,7 @@ def test_large_presentations_keep_their_pinned_divisors():
     head = k_presentation_matrix(realize_corner(loops, parse_multiset("v0=400")).graph)
     assert (head.rows, head.cols) == (400, 400)
     assert smith_normal_form(head).diagonal == (1,) * 400
-    diamonds = k_presentation_matrix(normalize_to_ck(_diamond_chain(6)).graph)
+    diamonds = k_presentation_matrix(normalize_to_ck(diamond_chain(6)).graph)
     assert (diamonds.rows, diamonds.cols) == (254, 254)
     assert smith_normal_form(diamonds).diagonal == (1,) * 253 + (0,)
 

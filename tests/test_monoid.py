@@ -43,6 +43,16 @@ def test_multiset_literal_round_trip():
         parse_multiset("v0=x")
 
 
+def test_multiset_multiplicities_are_ascii_digits():
+    # int() takes each of these; a multiset literal does not
+    for raw in ("+1", "-1", "1_0", "\u0661", "\uff11", "1.0", "", " "):
+        with pytest.raises(GraphFormatError, match="bad multiplicity in"):
+            parse_multiset(f"v0={raw}")
+    assert ms(" v0 = 2 , v1=\t10 ") == ms("v0=2,v1=10")
+    with pytest.raises(GraphFormatError, match="bad multiset item"):
+        parse_multiset("=1")
+
+
 def test_multiset_refuses_a_bool_multiplicity():
     # True == 1, but format_multiset would write it as "v0=True", which
     # parse_multiset refuses

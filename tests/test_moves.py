@@ -354,7 +354,7 @@ def test_move_spelling_round_trip():
 
 
 def test_move_table_covers_every_record():
-    assert {record for record, _ in _MOVES.values()} == set(Move.__args__)
+    assert {kind.record for kind in _MOVES.values()} == set(Move.__args__)
 
 
 def test_unknown_move_records_are_rejected(two_loops):
@@ -501,32 +501,44 @@ def test_every_move_result_meets_the_invariants_of_build(g, data):
 _DERIVED = ("_lines", "_out", "_in")
 
 
+def _carries_what_a_fresh_graph_computes(g: Graph) -> None:
+    assert all(name in g.__dict__ for name in _DERIVED)
+    fresh = Graph(g.vertices, g.edges)
+    for name in _DERIVED:
+        assert g.__dict__[name] == getattr(fresh, name), name
+    assert format_graph(g) == format_lines(g)
+
+
 @settings(max_examples=80)
 @given(graphs(max_vertices=6), st.data())
 def test_edits_carry_the_derived_data_a_fresh_graph_computes(g, data):
-    # moves over the whole move table, plus the edits that drop vertices
+    # moves over the whole move table, plus the edits that drop vertices,
+    # and a vertex of high in-degree that loses its edges one at a time
     for _ in range(6):
         if g.is_empty():
             break
         for name in _DERIVED:
             getattr(g, name)  # computed now, so the next edit carries it
-        kind = data.draw(st.sampled_from(["move", "restrict", "remove-source"]))
+        kind = data.draw(st.sampled_from(["move", "restrict", "remove-source", "star"]))
         try:
             if kind == "restrict":
                 v = data.draw(st.sampled_from(g.vertices))
                 g = restrict_to_hereditary(g, reachable_from(g, [v]))
             elif kind == "remove-source" and g.source_vertices:
                 g = remove_source(g, data.draw(st.sampled_from(g.source_vertices)))
+            elif kind == "star":
+                before = g
+                g = star_sources(g, data.draw(st.sampled_from(g.vertices)), 20)
+                for v in sorted(set(g.vertices) - set(before.vertices)):
+                    _carries_what_a_fresh_graph_computes(g)
+                    g = remove_source(g, v)
+                assert g == before
             else:
                 seed = data.draw(st.integers(0, 2**64 - 1))
                 g = apply_move(g, _pick_move(SplitMix64(seed), g))
         except PreconditionError:
             continue
-        assert all(name in g.__dict__ for name in _DERIVED)
-        fresh = Graph(g.vertices, g.edges)
-        for name in _DERIVED:
-            assert g.__dict__[name] == getattr(fresh, name), name
-        assert format_graph(g) == format_lines(g)
+        _carries_what_a_fresh_graph_computes(g)
 
 
 # -- invariance fuzz (the full-size sweep lives in the acceptance suite) -------------------
