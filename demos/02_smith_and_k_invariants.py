@@ -15,7 +15,6 @@ from ckgraph import (
     k_invariants,
     k_presentation_matrix,
     smith_normal_form,
-    vertex_matrix,
     verify_snf,
 )
 
@@ -33,7 +32,6 @@ print("v =", result.v.to_rows())
 for n in (1, 2, 3, 5):
     bouquet = Graph.build(["v0"], [(f"l{i}", "v0", "v0") for i in range(n)])
     print(f"--- bouquet with {n} loop(s)")
-    print("vertex matrix:", vertex_matrix(bouquet).to_rows())
     print("presentation:", k_presentation_matrix(bouquet).to_rows())
     print(format_k_invariants(k_invariants(bouquet)), end="")
 

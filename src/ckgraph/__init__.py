@@ -11,15 +11,12 @@ from .errors import CertificateError, CkGraphError, GraphFormatError, Preconditi
 from .graph import (
     Edge,
     Graph,
-    GraphMorphism,
     Path,
     VertexClass,
     classify_vertex,
     format_graph,
     graph_fingerprint,
-    graph_isomorphic,
     hereditary_saturated_closure,
-    is_hereditary,
     is_regular,
     make_path,
     parse_graph,
@@ -46,7 +43,6 @@ from .ktheory import (
     k_invariants,
     k_invariants_dict,
     k_presentation_matrix,
-    vertex_matrix,
 )
 from .monoid import (
     MvnResult,

@@ -76,7 +76,7 @@ def _load_graph(path: str) -> Graph:
     try:
         content = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise GraphFormatError(f"cannot read {path}: {exc}") from exc
+        raise GraphFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return parse_graph(content)
 
 

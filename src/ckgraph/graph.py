@@ -7,8 +7,7 @@ serialization, fingerprints, and all derived reports are deterministic.
 
 The module also carries the vertex-set machinery used throughout: vertex
 classification, hereditary and saturated sets and their joint closure,
-vertex-simple cycles without exits, and a backtracking isomorphism tester
-for desk-scale graphs.
+and vertex-simple cycles without exits.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import GraphFormatError, PreconditionError
 
@@ -279,21 +278,17 @@ class Graph:
     def _in(self) -> dict[str, tuple[Edge, ...]]:
         return _edge_table(self, 2)
 
-    @cached_property
-    def _pair_counts(self) -> dict[tuple[str, str], int]:
-        counts: dict[tuple[str, str], int] = {}
-        for e in self.edges:
-            counts[(e.src, e.dst)] = counts.get((e.src, e.dst), 0) + 1
-        return counts
-
     def has_vertex(self, v: str) -> bool:
-        return v in self._out
+        try:
+            return v in self._out
+        except TypeError:  # unhashable, so no vertex id, as in the edge lookups
+            return False
 
     def has_edge(self, eid: str) -> bool:
         return _edge_index(self.edges, eid) is not None
 
     def require_vertex(self, v: str) -> None:
-        if v not in self._out:
+        if not self.has_vertex(v):
             raise _unknown_vertex(v)
 
     def edge(self, eid: str) -> Edge:
@@ -303,16 +298,16 @@ class Graph:
         return self.edges[i]
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
-        es = self._out.get(v)
-        if es is None:
-            raise _unknown_vertex(v)
-        return es
+        try:
+            return self._out[v]
+        except (KeyError, TypeError):
+            raise _unknown_vertex(v) from None
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
-        es = self._in.get(v)
-        if es is None:
-            raise _unknown_vertex(v)
-        return es
+        try:
+            return self._in[v]
+        except (KeyError, TypeError):
+            raise _unknown_vertex(v) from None
 
     def out_degree(self, v: str) -> int:
         return len(self.out_edges(v))
@@ -322,9 +317,6 @@ class Graph:
 
     def loops_at(self, v: str) -> tuple[Edge, ...]:
         return tuple([e for e in self.out_edges(v) if e.dst == v])
-
-    def pair_count(self, src: str, dst: str) -> int:
-        return self._pair_counts.get((src, dst), 0)
 
     @property
     def sinks(self) -> tuple[str, ...]:
@@ -446,13 +438,6 @@ def _topological_order(g: Graph, among: Iterable[str]) -> list[str]:
                 if indeg[e.dst] == 0:
                     insort(ready, e.dst)
     return order
-
-
-def is_hereditary(g: Graph, s: Iterable[str]) -> bool:
-    sset = set(s)
-    for v in sset:
-        g.require_vertex(v)
-    return all(e.dst in sset for v in sset for e in g.out_edges(v))
 
 
 def _require_hereditary(g: Graph, hset: set[str] | frozenset[str]) -> None:
@@ -583,100 +568,3 @@ def shortest_path(g: Graph, src: str, dst: str) -> Optional[Path]:
         seen.update(next_layer)
         layer = next_layer
     return None
-
-
-# -- morphisms ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphMorphism:
-    """A pair of maps (on vertices and on edges) between two graphs."""
-
-    domain: Graph
-    codomain: Graph
-    vertex_map: tuple[tuple[str, str], ...]
-    edge_map: tuple[tuple[str, str], ...]
-
-    @staticmethod
-    def build(
-        domain: Graph,
-        codomain: Graph,
-        vertex_map: Mapping[str, str],
-        edge_map: Mapping[str, str],
-    ) -> "GraphMorphism":
-        return GraphMorphism(
-            domain,
-            codomain,
-            tuple(sorted(vertex_map.items())),
-            tuple(sorted(edge_map.items())),
-        )
-
-    @cached_property
-    def vmap(self) -> dict[str, str]:
-        return dict(self.vertex_map)
-
-    @cached_property
-    def emap(self) -> dict[str, str]:
-        return dict(self.edge_map)
-
-
-# -- isomorphism --------------------------------------------------------------
-
-
-def _vertex_signature(g: Graph, v: str) -> tuple[int, int, int]:
-    return (g.out_degree(v), g.in_degree(v), len(g.loops_at(v)))
-
-
-def graph_isomorphic(g1: Graph, g2: Graph) -> Optional[GraphMorphism]:
-    """Find a bijective homomorphism pair, or ``None``.
-
-    Backtracking over vertex assignments with degree-signature pruning and
-    incremental parallel-edge-count consistency; intended for desk-scale
-    graphs.  The witness is deterministic.
-    """
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return None
-    sig1 = {v: _vertex_signature(g1, v) for v in g1.vertices}
-    groups: dict[tuple[int, int, int], list[str]] = {}
-    for w in g2.vertices:
-        groups.setdefault(_vertex_signature(g2, w), []).append(w)
-    tally: dict[tuple[int, int, int], int] = {}
-    for s in sig1.values():
-        tally[s] = tally.get(s, 0) + 1
-    if {s: len(ws) for s, ws in groups.items()} != tally:
-        return None
-
-    order = sorted(g1.vertices, key=lambda v: (len(groups[sig1[v]]), sig1[v], v))
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-
-    def backtrack(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        v = order[idx]
-        for w in groups[sig1[v]]:
-            if w in used:
-                continue
-            if all(
-                g1.pair_count(v, u) == g2.pair_count(w, x)
-                and g1.pair_count(u, v) == g2.pair_count(x, w)
-                for u, x in assignment.items()
-            ):
-                assignment[v] = w
-                used.add(w)
-                if backtrack(idx + 1):
-                    return True
-                del assignment[v]
-                used.discard(w)
-        return False
-
-    if not backtrack(0):
-        return None
-
-    edge_map: dict[str, str] = {}
-    buckets: dict[tuple[str, str], list[str]] = {}
-    for e in g2.edges:
-        buckets.setdefault((e.src, e.dst), []).append(e.eid)
-    for e in g1.edges:
-        edge_map[e.eid] = buckets[(assignment[e.src], assignment[e.dst])].pop(0)
-    return GraphMorphism.build(g1, g2, assignment, edge_map)

@@ -65,20 +65,9 @@ class IntMatrix:
             data.append({j: x for j, x in enumerate(row) if x})
         return IntMatrix(nrows, ncols, tuple(data))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple({i: 1} for i in range(n)))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple({} for _ in range(rows)))
-
     @cached_property
     def entries(self) -> tuple[int, ...]:
         return tuple(chain.from_iterable(self.to_rows()))
-
-    def at(self, i: int, j: int) -> int:
-        return self.data[i].get(j, 0)
 
     def to_rows(self) -> list[list[int]]:
         out = []

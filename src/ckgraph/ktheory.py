@@ -67,13 +67,6 @@ class K0Class:
         return not any(self.torsion) and not any(self.free)
 
 
-def vertex_matrix(g: Graph) -> IntMatrix:
-    """Entry (v, w) counts the edges from v to w, in canonical vertex order."""
-    return IntMatrix.from_rows(
-        [[g.pair_count(v, w) for w in g.vertices] for v in g.vertices]
-    )
-
-
 @dataclass(frozen=True)
 class _K0Engine:
     vertices: tuple[str, ...]  # sorted, as in every Graph

@@ -198,8 +198,10 @@ def path_expansion(g: Graph, path: Path) -> VertexMultiset:
 
 @dataclass(frozen=True)
 class MvnResult:
-    """``yes`` carries a replayable trace; ``no`` means the two closures under
-    the mass cap are disjoint; ``unknown`` means the step budget ran out."""
+    """``yes`` carries a replayable trace; ``no`` means one side's whole class
+    was searched, with no state dropped by the mass cap, and it misses the
+    other side; ``unknown`` means the step budget ran out or the cap cut the
+    search."""
 
     verdict: str  # "yes" | "no" | "unknown"
     trace: Optional[RewriteTrace] = None
@@ -243,9 +245,10 @@ def mvn_equivalent(g: Graph, a: VertexMultiset, b: VertexMultiset, budget: int) 
     """Bidirectional breadth-first search over expand/contract rewrites.
 
     ``budget`` bounds the number of rewrite transitions explored.  Total mass
-    is capped at ``max(mass(a), mass(b)) + budget``; a ``no`` verdict means
-    the closures below that cap are disjoint (the general word problem has no
-    termination guarantee, so no claim is made beyond the cap).
+    is capped at ``max(mass(a), mass(b)) + budget``.  A side whose frontier
+    empties with no state dropped by the cap has explored its whole class,
+    so ``no`` is proved; if the cap dropped one, the answer is ``unknown``
+    (the general word problem has no termination guarantee).
     """
     if budget < 0:
         raise PreconditionError("bad-parameter", "budget must be non-negative")
@@ -259,6 +262,7 @@ def mvn_equivalent(g: Graph, a: VertexMultiset, b: VertexMultiset, budget: int) 
     parents_b: dict[VertexMultiset, tuple[VertexMultiset, RewriteStep] | None] = {b: None}
     frontier_a: list[VertexMultiset] = [a]
     frontier_b: list[VertexMultiset] = [b]
+    cut_a = cut_b = False  # whether the cap dropped a state of each side
     spent = 0
 
     while frontier_a and frontier_b:
@@ -267,22 +271,27 @@ def mvn_equivalent(g: Graph, a: VertexMultiset, b: VertexMultiset, budget: int) 
         else:
             frontier, parents, other = frontier_b, parents_b, parents_a
         next_frontier: list[VertexMultiset] = []
+        cut = False
         for state in frontier:
             for step, nxt in _neighbors(g, state):
                 spent += 1
                 if spent > budget:
                     return MvnResult("unknown")
-                if nxt.total() > cap or nxt in parents:
+                if nxt.total() > cap:
+                    cut = True
+                    continue
+                if nxt in parents:
                     continue
                 parents[nxt] = (state, step)
                 if nxt in other:
                     return MvnResult("yes", _join_traces(parents_a, parents_b, nxt))
                 next_frontier.append(nxt)
         if parents is parents_a:
-            frontier_a = next_frontier
+            frontier_a, cut_a = next_frontier, cut_a or cut
         else:
-            frontier_b = next_frontier
-    return MvnResult("no")
+            frontier_b, cut_b = next_frontier, cut_b or cut
+    # the frontier that emptied is the one just searched
+    return MvnResult("unknown" if (cut_a if not frontier_a else cut_b) else "no")
 
 
 def is_full(g: Graph, m: VertexMultiset) -> bool:

@@ -22,6 +22,18 @@ def bouquet(n: int) -> Graph:
     return Graph.build(["v0"], [(f"l{i}", "v0", "v0") for i in range(1, n + 1)])
 
 
+def fans(width: int, parallel: int = 1) -> Graph:
+    """v and w each send ``parallel`` edges to each of ``width`` loop
+    vertices, so ``expand v; contract w`` takes v to w through a multiset of
+    mass ``width * parallel``."""
+    loops = [f"u{i}" for i in range(width)]
+    edges = [(f"l{i}", u, u) for i, u in enumerate(loops)]
+    edges += [
+        (f"{x}{i}.{k}", x, u) for x in "vw" for i, u in enumerate(loops) for k in range(parallel)
+    ]
+    return Graph.build(["v", "w", *loops], edges)
+
+
 def large_random_graphs(label: str, count: int = 30, min_vertices: int = 20) -> list[Graph]:
     """Seeded graphs at the size of the benchmark's K-theory workload."""
     rng = SplitMix64(derive_seed(99, label))

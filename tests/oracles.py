@@ -2,30 +2,34 @@
 
 Nothing here imports the code paths under test: products are triple loops,
 determinants are Laplace expansions or fraction-free eliminations,
-elementary divisors come from gcds of minors, isomorphism is a plain
-permutation search, homomorphisms and saturated sets are checked edge by
-edge, and the text format is written out from the sorted ids.  The module
-also builds the large inputs that the tests and the CI jobs share; it needs
-no test framework.
+elementary divisors come from gcds of minors, parallel-edge counts are
+tallied edge by edge, isomorphism is a backtracking search over those counts
+(itself checked against a plain permutation search), hereditary and
+saturated sets are checked edge by edge, and the text format is written out
+from the sorted ids.  The module also builds the large inputs that the tests
+and the CI jobs share; it needs no test framework.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 from math import gcd
+from typing import Optional
 
-from ckgraph import Graph, GraphFormatError, GraphMorphism, IntMatrix
+from ckgraph import Graph, GraphFormatError, IntMatrix
 
 
 def naive_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Triple-loop product, entry by entry, with no zero skipped."""
+    x, y = a.to_rows(), b.to_rows()
     rows = []
     for i in range(a.rows):
         row = []
         for j in range(b.cols):
             total = 0
             for k in range(a.cols):
-                total += a.at(i, k) * b.at(k, j)
+                total += x[i][k] * y[k][j]
             row.append(total)
         rows.append(row)
     return IntMatrix.from_rows(rows)
@@ -119,20 +123,18 @@ def format_lines(g: Graph) -> str:
     )
 
 
-def is_graph_homomorphism(f: GraphMorphism) -> bool:
-    """Total maps whose edge assignment commutes with both endpoint maps."""
-    vmap, emap = f.vmap, f.emap
-    if set(vmap) != set(f.domain.vertices) or set(emap) != {e.eid for e in f.domain.edges}:
-        return False
-    if not all(f.codomain.has_vertex(w) for w in vmap.values()):
-        return False
-    if not all(f.codomain.has_edge(x) for x in emap.values()):
-        return False
-    for e in f.domain.edges:
-        image = f.codomain.edge(emap[e.eid])
-        if image.src != vmap[e.src] or image.dst != vmap[e.dst]:
-            return False
-    return True
+def pair_counts(g: Graph) -> Counter[tuple[str, str]]:
+    """The number of edges from each vertex to each vertex; 0 for a pair
+    with no edge."""
+    return Counter((e.src, e.dst) for e in g.edges)
+
+
+def is_hereditary(g: Graph, s) -> bool:
+    """No edge leaves ``s``."""
+    sset = set(s)
+    for v in sset:
+        g.require_vertex(v)
+    return all(e.dst in sset for e in g.edges if e.src in sset)
 
 
 def is_saturated(g: Graph, s) -> bool:
@@ -157,15 +159,61 @@ def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Try every vertex bijection and compare parallel-edge counts."""
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
+    counts1, counts2 = pair_counts(g1), pair_counts(g2)
     for image in permutations(g2.vertices):
         mapping = dict(zip(g1.vertices, image))
         if all(
-            g1.pair_count(v, w) == g2.pair_count(mapping[v], mapping[w])
+            counts1[v, w] == counts2[mapping[v], mapping[w]]
             for v in g1.vertices
             for w in g1.vertices
         ):
             return True
     return False
+
+
+def isomorphism(g1: Graph, g2: Graph) -> Optional[dict[str, str]]:
+    """A vertex bijection from ``g1`` onto ``g2`` that keeps the number of
+    edges between every ordered pair of vertices, or ``None``.
+
+    Backtracking: a vertex is tried only against the vertices of the same
+    out-degree, in-degree and loop count, those with the fewest candidates
+    first, and an assignment is kept only while its counts to and from the
+    vertices assigned before it agree.  Equal counts give an edge bijection
+    too, so the vertex map is the whole witness.
+    """
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return None
+    counts1, counts2 = pair_counts(g1), pair_counts(g2)
+
+    def signature(g: Graph, counts: Counter, v: str) -> tuple[int, int, int]:
+        return (len(g.out_edges(v)), len(g.in_edges(v)), counts[v, v])
+
+    groups: dict[tuple[int, int, int], list[str]] = {}
+    for w in g2.vertices:
+        groups.setdefault(signature(g2, counts2, w), []).append(w)
+    sig1 = {v: signature(g1, counts1, v) for v in g1.vertices}
+    if Counter(sig1.values()) != Counter({s: len(ws) for s, ws in groups.items()}):
+        return None
+    order = sorted(g1.vertices, key=lambda v: (len(groups[sig1[v]]), sig1[v], v))
+    mapping: dict[str, str] = {}
+
+    def extend(idx: int) -> bool:
+        if idx == len(order):
+            return True
+        v = order[idx]
+        used = set(mapping.values())
+        for w in groups[sig1[v]]:
+            if w not in used and all(
+                counts1[v, u] == counts2[w, x] and counts1[u, v] == counts2[x, w]
+                for u, x in mapping.items()
+            ):
+                mapping[v] = w
+                if extend(idx + 1):
+                    return True
+                del mapping[v]
+        return False
+
+    return mapping if extend(0) else None
 
 
 def exhaustive_closure(g: Graph, start: set[str]) -> frozenset[str]:

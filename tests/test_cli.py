@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from ckgraph import format_graph
 from ckgraph.cli import run
+from conftest import fans
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -64,8 +66,9 @@ def test_move_and_fuzz_json_fields(capsys, monkeypatch):
 
 def test_missing_file_is_a_parse_error(capsys):
     code, out, err = _run(["is-ck", "no/such/file.graph"], capsys)
-    assert code == 2
-    assert "parse error" in err and out == ""
+    assert (code, out) == (2, "")
+    # the path is named once, not again inside the OSError's own text
+    assert err == "parse error: cannot read no/such/file.graph: No such file or directory\n"
 
 
 def test_garbage_file_is_a_parse_error(tmp_path, capsys):
@@ -74,6 +77,25 @@ def test_garbage_file_is_a_parse_error(tmp_path, capsys):
     code, _, err = _run(["ktheory", str(bad)], capsys)
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize(
+    "width, parallel, budget, text",
+    [
+        (5, 1, ["--budget", "2"], "unknown (budget exhausted)"),
+        (5, 1, ["--budget", "3"], "unknown (budget exhausted)"),
+        (5, 1, ["--budget", "200"], "equivalent (trace length 2)"),
+        (1, 10_002, [], "unknown (budget exhausted)"),
+    ],
+)
+def test_monoid_eq_says_not_equivalent_only_with_a_proof(
+    tmp_path, capsys, width, parallel, budget, text
+):
+    graph = tmp_path / "fans.graph"
+    graph.write_text(format_graph(fans(width, parallel)))
+    code, out, _ = _run(["monoid-eq", *budget, "--a", "v=1", "--b", "w=1", str(graph)], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == text
 
 
 def test_precondition_failures_name_the_reason(tmp_path, capsys):

@@ -111,7 +111,7 @@ def _examples(inputs):
 def test_unit_pivots_follow_the_full_markowitz_scan(m):
     # the heap of cost-0 candidates must pick the pivots a scan of every
     # unit entry picks, so the transforms stay the same
-    rows = {i: {j: m.at(i, j) for j in range(m.cols) if m.at(i, j)} for i in range(m.rows)}
+    rows = {i: dict(row) for i, row in enumerate(m.data)}
     cols = {j: {i for i, row in rows.items() if j in row} for j in range(m.cols)}
     pivots = [(p, c) for p, c, *_ in _unit_pivots(rows, cols)]
     assert pivots == markowitz_unit_pivots(m)
@@ -134,7 +134,8 @@ def test_k_invariants_and_unit_order_agree_with_sympy():
         inv = k_invariants(g)
         pres = k_presentation_matrix(g)
         dim = len(g.vertices)
-        cols = [[pres.at(r, c) for r in range(pres.rows)] for c in range(pres.cols)]
+        dense = pres.to_rows()
+        cols = [[dense[r][c] for r in range(pres.rows)] for c in range(pres.cols)]
         divisors = _lattice_invariants(cols, dim)[1]
         assert tuple(sorted(inv.k0_torsion)) == tuple(d for d in divisors if d > 1)
         assert inv.k0_rank == dim - len(divisors)

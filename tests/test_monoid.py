@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckgraph import (
+    Graph,
     GraphFormatError,
     PreconditionError,
     RewriteStep,
@@ -12,6 +13,7 @@ from ckgraph import (
     VertexMultiset,
     contract_at,
     expand_at,
+    expansion_profile,
     format_multiset,
     fullness_normalize,
     is_full,
@@ -21,7 +23,7 @@ from ckgraph import (
     path_expansion,
     shortest_path,
 )
-from conftest import G, all_loop_graphs, graphs
+from conftest import G, all_loop_graphs, fans, graphs
 
 
 def ms(text: str) -> VertexMultiset:
@@ -169,6 +171,48 @@ def test_budget_exhaustion_is_unknown():
     g = G("u v", "a:u>v b:v>u lu:u>u")
     assert mvn_equivalent(g, ms("u=1"), ms("u=1,v=5"), 0).verdict in ("unknown", "no")
     assert mvn_equivalent(g, ms("u=1"), ms("v=9"), 1).verdict == "unknown"
+
+
+@pytest.mark.parametrize("budget, verdict", [(2, "unknown"), (3, "unknown"), (200, "yes")])
+def test_a_search_the_mass_cap_cut_answers_no_no(budget, verdict):
+    # below budget 4 the cap, 1 + budget, drops the expansion of v, and both
+    # searches then end; that proves nothing about states above the cap
+    g = fans(5)
+    result = mvn_equivalent(g, ms("v=1"), ms("w=1"), budget)
+    assert result.verdict == verdict
+    if verdict == "yes":
+        assert result.trace is not None and len(result.trace.steps) == 2
+        assert result.trace.replay(g, ms("v=1")) == ms("w=1")
+
+
+def test_a_join_past_the_default_cap_is_unknown():
+    # one loop vertex u and 10,002 parallel edges to it from each of v and w:
+    # the cap of the command's default budget, 10,001, drops the expansion
+    g = fans(1, parallel=10_002)
+    assert len(g.edges) == 20_005
+    assert mvn_equivalent(g, ms("v=1"), ms("w=1"), 10_000).verdict == "unknown"
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_vertices=3), st.data())
+def test_no_no_for_a_pair_that_one_expand_and_one_contract_join(base, data):
+    # fresh vertices v and w send edges to the same vertices of base, as in
+    # the fans above: a wide fan and a small budget are where the cap bites
+    targets = data.draw(st.lists(st.sampled_from(base.vertices), min_size=1, max_size=6))
+    fans = [(f"{x}{i}", x, t) for x in "vw" for i, t in enumerate(targets)]
+    g = Graph.build([*base.vertices, "v", "w"], [*base.edges, *fans])
+    counts = data.draw(st.dictionaries(st.sampled_from(g.vertices), st.integers(0, 2)))
+    a = VertexMultiset.from_dict({**counts, "v": counts.get("v", 0) + 1})
+    expandable = [u for u in a.support if g.out_degree(u)]
+    middle = expand_at(g, a, data.draw(st.sampled_from(expandable)))
+    # never empty: it holds w after expanding v, and else the vertex expanded
+    contractible = [
+        u
+        for u in g.vertices
+        if g.out_degree(u) and all(middle.get(x) >= n for x, n in expansion_profile(g, u).items())
+    ]
+    b = contract_at(g, middle, data.draw(st.sampled_from(contractible)))
+    assert mvn_equivalent(g, a, b, data.draw(st.integers(0, 6))).verdict != "no"
 
 
 def test_trace_is_replayable_both_ways():

@@ -28,7 +28,6 @@ from ckgraph import (
     format_move,
     format_move_log,
     graph_fingerprint,
-    graph_isomorphic,
     k_invariants,
     parse_move,
     parse_move_log,
@@ -43,7 +42,7 @@ from ckgraph import (
 from ckgraph.moves import _MOVES, MAX_LENGTH
 from ckgraph.randgen import SplitMix64, random_no_sink_graph
 from conftest import G, graphs, no_sink_graphs
-from oracles import format_lines
+from oracles import format_lines, isomorphism, pair_counts
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,19 +52,20 @@ DATA = Path(__file__).parent / "data"
 
 def test_add_head_builds_the_line(two_loops, line_into_loops):
     grown = add_head(two_loops, "v0", 2)
-    assert graph_isomorphic(grown, line_into_loops) is not None
+    assert isomorphism(grown, line_into_loops) is not None
 
 
 def test_add_head_single_source(two_loops):
     grown = add_head(two_loops, "v0", 1)
     assert grown.source_vertices == ("v0~h1",)
-    assert grown.pair_count("v0~h1", "v0") == 1
+    assert pair_counts(grown)["v0~h1", "v0"] == 1
 
 
 def test_add_head_keeps_cycles_intact():
     cyc = G("u v", "a:u>v b:v>u")
     grown = add_head(cyc, "u", 3)
-    assert grown.pair_count("u", "v") == 1 and grown.pair_count("v", "u") == 1
+    counts = pair_counts(grown)
+    assert counts["u", "v"] == 1 and counts["v", "u"] == 1
     assert len(grown.vertices) == 5
 
 
@@ -98,8 +98,8 @@ def test_subdivision_makes_the_long_cycle(two_loops):
 def test_subdivision_of_plain_edge_inserts_midpoint():
     g = G("u w", "e:u>w lw:w>w")
     divided = subdivide_edge(g, "e", 1)
-    assert divided.pair_count("u", "e~s1") == 1
-    assert divided.pair_count("e~s1", "w") == 1
+    counts = pair_counts(divided)
+    assert counts["u", "e~s1"] == 1 and counts["e~s1", "w"] == 1
     assert not divided.has_edge("e")
 
 
@@ -121,8 +121,8 @@ def test_elision_of_the_line_makes_named_sources(line_into_loops):
     out = source_elision(line_into_loops, {"v0"})
     assert out.vertices == ("src:e1", "src:e2.e1", "v0")
     assert len(out.loops_at("v0")) == 2
-    assert out.pair_count("src:e1", "v0") == 1
-    assert out.pair_count("src:e2.e1", "v0") == 1
+    counts = pair_counts(out)
+    assert counts["src:e1", "v0"] == 1 and counts["src:e2.e1", "v0"] == 1
 
 
 def test_elision_with_everything_kept_is_identity(line_into_loops):
@@ -133,7 +133,7 @@ def test_elision_single_crossing():
     g = G("u v", "a:u>v lv:v>v")
     out = source_elision(g, {"v"})
     assert out.vertices == ("src:a", "v")
-    assert out.pair_count("src:a", "v") == 1
+    assert pair_counts(out)["src:a", "v"] == 1
     assert len(out.loops_at("v")) == 1
 
 
@@ -161,14 +161,14 @@ def test_elision_of_a_head_matches_star_sources(g, n, data):
     v = data.draw(st.sampled_from(g.vertices))
     towered = add_head(g, v, n)
     elided = source_elision(towered, g.vertices)
-    assert graph_isomorphic(elided, star_sources(g, v, n)) is not None
+    assert isomorphism(elided, star_sources(g, v, n)) is not None
 
 
 # -- star_sources -----------------------------------------------------------------------
 
 
 def test_star_sources_figure(two_loops, star_into_loops):
-    assert graph_isomorphic(star_sources(two_loops, "v0", 2), star_into_loops) is not None
+    assert isomorphism(star_sources(two_loops, "v0", 2), star_into_loops) is not None
 
 
 def test_star_and_head_share_invariants(two_loops):
@@ -179,7 +179,7 @@ def test_star_and_head_share_invariants(two_loops):
 
 def test_single_star_is_a_single_head(two_loops):
     assert (
-        graph_isomorphic(star_sources(two_loops, "v0", 1), add_head(two_loops, "v0", 1))
+        isomorphism(star_sources(two_loops, "v0", 1), add_head(two_loops, "v0", 1))
         is not None
     )
 
@@ -189,7 +189,7 @@ def test_single_star_is_a_single_head(two_loops):
 
 def test_remove_source_shortens_the_line(line_into_loops, two_loops):
     shorter = remove_source(line_into_loops, "v2")
-    assert graph_isomorphic(shorter, add_head(two_loops, "v0", 1)) is not None
+    assert isomorphism(shorter, add_head(two_loops, "v0", 1)) is not None
 
 
 def test_remove_source_empties_single_vertex():
@@ -224,13 +224,13 @@ def test_collapse_two_cycle():
 def test_collapse_path_composes():
     g = G("a v b", "e1:a>v e2:v>b la:a>a lb:b>b")
     out = collapse_vertex(g, "v")
-    assert out.pair_count("a", "b") == 1
+    assert pair_counts(out)["a", "b"] == 1
 
 
 def test_collapse_keeps_parallel_compositions_distinct():
     g = G("a v b", "p:a>v q:a>v r:v>b s:v>b la:a>a lb:b>b")
     out = collapse_vertex(g, "v")
-    assert out.pair_count("a", "b") == 4
+    assert pair_counts(out)["a", "b"] == 4
 
 
 def test_collapse_may_reuse_an_edge_id_it_drops():
@@ -267,7 +267,7 @@ def test_collapse_preserves_invariants(g):
 
 def test_attach_heads_identity_and_single(two_loops, line_into_loops):
     assert attach_heads(two_loops, {"v0": 0}) == two_loops
-    assert graph_isomorphic(attach_heads(two_loops, {"v0": 2}), line_into_loops) is not None
+    assert isomorphism(attach_heads(two_loops, {"v0": 2}), line_into_loops) is not None
 
 
 def test_attach_heads_on_two_cycle():
