@@ -269,7 +269,8 @@ def _cmd_monoid_eq(args) -> int:
         text = "not equivalent\n"
         trace_json = None
     else:
-        text = "unknown (budget exhausted)\n"
+        reason = "mass cap reached" if result.stop == "mass-cap" else "budget exhausted"
+        text = f"unknown ({reason})\n"
         trace_json = None
     report = _report(
         graph={"input": _graph_dict(g), "output": None, "restriction": None},

@@ -156,7 +156,7 @@ def _factor_fault(
     index's type is checked before its position is looked up, since ``1.0``
     and ``True`` hash like ``1``.
     """
-    position = {i: t for t, i in enumerate(order)}
+    position = dict(zip(order, range(len(order))))
     fault = None
     for t, (i, vector) in enumerate(zip(order, factor)):
         if vector.get(i) not in units:
@@ -412,7 +412,7 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
     w = n - split
     # each sparse factor is walked once; its faults are raised below in the
     # order of the messages: non-integer, shapes, permutation, unimodularity
-    if not all(type(i) is int for i in chain(r.diagonal, r.row_order, r.col_order, *r.core)):
+    if not set(map(type, chain(r.diagonal, r.row_order, r.col_order, *r.core))) <= {int}:
         raise CertificateError("Smith certificate broken: a factor holds a non-integer")
     faults = (
         _factor_fault(r.u1_inv, r.row_order, m, (1, -1)),
@@ -683,12 +683,13 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
     # phase 1 leaves the core columns of u^-1 and the core rows of v^-1 unit
     # vectors
+    pivot_rows, pivot_cols, u_inv_cols, v_inv_rows = zip(*pivots) if pivots else ((),) * 4
     result = SnfResult(
         diagonal=tuple(diagonal),
-        row_order=tuple(p for p, *_ in pivots) + tuple(core_rows),
-        col_order=tuple(c for _, c, *_ in pivots) + tuple(core_cols),
-        u1_inv=tuple(col for *_, col, _ in pivots) + tuple({i: 1} for i in core_rows),
-        v1_inv=tuple(row for *_, row in pivots) + tuple({j: 1} for j in core_cols),
+        row_order=pivot_rows + tuple(core_rows),
+        col_order=pivot_cols + tuple(core_cols),
+        u1_inv=u_inv_cols + tuple({i: 1} for i in core_rows),
+        v1_inv=v_inv_rows + tuple({j: 1} for j in core_cols),
         core=phase1_core,
         log=tuple(log),
     )

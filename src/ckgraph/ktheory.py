@@ -5,22 +5,25 @@ of the map given by the transposed vertex matrix minus the identity,
 restricted to the columns of regular vertices, into the free abelian group on
 all vertices.  Both are read off one Smith normal form, computed once per
 graph object on first use and kept on that graph, so it is freed with it;
-no cache is shared across graphs.  The class of the unit is the image of
-the all-ones vector; it is summarized by an automorphism-invariant profile
-(its order plus divisibility flags), which is what can be compared across
-different graphs.
+no cache is shared across graphs.  With the Smith form the graph keeps the
+coordinate rows of K0: for each divisor other than 1, the matching row of
+the Smith transform ``u``, as a map from vertex to coefficient, built once
+by one back substitution over the unit pivots' factor.  The class of a
+vertex-coefficient vector is then one sum per row over its support.  The
+class of the unit is the image of the all-ones vector; it is summarized by
+an automorphism-invariant profile (its order plus divisibility flags),
+which is what can be compared across different graphs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import CertificateError, PreconditionError
-from .graph import Graph, is_regular
+from .graph import Graph
 from .intmatrix import IntMatrix, SnfResult, smith_normal_form
 
 DIVISIBILITY_FLAGS = 12
@@ -69,60 +72,40 @@ class K0Class:
 
 @dataclass(frozen=True)
 class _K0Engine:
-    vertices: tuple[str, ...]  # sorted, as in every Graph
-    # the presentation's Smith form; a class reads u = diag(I, c) * L^-1 as
-    # L's columns snf.u1_inv in the order snf.row_order, and the rows of c
-    # whose divisor is not 1, sparse and indexed by position in that order
-    snf: SnfResult
-    c_rows: tuple[dict[int, int], ...]
-    diagonal: tuple[int, ...]  # the Smith diagonal, padded with 0 to one entry per vertex
+    vertices: frozenset[str]  # the ids a query may name
+    snf: SnfResult  # the presentation's Smith form
+    # the coordinate rows: for each divisor d other than 1 of the Smith
+    # diagonal, padded with 0 to one entry per vertex, its row of
+    # u = diag(I, c) * L^-1 as a map from vertex to nonzero coefficient, in
+    # diagonal order, so the torsion rows come first; reduced mod d for
+    # torsion, exact for d = 0
+    rows: tuple[dict[str, int], ...]
     torsion: tuple[int, ...]  # the Smith divisors greater than one
 
     def class_of(self, coefficients: Mapping[str, int]) -> K0Class:
-        """The coordinates of ``u * x`` against the divisors other than 1.
-
-        ``u`` is the certified ``diag(I, c) * L^-1``.  In pivot order ``L``
-        is lower triangular with a +-1 diagonal, so ``L^-1 * x`` comes by
-        forward substitution, one pass over the entries of ``L``; the kept
-        rows of ``c`` then read its core part."""
-        size = len(self.vertices)
-        x = {}
-        for v, c in coefficients.items():
-            j = bisect_left(self.vertices, v)
-            if j == size or self.vertices[j] != v:
+        """The coordinates of ``u * x`` against the divisors other than 1:
+        one sum per kept row of ``u`` over the support of ``x``."""
+        for v in coefficients:
+            if v not in self.vertices:
                 raise PreconditionError("unknown-vertex", f"no vertex {v!r} in graph")
-            if c:
-                x[j] = c
-        solved = []
-        for i, column in zip(self.snf.row_order, self.snf.u1_inv):
-            # the column's entry at its pivot row i is +-1, its own inverse
-            z = x.pop(i, 0) * column[i]
-            if z:
-                for k, w in column.items():
-                    if k != i:
-                        x[k] = x.get(k, 0) - w * z
-            solved.append(z)
-        y = [sum(f * solved[t] for t, f in row.items()) for row in self.c_rows]
-        divisors = [d for d in self.diagonal if d != 1]
+        y = [sum(row.get(v, 0) * c for v, c in coefficients.items()) for row in self.rows]
         return K0Class(
-            tuple(r % d for r, d in zip(y, divisors) if d > 1),
-            tuple(r for r, d in zip(y, divisors) if d == 0),
+            tuple(r % d for r, d in zip(y, self.torsion)), tuple(y[len(self.torsion) :])
         )
 
     @cached_property
     def invariants(self) -> KInvariants:
         # K0 and K1 ranks: the presentation's row and column counts less its rank
-        rank = sum(1 for d in self.diagonal if d)
-        unit_class = self.class_of({v: 1 for v in self.vertices})
+        rank = self.snf.rank()
+        unit_class = self.class_of(dict.fromkeys(self.vertices, 1))
         return KInvariants(
             k0_torsion=self.torsion,
             k0_rank=len(self.vertices) - rank,
             k1_rank=len(self.snf.col_order) - rank,
             unit_profile=UnitProfile(
                 order=_class_order(unit_class, self.torsion),
-                divisible_by=tuple(
-                    _divisible(unit_class, self.torsion, k)
-                    for k in range(1, DIVISIBILITY_FLAGS + 1)
+                divisible_by=_divisible_by(
+                    unit_class, self.torsion, range(1, DIVISIBILITY_FLAGS + 1)
                 ),
             ),
         )
@@ -139,17 +122,40 @@ def _engine_of(g: Graph) -> _K0Engine:
 
 def _engine(vertices: tuple[str, ...], presentation: IntMatrix) -> _K0Engine:
     """The engine of a presentation with one row per vertex and one column
-    per regular vertex: its Smith form and the rows of c a class reads."""
+    per regular vertex: its Smith form and the rows of u a class reads."""
     snf = smith_normal_form(presentation)
     diagonal = snf.diagonal + (0,) * (len(vertices) - len(snf.diagonal))
     torsion = tuple(d for d in diagonal if d > 1)
     # the first p entries of the diagonal are the unit pivots' 1s
     split = len(vertices) - len(snf.core)
-    c_rows = tuple(
-        {split + s: x for s, x in enumerate(row) if x}
-        for row in snf.core_lines(False, (t - split for t, d in enumerate(diagonal) if d != 1))
+    kept = [t for t, d in enumerate(diagonal) if d != 1]
+    lines = snf.core_lines(False, (t - split for t in kept))
+    rows = tuple(
+        {vertices[i]: x for i, x in _u_row(snf, [0] * split + line, diagonal[t]).items()}
+        for t, line in zip(kept, lines)
     )
-    return _K0Engine(vertices, snf, c_rows, diagonal, torsion)
+    return _K0Engine(frozenset(vertices), snf, rows, torsion)
+
+
+def _u_row(snf: SnfResult, target: list[int], d: int) -> dict[int, int]:
+    """The row ``w = target * L^-1`` as a map from row of the presentation
+    to nonzero entry, reduced mod ``d`` unless ``d`` is 0.
+
+    ``w * L = target`` is read column by column: column t of ``L`` holds
+    +-1 at row ``row_order[t]`` and its other entries at rows later in
+    ``row_order``, so in reverse pivot order each column fixes the entry of
+    ``w`` at its pivot row from entries already fixed, one back
+    substitution over the entries of ``L``."""
+    w: dict[int, int] = {}
+    for t in reversed(range(len(target))):
+        i, column = snf.row_order[t], snf.u1_inv[t]
+        # w holds no entry at i yet, so the sum runs over the later rows
+        z = (target[t] - sum(w.get(k, 0) * x for k, x in column.items())) * column[i]
+        if d:
+            z %= d
+        if z:
+            w[i] = z
+    return w
 
 
 def k_presentation_matrix(g: Graph) -> IntMatrix:
@@ -158,11 +164,12 @@ def k_presentation_matrix(g: Graph) -> IntMatrix:
     the edge counts from w, less 1 at w itself; its rows are built in one
     pass over the out-edges."""
     row_of = {v: i for i, v in enumerate(g.vertices)}
-    regulars = [w for w in g.vertices if is_regular(g, w)]
+    out = g._out
+    regulars = [w for w in g.vertices if out[w]]
     rows: list[dict[int, int]] = [{} for _ in g.vertices]
     for j, w in enumerate(regulars):
         column = {row_of[w]: -1}
-        for e in g.out_edges(w):
+        for e in out[w]:
             i = row_of[e.dst]
             column[i] = column.get(i, 0) + 1
         # a single loop at w cancels the -1: the matrix holds no zero
@@ -182,13 +189,16 @@ def k0_class_divisible(g: Graph, coefficients: Mapping[str, int], k: int) -> boo
     if k <= 0:
         raise PreconditionError("bad-parameter", f"divisor must be positive, got {k}")
     engine = _engine_of(g)
-    return _divisible(engine.class_of(coefficients), engine.torsion, k)
+    return _divisible_by(engine.class_of(coefficients), engine.torsion, (k,))[0]
 
 
-def _divisible(cls: K0Class, torsion: tuple[int, ...], k: int) -> bool:
-    return all(r % gcd(k, d) == 0 for r, d in zip(cls.torsion, torsion)) and all(
-        f % k == 0 for f in cls.free
-    )
+def _divisible_by(cls: K0Class, torsion: tuple[int, ...], ks: Iterable[int]) -> tuple[bool, ...]:
+    """For each k of ``ks``, whether the class lies in k * K0: k divides the
+    gcd of its free part, and gcd(k, d) divides its residue against each
+    torsion divisor d."""
+    free = gcd(*cls.free)
+    pairs = tuple(zip(cls.torsion, torsion))
+    return tuple(free % k == 0 and all(r % gcd(k, d) == 0 for r, d in pairs) for k in ks)
 
 
 def _class_order(cls: K0Class, torsion: tuple[int, ...]) -> int | None:

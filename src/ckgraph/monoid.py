@@ -201,10 +201,11 @@ class MvnResult:
     """``yes`` carries a replayable trace; ``no`` means one side's whole class
     was searched, with no state dropped by the mass cap, and it misses the
     other side; ``unknown`` means the step budget ran out or the cap cut the
-    search."""
+    search, and ``stop`` says which."""
 
     verdict: str  # "yes" | "no" | "unknown"
     trace: Optional[RewriteTrace] = None
+    stop: Optional[str] = None  # for "unknown": "budget" | "mass-cap"
 
 
 def _neighbors(g: Graph, m: VertexMultiset) -> list[tuple[RewriteStep, VertexMultiset]]:
@@ -276,7 +277,7 @@ def mvn_equivalent(g: Graph, a: VertexMultiset, b: VertexMultiset, budget: int) 
             for step, nxt in _neighbors(g, state):
                 spent += 1
                 if spent > budget:
-                    return MvnResult("unknown")
+                    return MvnResult("unknown", stop="budget")
                 if nxt.total() > cap:
                     cut = True
                     continue
@@ -291,7 +292,9 @@ def mvn_equivalent(g: Graph, a: VertexMultiset, b: VertexMultiset, budget: int) 
         else:
             frontier_b, cut_b = next_frontier, cut_b or cut
     # the frontier that emptied is the one just searched
-    return MvnResult("unknown" if (cut_a if not frontier_a else cut_b) else "no")
+    if cut_a if not frontier_a else cut_b:
+        return MvnResult("unknown", stop="mass-cap")
+    return MvnResult("no")
 
 
 def is_full(g: Graph, m: VertexMultiset) -> bool:

@@ -82,10 +82,11 @@ def test_garbage_file_is_a_parse_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "width, parallel, budget, text",
     [
-        (5, 1, ["--budget", "2"], "unknown (budget exhausted)"),
-        (5, 1, ["--budget", "3"], "unknown (budget exhausted)"),
+        # each spends 1 transition before the mass cap cuts the search
+        (5, 1, ["--budget", "2"], "unknown (mass cap reached)"),
+        (5, 1, ["--budget", "3"], "unknown (mass cap reached)"),
         (5, 1, ["--budget", "200"], "equivalent (trace length 2)"),
-        (1, 10_002, [], "unknown (budget exhausted)"),
+        (1, 10_002, [], "unknown (mass cap reached)"),
     ],
 )
 def test_monoid_eq_says_not_equivalent_only_with_a_proof(

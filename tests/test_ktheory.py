@@ -276,8 +276,8 @@ def _dense_class(snf, x: list[int]) -> K0Class:
 
 
 def test_class_of_matches_the_dense_u_at_benchmark_size():
-    # the engine keeps L, its order and the rows of c whose divisor is not
-    # 1; the oracle multiplies by the whole dense u
+    # the engine keeps the rows of u whose divisor is not 1; the oracle
+    # multiplies by the whole dense u
     rng = SplitMix64(derive_seed(99, "class-of-oracle"))
     for g in large_random_graphs("class-of-oracle", count=10):
         snf = smith_normal_form(k_presentation_matrix(g))
@@ -294,6 +294,55 @@ def test_class_of_matches_the_dense_u_on_unit_heavy_matrices(m, data):
     engine = _engine(vertices, m)
     x = data.draw(st.lists(st.integers(-5, 5), min_size=m.rows, max_size=m.rows))
     assert engine.class_of(dict(zip(vertices, x))) == _dense_class(smith_normal_form(m), x)
+
+
+def _check_rows(engine: _K0Engine, vertices: tuple[str, ...], snf) -> None:
+    """Each kept row of the engine is the row of the dense u at a divisor d
+    other than 1, reduced mod d for torsion and exact for d = 0."""
+    diagonal = snf.diagonal + (0,) * (len(vertices) - len(snf.diagonal))
+    kept = [(line, d) for line, d in zip(snf.u.to_rows(), diagonal) if d != 1]
+    assert len(engine.rows) == len(kept)
+    for row, (line, d) in zip(engine.rows, kept):
+        reduced = [x % d if d else x for x in line]
+        assert row == {v: x for v, x in zip(vertices, reduced) if x}
+
+
+def test_coordinate_rows_match_the_dense_u_at_benchmark_size():
+    for g in large_random_graphs("u-rows", count=10):
+        _check_rows(_engine_of(g), g.vertices, smith_normal_form(k_presentation_matrix(g)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_heavy_matrices(max_dim=10))
+def test_coordinate_rows_match_the_dense_u_on_unit_heavy_matrices(m):
+    vertices = tuple(f"v{i:02d}" for i in range(m.rows))
+    _check_rows(_engine(vertices, m), vertices, smith_normal_form(m))
+
+
+def test_class_queries_on_a_long_head_cost_their_support():
+    # 2,000 relations and 100 vertices on a 2,000-vertex head: fast only if
+    # each query costs its own support, not a walk of the unit-pivot factor L
+    base = parse_graph((DATA / "bouquet3.graph").read_text())
+    head = realize_corner(base, parse_multiset("v0=2000")).graph
+    pres = k_presentation_matrix(head)
+    columns: list[dict[str, int]] = [{} for _ in range(pres.cols)]
+    for v, row in zip(head.vertices, pres.data):
+        for c, x in row.items():
+            columns[c][v] = x
+    assert len(columns) == 2000
+    assert all(k0_class_of(head, column).is_zero() for column in columns)
+    unit = k0_class_of(head, {"v0": 1})
+    assert unit == K0Class((1,), ())  # K0 is Z/2, generated by v0
+    assert all(k0_class_of(head, {v: 1}) == unit for v in head.vertices[::20])
+
+
+def test_class_queries_refuse_keys_that_are_not_vertex_ids():
+    g = bouquet(3)
+    for key in ("u", 5, None, ("u",)):
+        for query in (lambda x: k0_class_of(g, x), lambda x: k0_class_divisible(g, x, 2)):
+            with pytest.raises(PreconditionError) as excinfo:
+                query({"v0": 1, key: 1})
+            assert str(excinfo.value) == f"unknown-vertex: no vertex {key!r} in graph"
 
 
 def test_large_presentations_keep_their_pinned_divisors():

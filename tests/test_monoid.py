@@ -170,7 +170,8 @@ def test_disconnected_loops_are_inequivalent():
 def test_budget_exhaustion_is_unknown():
     g = G("u v", "a:u>v b:v>u lu:u>u")
     assert mvn_equivalent(g, ms("u=1"), ms("u=1,v=5"), 0).verdict in ("unknown", "no")
-    assert mvn_equivalent(g, ms("u=1"), ms("v=9"), 1).verdict == "unknown"
+    result = mvn_equivalent(g, ms("u=1"), ms("v=9"), 1)
+    assert (result.verdict, result.stop) == ("unknown", "budget")
 
 
 @pytest.mark.parametrize("budget, verdict", [(2, "unknown"), (3, "unknown"), (200, "yes")])
@@ -180,6 +181,7 @@ def test_a_search_the_mass_cap_cut_answers_no_no(budget, verdict):
     g = fans(5)
     result = mvn_equivalent(g, ms("v=1"), ms("w=1"), budget)
     assert result.verdict == verdict
+    assert result.stop == ("mass-cap" if verdict == "unknown" else None)
     if verdict == "yes":
         assert result.trace is not None and len(result.trace.steps) == 2
         assert result.trace.replay(g, ms("v=1")) == ms("w=1")
@@ -190,7 +192,8 @@ def test_a_join_past_the_default_cap_is_unknown():
     # the cap of the command's default budget, 10,001, drops the expansion
     g = fans(1, parallel=10_002)
     assert len(g.edges) == 20_005
-    assert mvn_equivalent(g, ms("v=1"), ms("w=1"), 10_000).verdict == "unknown"
+    result = mvn_equivalent(g, ms("v=1"), ms("w=1"), 10_000)
+    assert (result.verdict, result.stop) == ("unknown", "mass-cap")
 
 
 @settings(max_examples=300, deadline=None)
