@@ -15,8 +15,7 @@ from __future__ import annotations
 import hashlib
 import re
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -74,44 +73,34 @@ def _edge_line(e: Edge) -> str:
     return f"edge {e.eid} {e.src} {e.dst}\n"
 
 
-def _cut(items: list, lines: Optional[list], positions: Iterable[int]) -> None:
+def _cut(items: list, lines: list, positions: Iterable[int]) -> None:
     # delete the positions from items, and from their lines alongside
     for i in sorted(positions, reverse=True):
         del items[i]
-        if lines is not None:
-            del lines[i]
+        del lines[i]
 
 
-def _merge(kept: list, lines: Optional[list], added: list, line) -> tuple:
+def _merge(kept: list, lines: list, added: list, line) -> tuple:
     # both are sorted; a few added items go in by bisection, each with its
     # line at the same place, and with nothing kept (as in build) the added
     # ones are the result
     if not kept:
-        if lines is not None:
-            lines.extend(map(line, added))
+        lines.extend(map(line, added))
         return tuple(added)
     for item in added:
         i = bisect_left(kept, item)
         kept.insert(i, item)
-        if lines is not None:
-            lines.insert(i, line(item))
+        lines.insert(i, line(item))
     return tuple(kept)
-
-
-def _edge_table(g: "Graph", end: int) -> dict[str, tuple[Edge, ...]]:
-    # each vertex's edges at position `end` of the Edge triple (1 for the
-    # source, 2 for the range), in id order
-    table: dict[str, list[Edge]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        table[e[end]].append(e)
-    return {v: tuple(es) for v, es in table.items()}
 
 
 def _patched(table: dict, end: int, dropped: Iterable[str], added_vertices: Iterable[str],
              gone: Iterable[Edge], added_edges: Iterable[Edge]) -> dict:
-    # the _edge_table of an edited graph from its base's, rewritten only at
-    # the vertices the edit touches; each vertex's tuple is in id order, and
-    # ids are unique, so a gone edge is found by bisection and cut by a slice
+    # the edge table (each vertex's edges at position `end` of the Edge
+    # triple, 1 for the source, 2 for the range) of an edited graph from its
+    # base's, rewritten only at the vertices the edit touches; each vertex's
+    # tuple is in id order, and ids are unique, so a gone edge is found by
+    # bisection and cut by a slice
     table = table.copy()
     for v in dropped:
         del table[v]
@@ -135,34 +124,53 @@ class Graph:
 
     ``vertices`` and ``edges`` are stored sorted, with unique well-formed ids
     and every edge endpoint a vertex; edges sort by id, since ids are
-    unique.  A graph enters the program in one of two ways: :meth:`build`
-    for input from outside, and :meth:`_edit` for the program's own edits
-    of a graph it already holds.  ``_edit`` checks only the ids an edit
-    adds, so it relies on every ``Graph`` coming from one of the two; the
-    raw constructor is only for trusted callers that keep the invariants
-    themselves.  :meth:`_fresh` names the ids an edit is about to add, so
-    that they miss every id the edit keeps.
+    unique.  :meth:`build` is the one entry for ids from outside and checks
+    them all.  :meth:`_edit` is the program's own edit of a graph it holds
+    and trusts its caller; a move names the ids it adds with :meth:`_fresh`,
+    which keeps them unique.  The raw constructor is not an entry.
 
-    Derived data is computed lazily and cached: the formatted vertex and
-    edge lines ``_lines`` that :func:`format_graph` joins, and the edge
-    tables ``_out`` and ``_in``, which map each vertex to its out- or
-    in-edges in id order.  The keys of ``_out`` are the vertex set: vertex
-    lookups and the checks of an edit read them, and edge ids are looked up
-    by bisection in the sorted ``edges``.  An edit reads its base's
-    ``_out``, so every edited graph holds one.  Whatever of the three the
-    base of an ``_edit`` holds, the edit carries over to its result, cutting
-    and inserting lines at the places of the dropped and added ids and
-    rewriting the tables only at the vertices it touches.  The invariant is
-    that carried data always equals what the result would compute fresh, so
-    fingerprints and lookups do not depend on a graph's history.
+    ``build`` is an edit of the empty graph, so every graph gets its derived
+    data from ``_edit``: the formatted vertex and edge lines ``_lines`` that
+    :func:`format_graph` joins, and the edge tables ``_out`` and ``_in``,
+    which map each vertex to its out- or in-edges in id order.  The keys of
+    ``_out`` are the vertex set, which vertex lookups read; edge ids are
+    looked up by bisection in the sorted ``edges``.  An edit cuts and
+    inserts lines at the places of the dropped and added ids and rewrites
+    the tables only at the vertices it touches, so the derived data equals
+    what the ids give fresh, whatever the graph's history.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
+    _lines: tuple[tuple[str, ...], tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _out: dict[str, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
+    _in: dict[str, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[Sequence[str]]) -> "Graph":
-        return Graph((), ())._edit(add_vertices=vertices, add_edges=edges)
+        """The graph on these ids, checked: the entry for input from outside.
+
+        The id pattern is checked first, on each vertex id and then on each
+        edge's arity and id, so that sorting compares only string ids (edges
+        by id).  Then, in sorted order, each vertex id is checked for a
+        repeat, and each edge id for a repeat before its endpoints for
+        vertices.  The first fault raises ``GraphFormatError``.
+        """
+        new_vertices = sorted([_check_id("vertex", v) for v in vertices])
+        new_edges = sorted([_new_edge(e) for e in edges], key=itemgetter(0))
+        for v, w in zip(new_vertices, new_vertices[1:]):
+            if v == w:
+                raise GraphFormatError(f"duplicate vertex id {v!r}")
+        vertex_set = set(new_vertices)
+        previous = None
+        for e in new_edges:
+            if e.eid == previous:
+                raise GraphFormatError(f"duplicate edge id {e.eid!r}")
+            previous = e.eid
+            for endpoint in (e.src, e.dst):
+                if endpoint not in vertex_set:
+                    raise GraphFormatError(f"edge {e.eid!r} endpoint {endpoint!r} is not a vertex")
+        return _EMPTY._edit(add_vertices=new_vertices, add_edges=new_edges)
 
     def _edit(
         self,
@@ -175,69 +183,42 @@ class Graph:
         """This graph less the dropped ids, plus the added ones.
 
         Dropping a vertex drops the edges at it; dropped ids that are not
-        in this graph are ignored.  Only the added ids are checked, vertices
-        first: the id pattern and an edge's arity before sorting, so that it
-        compares only string ids (edges by id), then in sorted order each
-        vertex id against the keys of this graph's ``_out`` less the drops
-        and against the vertex ids added before it, each edge id against
-        the kept edges (by bisection) and the one added before it, and each
-        edge endpoint against the kept and the added vertex ids.  The first
-        fault raises the ``GraphFormatError`` that :meth:`build` raises for
-        the whole result.  Python-level work is done only on the dropped
-        and added ids: the base's ids are copied whole, and each added id
-        is inserted at its place by bisection, so an edit that adds a few
-        ids costs about one C-level copy of the base graph.  Derived data
-        the base holds is carried over: its formatted lines are cut and
+        in this graph are ignored.  Nothing is checked: the caller keeps the
+        added ids well formed and unique against the kept ids and each
+        other, and ends every added edge at vertices of the result.
+        Python-level work is done only on the dropped and added ids: the
+        base's ids are copied whole, and each added id is inserted at its
+        place by bisection, so an edit that adds a few ids costs about one
+        C-level copy of the base graph.  The base's lines are cut and
         inserted at the same places, and its edge tables are rewritten only
         at the vertices touched.
         """
-        derived = self.__dict__
-        out, base_edges = self._out, self.edges
-        drop_v = set(drop_vertices)
-        dropped = sorted(filter(out.__contains__, drop_v))
+        out, in_, base_edges = self._out, self._in, self.edges
+        dropped = sorted(filter(out.__contains__, set(drop_vertices)))
         gone = set()
         for eid in drop_edges:
             i = _edge_index(base_edges, eid)
             if i is not None:
                 gone.add(base_edges[i])
         for v in dropped:
-            gone.update(out[v], self._in[v])
+            gone.update(out[v], in_[v])
         vertices, edges = list(self.vertices), list(base_edges)
-        vertex_lines = edge_lines = None
-        lines = derived.get("_lines")
-        if lines is not None:
-            vertex_lines, edge_lines = map(list, lines)
+        vertex_lines, edge_lines = map(list, self._lines)
         if dropped:
             _cut(vertices, vertex_lines, [bisect_left(self.vertices, v) for v in dropped])
         if gone:
             _cut(edges, edge_lines, [bisect_left(base_edges, e) for e in gone])
-        new_vertices = sorted([_check_id("vertex", v) for v in add_vertices])
-        new_edges = sorted([_new_edge(e) for e in add_edges], key=itemgetter(0))
-        added: set[str] = set()
-        for v in new_vertices:
-            if v in added or (v in out and v not in drop_v):
-                raise GraphFormatError(f"duplicate vertex id {v!r}")
-            added.add(v)
-        previous = None
-        for e in new_edges:
-            if e.eid == previous or _edge_index(edges, e.eid) is not None:
-                raise GraphFormatError(f"duplicate edge id {e.eid!r}")
-            previous = e.eid
-            for endpoint in (e.src, e.dst):
-                if endpoint not in added and (endpoint not in out or endpoint in drop_v):
-                    raise GraphFormatError(
-                        f"edge {e.eid!r} endpoint {endpoint!r} is not a vertex"
-                    )
+        new_vertices = sorted(add_vertices)
+        new_edges = sorted(map(Edge._make, add_edges))  # by id, since ids are unique
         result = Graph(
             _merge(vertices, vertex_lines, new_vertices, _vertex_line),
             _merge(edges, edge_lines, new_edges, _edge_line),
         )
-        carried = result.__dict__
-        if lines is not None:
-            carried["_lines"] = (tuple(vertex_lines), tuple(edge_lines))
-        carried["_out"] = _patched(out, 1, dropped, new_vertices, gone, new_edges)
-        if "_in" in derived:
-            carried["_in"] = _patched(derived["_in"], 2, dropped, new_vertices, gone, new_edges)
+        result.__dict__.update(
+            _lines=(tuple(vertex_lines), tuple(edge_lines)),
+            _out=_patched(out, 1, dropped, new_vertices, gone, new_edges),
+            _in=_patched(in_, 2, dropped, new_vertices, gone, new_edges),
+        )
         return result
 
     def _fresh(self, kind: str, bases: Iterable[str], free: Iterable[str] = ()) -> list[str]:
@@ -264,19 +245,6 @@ class Graph:
         return names
 
     # -- lookups ---------------------------------------------------------
-
-    @cached_property
-    def _lines(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        # the vertex lines and the edge lines of the text format
-        return tuple(map(_vertex_line, self.vertices)), tuple(map(_edge_line, self.edges))
-
-    @cached_property
-    def _out(self) -> dict[str, tuple[Edge, ...]]:
-        return _edge_table(self, 1)
-
-    @cached_property
-    def _in(self) -> dict[str, tuple[Edge, ...]]:
-        return _edge_table(self, 2)
 
     def has_vertex(self, v: str) -> bool:
         try:
@@ -330,6 +298,11 @@ class Graph:
         return not self.vertices
 
 
+# the base of every build
+_EMPTY = Graph((), ())
+_EMPTY.__dict__.update(_lines=((), ()), _out={}, _in={})
+
+
 # -- text format -----------------------------------------------------------
 
 
@@ -373,12 +346,10 @@ class VertexClass:
 
     ``kind`` is one of ``"regular"``, ``"sink"`` (emits nothing), ``"source"``
     (receives nothing but emits), or ``"isolated"`` (neither emits nor
-    receives).  ``out_regular`` records whether the vertex emits at least one
-    edge -- a source can still be out-regular.
+    receives).
     """
 
     kind: str
-    out_regular: bool
     in_degree: int
     out_degree: int
 
@@ -394,7 +365,7 @@ def classify_vertex(g: Graph, v: str) -> VertexClass:
         kind = "source"
     else:
         kind = "regular"
-    return VertexClass(kind=kind, out_regular=outdeg > 0, in_degree=indeg, out_degree=outdeg)
+    return VertexClass(kind=kind, in_degree=indeg, out_degree=outdeg)
 
 
 def is_regular(g: Graph, v: str) -> bool:

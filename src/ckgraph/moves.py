@@ -4,12 +4,12 @@ Each move is a pure function on graphs plus a small parameter record, so a
 sequence of moves can be logged, serialized, and replayed against graph
 fingerprints.  A move computes its result as one ``Graph._edit`` of its
 input, naming the ids it drops and the fresh ids it adds: the edit keeps the
-input's edges as they are and checks only the added ids, since the input
-already meets every invariant that ``Graph.build`` enforces.  The table
-``_MOVES`` is the one list of move spellings: it ties each spelling name to
-its record type, its function and its record's field names and spellings,
-read once at import, and :func:`apply_move`, :func:`format_move` and
-:func:`parse_move` all read it.
+input's edges as they are and checks nothing, since the input already meets
+every invariant that ``Graph.build`` enforces and ``Graph._fresh`` keeps the
+added ids unique.  The table ``_MOVES`` is the one list of move spellings:
+it ties each spelling name to its record type, its function and its
+record's field names and spellings, read once at import, and
+:func:`apply_move`, :func:`format_move` and :func:`parse_move` all read it.
 Fresh ids are generated deterministically from the move's parameters and
 suffixed with ``_2``, ``_3``, ... on collision, by ``Graph._fresh``.  A
 collision is with an id of the graph left after the move's drops, or with an
@@ -154,22 +154,19 @@ def source_elision(g: Graph, h) -> Graph:
     _require_hereditary(g, hset)
     complement = [v for v in g.vertices if v not in hset]
 
-    ordered = set(_topological_order(g, complement))
-    if len(ordered) != len(complement):
-        stuck = sorted(set(complement) - ordered)
+    order = _topological_order(g, complement)
+    if len(order) != len(complement):
+        stuck = sorted(set(complement).difference(order))
         raise PreconditionError(
             "complement-cyclic", f"cycle outside the set through: {', '.join(stuck)}"
         )
 
+    # in reverse topological order every out-neighbour comes first
     can_reach = set(hset)
-    changed = True
-    while changed:
-        changed = False
-        for v in complement:
-            if v not in can_reach and any(e.dst in can_reach for e in g.out_edges(v)):
-                can_reach.add(v)
-                changed = True
-    lost = sorted(set(complement) - can_reach)
+    for v in reversed(order):
+        if any(e.dst in can_reach for e in g.out_edges(v)):
+            can_reach.add(v)
+    lost = [v for v in complement if v not in can_reach]  # in sorted order
     if lost:
         raise PreconditionError(
             "unreachable-vertex", f"vertex {lost[0]!r} has no path into the set"

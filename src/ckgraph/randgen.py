@@ -104,11 +104,11 @@ def random_all_loop_graph(rng: SplitMix64, *, max_vertices: int = 6, max_paralle
     return g._edit(add_edges=extra)
 
 
-def random_int_matrix(
-    rng: SplitMix64, *, max_dim: int = 8, lo: int = -9, hi: int = 9
-) -> IntMatrix:
+def random_int_matrix(rng: SplitMix64, *, max_dim: int = 8) -> IntMatrix:
+    """A matrix of 1 to ``max_dim`` rows and columns, each entry uniform-ish
+    in [-9, 9]."""
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)
     return IntMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+        [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
     )

@@ -5,9 +5,10 @@ determinants are Laplace expansions or fraction-free eliminations,
 elementary divisors come from gcds of minors, parallel-edge counts are
 tallied edge by edge, isomorphism is a backtracking search over those counts
 (itself checked against a plain permutation search), hereditary and
-saturated sets are checked edge by edge, and the text format is written out
-from the sorted ids.  The module also builds the large inputs that the tests
-and the CI jobs share; it needs no test framework.
+saturated sets are checked edge by edge, and the text format and the edge
+tables are written out from the sorted ids.  The module also builds the
+large inputs that the tests and the CI jobs share; it needs no test
+framework.
 """
 
 from __future__ import annotations
@@ -115,12 +116,23 @@ def minors_divisors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(divisors)
 
 
+def derived(g: Graph) -> tuple:
+    """What every graph holds as ``(_lines, _out, _in)``, from its sorted
+    ids: the vertex lines and the edge lines of the text format, and each
+    vertex's out-edges and in-edges in id order."""
+    lines = (
+        tuple(f"vertex {v}\n" for v in g.vertices),
+        tuple(f"edge {eid} {src} {dst}\n" for eid, src, dst in g.edges),
+    )
+    out = {v: tuple(e for e in g.edges if e.src == v) for v in g.vertices}
+    in_ = {v: tuple(e for e in g.edges if e.dst == v) for v in g.vertices}
+    return lines, out, in_
+
+
 def format_lines(g: Graph) -> str:
     """The text format of a graph, line by line from its sorted ids."""
-    return "".join(
-        [f"vertex {v}\n" for v in g.vertices]
-        + [f"edge {eid} {src} {dst}\n" for eid, src, dst in g.edges]
-    )
+    vertex_lines, edge_lines = derived(g)[0]
+    return "".join(vertex_lines + edge_lines)
 
 
 def pair_counts(g: Graph) -> Counter[tuple[str, str]]:

@@ -29,6 +29,7 @@ from ckgraph.graph import _BAD_ID_CHAR
 from conftest import G, all_loop_graphs, graphs
 from oracles import (
     brute_force_isomorphic,
+    derived,
     exhaustive_closure,
     format_lines,
     is_hereditary,
@@ -41,94 +42,83 @@ from oracles import (
 # -- construction and text format -------------------------------------------
 
 
+_SPACED = "ids contain no whitespace and none of '#', ',', '='"
+
+
+def _build_message(vertices, edges) -> str | None:
+    try:
+        Graph.build(vertices, edges)
+    except GraphFormatError as exc:
+        return str(exc)
+    return None
+
+
 def test_build_rejects_duplicates_and_dangling_edges():
-    with pytest.raises(GraphFormatError):
-        Graph.build(["v", "v"], [])
-    with pytest.raises(GraphFormatError):
-        Graph.build(["v"], [("e", "v", "v"), ("e", "v", "v")])
-    with pytest.raises(GraphFormatError):
-        Graph.build(["v"], [("e", "v", "w")])
-    with pytest.raises(GraphFormatError):
-        Graph.build(["has space"], [])
-    with pytest.raises(GraphFormatError):
-        Graph.build(["a,b"], [])
+    for vertices, edges, message in (
+        (["v", "v"], [], "duplicate vertex id 'v'"),
+        (["v"], [("e", "v", "v"), ("e", "v", "v")], "duplicate edge id 'e'"),
+        (["v"], [("e", "v", "w")], "edge 'e' endpoint 'w' is not a vertex"),
+        (["v"], [("e", "v", "w"), ("e", "v", "w")], "edge 'e' endpoint 'w' is not a vertex"),
+        (["v", "v"], [("e", "v", "x")], "duplicate vertex id 'v'"),
+        (["has space"], [], f"bad vertex id 'has space': {_SPACED}"),
+        (["a,b"], [], f"bad vertex id 'a,b': {_SPACED}"),
+        ([""], [], "vertex id must be a nonempty string, got ''"),
+    ):
+        assert _build_message(vertices, edges) == message
 
 
 def test_build_refuses_ids_and_edges_that_sorting_would_choke_on():
-    for vertices, edges in (
-        (["a", 1], []),
-        (["v"], [("e", "v")]),
-        (["v"], [("e", "v", "v", "x")]),
-        (["v"], [("e", "v", "v"), (1, "v", "v")]),
-        (["v"], [("e", "v", "v"), ("e", 1, "v")]),
+    for vertices, edges, message in (
+        (["a", 1], [], "vertex id must be a nonempty string, got 1"),
+        ([None], [], "vertex id must be a nonempty string, got None"),
+        (["v"], [("e", "v")], "an edge is an (id, source, range) triple, got ('e', 'v')"),
+        (
+            ["v"], [("e", "v", "v", "x")],
+            "an edge is an (id, source, range) triple, got ('e', 'v', 'v', 'x')",
+        ),
+        (["v"], [("e", "v", "v"), (1, "v", "v")], "edge id must be a nonempty string, got 1"),
+        (["v"], [("e", "v", "v"), ("e", 1, "v")], "duplicate edge id 'e'"),
     ):
-        with pytest.raises(GraphFormatError):
-            Graph.build(vertices, edges)
+        assert _build_message(vertices, edges) == message
 
 
-# edits of G("v w", "e:v>w") that add a bad id; the last two carry two
-# faults each, and the edit must report the one that build reports
-_BAD_EDITS = [
-    {"add_vertices": [""]},
-    {"add_vertices": ["has space"]},
-    {"add_vertices": ["v"]},
-    {"add_vertices": ["x", "x"]},
-    {"add_edges": [("f#", "v", "v")]},
-    {"add_edges": [("e", "w", "v")]},
-    {"add_edges": [("f", "v", "x")]},
-    {"drop_vertices": ["w"], "add_edges": [("f", "v", "w")]},
-    {"add_vertices": ["z z", "a,a", "u"]},
-    {"drop_edges": ["e"], "add_vertices": ["u"], "add_edges": [("g", "u", "x"), ("f", "v", "y")]},
+# graphs with a bad id or two, each with the message build gives for it: the
+# id pattern first, vertices before edges, then repeats and endpoints in
+# sorted order
+_BAD_BUILDS = [
+    (["v", "w", ""], [("e", "v", "w")], "vertex id must be a nonempty string, got ''"),
+    (["v", "w", "has space"], [("e", "v", "w")], f"bad vertex id 'has space': {_SPACED}"),
+    (["v", "w", "v"], [("e", "v", "w")], "duplicate vertex id 'v'"),
+    (["v", "w", "x", "x"], [("e", "v", "w")], "duplicate vertex id 'x'"),
+    (["v", "w"], [("e", "v", "w"), ("f#", "v", "v")], f"bad edge id 'f#': {_SPACED}"),
+    (["v", "w"], [("e", "v", "w"), ("e", "w", "v")], "duplicate edge id 'e'"),
+    (["v", "w"], [("e", "v", "w"), ("f", "v", "x")], "edge 'f' endpoint 'x' is not a vertex"),
+    (["v"], [("f", "v", "w")], "edge 'f' endpoint 'w' is not a vertex"),
+    (["v", "w", "z z", "a,a", "u"], [("e", "v", "w")], f"bad vertex id 'z z': {_SPACED}"),
+    (
+        ["v", "w", "u"], [("g", "u", "x"), ("f", "v", "y")],
+        "edge 'f' endpoint 'y' is not a vertex",
+    ),
 ]
 
 
-def _edit_message(edit, carried: bool = False) -> str | None:
-    g = G("v w", "e:v>w")
-    if carried:
-        for name in ("_lines", "_out", "_in"):
-            getattr(g, name)  # computed now, so the edit carries it
-    try:
-        g._edit(**edit)
-    except GraphFormatError as exc:
-        return str(exc)
-    return None
-
-
-def _build_message(edit) -> str | None:
-    # what build says about the whole edited graph
-    drop_v = set(edit.get("drop_vertices", ()))
-    drop_e = set(edit.get("drop_edges", ()))
-    vertices = [v for v in ("v", "w") if v not in drop_v] + edit.get("add_vertices", [])
-    edges = [("e", "v", "w")] if "e" not in drop_e and not drop_v & {"v", "w"} else []
-    try:
-        Graph.build(vertices, edges + edit.get("add_edges", []))
-    except GraphFormatError as exc:
-        return str(exc)
-    return None
-
-
 @pytest.mark.parametrize(
-    "edit, carried",
-    [pytest.param(edit, False, id=f"edit{i}") for i, edit in enumerate(_BAD_EDITS)]
-    + [pytest.param(edit, True, id=f"edit{i}-carried") for i, edit in enumerate(_BAD_EDITS)],
+    "vertices, edges, message",
+    [pytest.param(*case, id=f"build{i}") for i, case in enumerate(_BAD_BUILDS)],
 )
-def test_edit_rejects_a_bad_added_id_with_the_message_of_build(edit, carried):
-    # also on a base that holds the lines and edge tables an edit carries
-    message = _edit_message(edit, carried)
-    assert message is not None
-    assert message == _build_message(edit)
+def test_build_reports_the_first_fault(vertices, edges, message):
+    assert _build_message(vertices, edges) == message
 
 
-def test_edit_checks_added_ids_under_python_O():
+def test_build_checks_ids_under_python_O():
     # the checks raise; they are not assertions that -O strips
     script = (
         "import json, sys\n"
         "from ckgraph import Graph, GraphFormatError\n"
-        "g = Graph.build(['v', 'w'], [('e', 'v', 'w')])\n"
         "out = []\n"
-        "for edit in json.loads(sys.argv[1]):\n"
+        "for vertices, edges, _ in json.loads(sys.argv[1]):\n"
         "    try:\n"
-        "        g._edit(**edit)\n"
+        "        Graph.build(vertices, edges)\n"
         "        out.append(None)\n"
         "    except GraphFormatError as exc:\n"
         "        out.append(str(exc))\n"
@@ -136,10 +126,10 @@ def test_edit_checks_added_ids_under_python_O():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     result = subprocess.run(
-        [sys.executable, "-O", "-c", script, json.dumps(_BAD_EDITS)],
+        [sys.executable, "-O", "-c", script, json.dumps(_BAD_BUILDS)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(result.stdout) == [False, [_edit_message(edit) for edit in _BAD_EDITS]]
+    assert json.loads(result.stdout) == [False, [message for _, _, message in _BAD_BUILDS]]
 
 
 def test_edit_keeps_the_base_edges_and_drops_a_vertex_with_its_edges():
@@ -153,15 +143,11 @@ def test_edit_keeps_the_base_edges_and_drops_a_vertex_with_its_edges():
 def test_an_edit_may_drop_a_vertex_and_add_the_same_id_again():
     # as source_elision does when a fresh source takes a dropped vertex's id
     g = G("u v w", "a:u>v b:v>w c:w>w")
-    for name in ("_lines", "_out", "_in"):
-        getattr(g, name)  # computed now, so the edit carries it
     out = g._edit(
         drop_vertices=["v"], add_vertices=["v"], add_edges=[("d", "v", "w"), ("b", "u", "v")]
     )
     assert out == Graph.build(["u", "v", "w"], [("b", "u", "v"), ("c", "w", "w"), ("d", "v", "w")])
-    fresh = Graph(out.vertices, out.edges)
-    for name in ("_lines", "_out", "_in"):
-        assert out.__dict__[name] == getattr(fresh, name), name
+    assert (out._lines, out._out, out._in) == derived(out)
     assert out.out_edges("v") == (("d", "v", "w"),) and out.in_edges("v") == (("b", "u", "v"),)
 
 
@@ -169,11 +155,9 @@ _VERTEX_LOOKUPS = ("out_edges", "in_edges", "out_degree", "in_degree", "loops_at
 
 
 def test_vertex_lookups_refuse_an_unknown_vertex_on_fresh_and_edited_graphs():
-    # dropping a vertex reads both edge tables, so the edit carries both
     edited = G("v w", "e:v>w l:w>w")._edit(
         drop_vertices=["v"], add_vertices=["u"], add_edges=[("f", "u", "w")]
     )
-    assert {"_out", "_in"} <= edited.__dict__.keys()
     # an unhashable argument is refused like any other, as by the edge lookups
     for g, unknown in ((G("v w", "e:v>w l:w>w"), ["x", "", 3, []]), (edited, ["v", "x", 3, {}])):
         assert not any(map(g.has_vertex, unknown))
@@ -228,6 +212,7 @@ def test_parser_comments_and_errors():
 @given(graphs())
 def test_format_equals_the_line_by_line_oracle(g):
     assert format_graph(g) == format_lines(g)
+    assert (g._lines, g._out, g._in) == derived(g)
 
 
 @given(graphs())
@@ -248,7 +233,6 @@ def test_classify_sink_and_source():
     assert classify_vertex(g, "w").kind == "sink"
     source = classify_vertex(g, "v")
     assert source.kind == "source"
-    assert source.out_regular
     assert (source.in_degree, source.out_degree) == (0, 1)
 
 
