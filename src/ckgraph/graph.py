@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -178,14 +178,15 @@ class Graph:
         drop_vertices: Iterable[str] = (),
         drop_edges: Iterable[str] = (),
         add_vertices: Iterable[str] = (),
-        add_edges: Iterable[Sequence[str]] = (),
+        add_edges: Iterable[Edge] = (),
     ) -> "Graph":
         """This graph less the dropped ids, plus the added ones.
 
         Dropping a vertex drops the edges at it; dropped ids that are not
-        in this graph are ignored.  Nothing is checked: the caller keeps the
-        added ids well formed and unique against the kept ids and each
-        other, and ends every added edge at vertices of the result.
+        in this graph are ignored.  Nothing is checked: the caller passes
+        each added edge as an ``Edge`` record, keeps the added ids well
+        formed and unique against the kept ids and each other, and ends
+        every added edge at vertices of the result.
         Python-level work is done only on the dropped and added ids: the
         base's ids are copied whole, and each added id is inserted at its
         place by bisection, so an edit that adds a few ids costs about one
@@ -209,7 +210,7 @@ class Graph:
         if gone:
             _cut(edges, edge_lines, [bisect_left(base_edges, e) for e in gone])
         new_vertices = sorted(add_vertices)
-        new_edges = sorted(map(Edge._make, add_edges))  # by id, since ids are unique
+        new_edges = sorted(add_edges)  # by id, since ids are unique
         result = Graph(
             _merge(vertices, vertex_lines, new_vertices, _vertex_line),
             _merge(edges, edge_lines, new_edges, _edge_line),
@@ -251,9 +252,6 @@ class Graph:
             return v in self._out
         except TypeError:  # unhashable, so no vertex id, as in the edge lookups
             return False
-
-    def has_edge(self, eid: str) -> bool:
-        return _edge_index(self.edges, eid) is not None
 
     def require_vertex(self, v: str) -> None:
         if not self.has_vertex(v):
@@ -392,22 +390,19 @@ def reachable_from(g: Graph, start: Iterable[str]) -> frozenset[str]:
     return frozenset(seen)
 
 
-def _topological_order(g: Graph, among: Iterable[str]) -> list[str]:
-    # Kahn's order of the subgraph on `among`, least ready vertex first; it
-    # leaves out what lies on or behind a cycle, so it is complete exactly
-    # when that subgraph is acyclic
+def _topological_order(g: Graph, among: Sequence[str]) -> list[str]:
+    # Kahn's order of the subgraph on `among`, seeded in `among` order and
+    # grown while it is read; it leaves out what lies on or behind a cycle,
+    # so it is complete exactly when that subgraph is acyclic
     inside = set(among)
-    indeg = {v: sum(1 for e in g.in_edges(v) if e.src in inside) for v in inside}
-    ready = sorted(v for v in inside if indeg[v] == 0)
-    order: list[str] = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
+    indeg = {v: sum(1 for e in g.in_edges(v) if e.src in inside) for v in among}
+    order = [v for v in among if indeg[v] == 0]
+    for v in order:
         for e in g.out_edges(v):
             if e.dst in inside:
                 indeg[e.dst] -= 1
                 if indeg[e.dst] == 0:
-                    insort(ready, e.dst)
+                    order.append(e.dst)
     return order
 
 
@@ -425,25 +420,25 @@ def _require_hereditary(g: Graph, hset: set[str] | frozenset[str]) -> None:
 def hereditary_saturated_closure(g: Graph, s: Iterable[str]) -> frozenset[str]:
     """Smallest hereditary and saturated vertex set containing ``s``.
 
-    Alternates the two closures to a joint fixed point; both are closure
-    operators, so the interleaving order does not matter.
+    A vertex whose edges all land in a hereditary set leaves that set
+    hereditary, so this is the saturation of the vertices reachable from
+    ``s``: each regular vertex outside counts its edges that land outside,
+    joins when the count reaches 0, and lowers the counts of the sources of
+    its in-edges.
     """
     closed = set(reachable_from(g, s))
-    while True:
-        added = False
-        for v in g.vertices:
-            if v in closed:
-                continue
-            out = g.out_edges(v)
-            if out and all(e.dst in closed for e in out):
-                closed.add(v)
-                added = True
-        hereditary = reachable_from(g, closed) if closed else frozenset()
-        if hereditary != closed:
-            closed = set(hereditary)
-            added = True
-        if not added:
-            return frozenset(closed)
+    # each regular vertex outside -> the number of its edges that land outside
+    left = {v: sum(e.dst not in closed for e in g.out_edges(v))
+            for v in g.vertices if v not in closed and g.out_edges(v)}
+    joined = [v for v, n in left.items() if n == 0]
+    for w in joined:
+        closed.add(w)
+        for e in g.in_edges(w):
+            if e.src in left:
+                left[e.src] -= 1
+                if left[e.src] == 0:
+                    joined.append(e.src)
+    return frozenset(closed)
 
 
 def restrict_to_hereditary(g: Graph, h: Iterable[str]) -> Graph:

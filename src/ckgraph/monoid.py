@@ -24,7 +24,6 @@ from .graph import (
     hereditary_saturated_closure,
     is_regular,
     make_path,
-    reachable_from,
     shortest_path,
 )
 
@@ -144,9 +143,6 @@ class RewriteTrace:
                 raise CertificateError(f"unknown rewrite op {step.op!r}")
         return current
 
-    def inverted(self) -> "RewriteTrace":
-        return RewriteTrace(tuple(RewriteStep(_OPPOSITE[op], v) for op, v in reversed(self.steps)))
-
 
 def expansion_profile(g: Graph, v: str) -> dict[str, int]:
     """One unit at the range of each edge the vertex emits."""
@@ -156,21 +152,33 @@ def expansion_profile(g: Graph, v: str) -> dict[str, int]:
     return profile
 
 
-def expand_at(g: Graph, m: VertexMultiset, v: str) -> VertexMultiset:
-    """Trade one unit at a regular vertex for its out-edge ranges."""
+def _require_regular(g: Graph, v: str) -> None:
     g.require_vertex(v)
     if not is_regular(g, v):
         raise PreconditionError("not-regular", f"vertex {v!r} emits no edges")
+
+
+def expand_at(g: Graph, m: VertexMultiset, v: str) -> VertexMultiset:
+    """Trade one unit at a regular vertex for its out-edge ranges."""
+    _require_regular(g, v)
     if m.get(v) < 1:
         raise PreconditionError("zero-multiplicity", f"no unit of {v!r} to expand")
     return m.minus({v: 1}).plus(expansion_profile(g, v))
 
 
+def _expand_whole(g: Graph, m: VertexMultiset, v: str) -> VertexMultiset:
+    # all m(v) units at v traded at once for m(v) times its expansion
+    # profile, as m(v) calls of expand_at would; m itself when m(v) = 0
+    k = m.get(v)
+    if k == 0:
+        return m
+    _require_regular(g, v)
+    return m.minus({v: k}).plus({w: k * n for w, n in expansion_profile(g, v).items()})
+
+
 def contract_at(g: Graph, m: VertexMultiset, v: str) -> VertexMultiset:
     """Reverse rewrite: absorb one full out-edge profile back into the vertex."""
-    g.require_vertex(v)
-    if not is_regular(g, v):
-        raise PreconditionError("not-regular", f"vertex {v!r} emits no edges")
+    _require_regular(g, v)
     return m.minus(expansion_profile(g, v)).plus({v: 1})
 
 
@@ -328,7 +336,7 @@ def fullness_normalize(g: Graph, n: VertexMultiset) -> VertexMultiset:
 
     Needs a finite graph with no sinks, no sources, and a self-loop at every
     vertex.  While some vertex has multiplicity zero, one unit at the least
-    supported vertex that reaches it is traded for its expansion along the
+    supported vertex with a path to it is traded for its expansion along the
     shortest path (lexicographic tie-break); the self-loops keep the traded
     vertex in the support, so the support strictly grows until it is
     everything.
@@ -344,11 +352,8 @@ def fullness_normalize(g: Graph, n: VertexMultiset) -> VertexMultiset:
         if not missing:
             return m
         w = missing[0]
-        candidates = [v for v in m.support if w in reachable_from(g, [v])]
-        if not candidates:
-            raise CertificateError(f"full multiset cannot reach {w!r}; fullness check lied")
-        v = candidates[0]
-        route = shortest_path(g, v, w)
+        routes = (shortest_path(g, v, w) for v in m.support)
+        route = next((r for r in routes if r is not None), None)
         if route is None:
-            raise CertificateError(f"no path {v!r} -> {w!r} despite reachability")
-        m = m.minus({v: 1}).plus(path_expansion(g, route).to_dict())
+            raise CertificateError(f"full multiset cannot reach {w!r}; fullness check lied")
+        m = m.minus({route.source: 1}).plus(path_expansion(g, route).to_dict())

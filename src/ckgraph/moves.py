@@ -29,16 +29,18 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 from .errors import CertificateError, GraphFormatError, PreconditionError
-from .graph import Graph, _require_hereditary, _topological_order, graph_fingerprint
+from .graph import Edge, Graph, _require_hereditary, _topological_order, graph_fingerprint
 
 
 # -- the moves ----------------------------------------------------------------
 
-# The longest head, subdivision or star a move builds.  The output grows
-# with the length, and so does its K-theory: a 3,000-vertex head takes about
-# 2.4 s end to end (``ckgraph move --move add-head:v0:3000`` on the
-# one-vertex two-loop graph, on a shared 2-vCPU Xeon host), 4,000 about
-# 5 s.  A longer one is refused before anything is built.
+# The longest head, subdivision or star a move builds.  The move is cheap
+# (``ckgraph move --move add-head:v0:3000`` on the one-vertex two-loop graph
+# takes about 0.1 s end to end, CPython 3.11 on a shared 2-vCPU Xeon host),
+# but ``ckgraph normalize`` of its output is not: each elided source is named
+# by its path and each move's fingerprint hashes the whole text, so a head
+# takes 0.8 s at 500 and 6 s at 1,000, growing as the cube of the length.
+# Until outputs are sized before they are built, a longer one is refused.
 MAX_LENGTH = 3000
 
 
@@ -56,7 +58,7 @@ def _attach_fresh(g: Graph, counts: Iterable[tuple[str, int]], tag: str, chained
     vertices = g._fresh("vertex", bases)
     eids = g._fresh("edge", [base + "e" for base in bases])
     edges = [
-        (eid, vk, vertices[i - 1] if chained and k > 1 else v0)
+        Edge(eid, vk, vertices[i - 1] if chained and k > 1 else v0)
         for i, ((v0, k), vk, eid) in enumerate(zip(heads, vertices, eids))
     ]
     return g._edit(add_vertices=vertices, add_edges=edges)
@@ -82,7 +84,7 @@ def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
     # chain[k-1] plays the k-th new vertex: edges run
     # source(e0) -> chain[n-1] -> ... -> chain[0] -> range(e0)
     ends = [target.dst, *chain, target.src]
-    edges = [(eid, ends[k], ends[k - 1]) for k, eid in enumerate(eids, start=1)]
+    edges = [Edge(eid, ends[k], ends[k - 1]) for k, eid in enumerate(eids, start=1)]
     return g._edit(drop_edges=[e0], add_vertices=chain, add_edges=edges)
 
 
@@ -122,24 +124,8 @@ def collapse_vertex(g: Graph, v: str) -> Graph:
     pairs = [(a, b) for a in ins for b in outs]
     dropped = [e.eid for e in ins + outs]
     eids = g._fresh("edge", [f"{a.eid}.{b.eid}" for a, b in pairs], free=dropped)
-    edges = [(eid, a.src, b.dst) for eid, (a, b) in zip(eids, pairs)]
+    edges = [Edge(eid, a.src, b.dst) for eid, (a, b) in zip(eids, pairs)]
     return g._edit(drop_vertices=[v], add_edges=edges)
-
-
-def _complement_paths_into(g: Graph, hset: frozenset[str], v: str,
-                           memo: dict[str, list[tuple[str, ...]]]) -> list[tuple[str, ...]]:
-    # all edge-id sequences forming paths inside the complement that end at v
-    # (including the empty path); the complement is acyclic, so this is finite
-    if v in memo:
-        return memo[v]
-    results: list[tuple[str, ...]] = [()]
-    for e in g.in_edges(v):
-        if e.src in hset:
-            continue
-        for prefix in _complement_paths_into(g, hset, e.src, memo):
-            results.append(prefix + (e.eid,))
-    memo[v] = results
-    return results
 
 
 def source_elision(g: Graph, h) -> Graph:
@@ -148,7 +134,8 @@ def source_elision(g: Graph, h) -> Graph:
     The result keeps the restriction to ``h`` and adds, for every path whose
     last edge crosses into ``h`` from outside, one fresh source with a single
     edge to the path's range.  Requires the complement to be acyclic and every
-    complement vertex to reach ``h``.
+    complement vertex to reach ``h``.  Each path is listed once, by a walk
+    back from its crossing edge, so the work and memory follow the output.
     """
     hset = frozenset(h)
     _require_hereditary(g, hset)
@@ -172,20 +159,19 @@ def source_elision(g: Graph, h) -> Graph:
             "unreachable-vertex", f"vertex {lost[0]!r} has no path into the set"
         )
 
-    crossing = sorted(e for e in g.edges if e.src not in hset and e.dst in hset)
-    memo: dict[str, list[tuple[str, ...]]] = {}
-    new_sources: list[tuple[str, str]] = []  # (path spelling, range vertex)
-    for e in crossing:
-        for prefix in _complement_paths_into(g, hset, e.src, memo):
-            spelling = ".".join(prefix + (e.eid,))
-            new_sources.append((spelling, e.dst))
-    new_sources.sort()
+    # one walk per path that ends with an edge into h, from that edge back
+    # one in-edge at a time, in a list that grows while it is read; h is
+    # hereditary, so every in-edge of a complement vertex starts outside h
+    walks = [(e.src, e.eid, e.dst) for e in g.edges if e.src not in hset and e.dst in hset]
+    for v, path, landing in walks:
+        walks += [(e.src, f"{e.eid}.{path}", landing) for e in g.in_edges(v)]
+    new_sources = sorted((path, landing) for _, path, landing in walks)
     # h is hereditary, so the edges dropped with the complement are its out-edges
     dropped = [e.eid for v in complement for e in g.out_edges(v)]
     spellings = [spelling for spelling, _ in new_sources]
     vertices = g._fresh("vertex", [f"src:{p}" for p in spellings], free=complement)
     eids = g._fresh("edge", [f"src:{p}~e" for p in spellings], free=dropped)
-    edges = [(eid, s, landing) for eid, s, (_, landing) in zip(eids, vertices, new_sources)]
+    edges = [Edge(eid, s, landing) for eid, s, (_, landing) in zip(eids, vertices, new_sources)]
     return g._edit(drop_vertices=complement, add_vertices=vertices, add_edges=edges)
 
 

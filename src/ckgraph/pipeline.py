@@ -30,7 +30,7 @@ from .monoid import (
     _require_loops_everywhere,
     _require_no_sinks,
     _require_no_sources,
-    expand_at,
+    _expand_whole,
     fullness_normalize,
     ones,
 )
@@ -77,16 +77,21 @@ def core_vertices(g: Graph) -> frozenset[str]:
 
 def _push_mass(g: Graph, m: VertexMultiset, keep: frozenset[str]) -> VertexMultiset:
     # expand all mass off the complement of `keep`; the complement must be
-    # acyclic (true for the complement of the core), so a topological sweep
-    # never revisits a vertex
+    # acyclic (true for the complement of the core), so a sweep in any
+    # topological order moves each vertex's mass whole, once, after every
+    # vertex that feeds it
     outside = [v for v in g.vertices if v not in keep]
     order = _topological_order(g, outside)
     if len(order) != len(outside):
         raise CertificateError("mass transport expected an acyclic complement")
     for v in order:
-        while m.get(v) > 0:
-            m = expand_at(g, m, v)
+        m = _expand_whole(g, m, v)
     return m
+
+
+def _require_nonempty(g: Graph) -> None:
+    if g.is_empty():
+        raise PreconditionError("empty-core", "the empty graph has no cycles to normalize onto")
 
 
 def normalize_to_ck(g: Graph, carry: Optional[VertexMultiset] = None) -> PipelineResult:
@@ -99,8 +104,7 @@ def normalize_to_ck(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipelin
     and the unit profile are preserved end to end and certified.
     """
     _require_no_sinks(g)
-    if g.is_empty():
-        raise PreconditionError("empty-core", "the empty graph has no cycles to normalize onto")
+    _require_nonempty(g)
     before = k_invariants(g)
     core = core_vertices(g)
     if not core:
@@ -144,25 +148,24 @@ def normalize_to_ck(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipelin
 def self_loop_saturate(g: Graph, carry: Optional[VertexMultiset] = None) -> PipelineResult:
     """Collapse vertices until every vertex carries a cycle of length one.
 
-    Each round collapses the least vertex without a self-loop; the vertex
-    count strictly drops, so this terminates, and a lone vertex in a
-    sink-free graph necessarily carries a loop.  K-groups are preserved (the
-    unit class is not, in general).
+    Each round collapses the least vertex without a self-loop, after moving
+    its carried mass whole onto its out-neighbours; the vertex count strictly
+    drops, so this terminates, and a lone vertex in a sink-free graph
+    necessarily carries a loop.  A collapse drops only its vertex and keeps
+    every other loop, so the vertices that lack a loop are listed once, and
+    those that gained one on the way are skipped.  K-groups are preserved
+    (the unit class is not, in general).
     """
     _require_no_sinks(g)
     _require_no_sources(g)
     before = k_invariants(g)
     builder = MoveLogBuilder(g)
     m = carry
-    while True:
-        current = builder.graph
-        lacking = [v for v in current.vertices if not current.loops_at(v)]
-        if not lacking:
-            break
-        v = lacking[0]
+    for v in [v for v in g.vertices if not g.loops_at(v)]:
+        if builder.graph.loops_at(v):
+            continue
         if m is not None:
-            while m.get(v) > 0:
-                m = expand_at(current, m, v)
+            m = _expand_whole(builder.graph, m, v)
         builder.apply(CollapseVertex(v))
     out = builder.graph
     after = k_invariants(out)
@@ -293,11 +296,13 @@ def matrix_amplify(g: Graph, n: int) -> PipelineResult:
     The unit of the amplification is n copies of the unit, so this is the
     full corner at the multiset with multiplicity n everywhere, taken after
     normalization and saturation; the output unit class is divisible by n.
-    For n = 1 the graph is returned unchanged.
+    For n = 1 the graph is returned unchanged; the empty graph is refused
+    for every n.
     """
     if n <= 0:
         raise PreconditionError("bad-parameter", f"amplification factor must be positive, got {n}")
     _require_no_sinks(g)
+    _require_nonempty(g)
     before = k_invariants(g)
     if n == 1:
         certificates = (

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from typing import Sequence, TypeVar
 
-from .graph import Graph
+from .graph import Edge, Graph
 from .intmatrix import IntMatrix
 
 _MASK = (1 << 64) - 1
@@ -85,7 +85,7 @@ def random_no_sink_graph(rng: SplitMix64, *, max_vertices: int = 8, max_parallel
     random vertex."""
     g = random_graph(rng, max_vertices=max_vertices, max_parallel=max_parallel)
     extra = [
-        (f"fix{i}", v, g.vertices[rng.randint(0, len(g.vertices) - 1)])
+        Edge(f"fix{i}", v, g.vertices[rng.randint(0, len(g.vertices) - 1)])
         for i, v in enumerate(g.sinks)
     ]
     return g._edit(add_edges=extra)
@@ -99,7 +99,7 @@ def random_all_loop_graph(rng: SplitMix64, *, max_vertices: int = 6, max_paralle
     """
     g = random_graph(rng, max_vertices=max_vertices, max_parallel=max_parallel)
     extra = [
-        (f"loop{i}", v, v) for i, v in enumerate(g.vertices) if not g.loops_at(v)
+        Edge(f"loop{i}", v, v) for i, v in enumerate(g.vertices) if not g.loops_at(v)
     ]
     return g._edit(add_edges=extra)
 

@@ -5,10 +5,14 @@ determinants are Laplace expansions or fraction-free eliminations,
 elementary divisors come from gcds of minors, parallel-edge counts are
 tallied edge by edge, isomorphism is a backtracking search over those counts
 (itself checked against a plain permutation search), hereditary and
-saturated sets are checked edge by edge, and the text format and the edge
-tables are written out from the sorted ids.  The module also builds the
-large inputs that the tests and the CI jobs share; it needs no test
-framework.
+saturated sets are checked edge by edge, the text format and the edge
+tables are written out from the sorted ids, and the paths that source
+elision turns into sources are listed forwards, from every vertex.  Two
+oracles are plain loops of the program's own single steps: self-loop
+saturation recomputes its loopless vertices every round and moves mass one
+rewrite at a time, and a trace is inverted step by step.  The module also
+builds the large inputs that the tests and the CI jobs share; it needs no
+test framework.
 """
 
 from __future__ import annotations
@@ -18,7 +22,18 @@ from itertools import combinations, permutations
 from math import gcd
 from typing import Optional
 
-from ckgraph import Graph, GraphFormatError, IntMatrix
+from ckgraph import (
+    CollapseVertex,
+    Graph,
+    GraphFormatError,
+    IntMatrix,
+    MoveLog,
+    MoveLogBuilder,
+    RewriteStep,
+    RewriteTrace,
+    VertexMultiset,
+    expand_at,
+)
 
 
 def naive_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -167,6 +182,70 @@ def is_saturated(g: Graph, s) -> bool:
     return True
 
 
+def is_acyclic(g: Graph, among) -> bool:
+    """No vertex of ``among`` reaches itself by a nonempty path that stays in
+    ``among``."""
+    inside = set(among)
+    for v in inside:
+        todo = [e.dst for e in g.out_edges(v) if e.dst in inside]
+        seen = set(todo)
+        while todo:
+            w = todo.pop()
+            if w == v:
+                return False
+            for e in g.out_edges(w):
+                if e.dst in inside and e.dst not in seen:
+                    seen.add(e.dst)
+                    todo.append(e.dst)
+    return True
+
+
+def crossing_paths(g: Graph, h) -> list[tuple[str, str]]:
+    """Every path that runs outside ``h`` and ends with an edge into ``h``, as
+    ``(its edge ids joined by ".", the vertex it lands at)``, sorted.
+
+    Paths are extended forwards from every vertex outside ``h``, one
+    out-edge at a time; the part of the graph outside ``h`` must be acyclic.
+    """
+    hset = set(h)
+    found = []
+    paths: list[tuple[tuple[str, ...], str]] = [((), v) for v in g.vertices if v not in hset]
+    while paths:
+        path, v = paths.pop()
+        for e in g.out_edges(v):
+            if e.dst in hset:
+                found.append((".".join(path + (e.eid,)), e.dst))
+            else:
+                paths.append((path + (e.eid,), e.dst))
+    return sorted(found)
+
+
+def saturate_unit_by_unit(
+    g: Graph, carry: VertexMultiset
+) -> tuple[MoveLog, VertexMultiset]:
+    """The move log and the carried multiset of self-loop saturation: each
+    round lists the vertices without a self-loop again, expands the least
+    one's mass one unit at a time, then collapses it."""
+    builder = MoveLogBuilder(g)
+    m = carry
+    while True:
+        current = builder.graph
+        lacking = [v for v in current.vertices if not current.loops_at(v)]
+        if not lacking:
+            return builder.log(), m
+        v = lacking[0]
+        while m.get(v) > 0:
+            m = expand_at(current, m, v)
+        builder.apply(CollapseVertex(v))
+
+
+def inverted(trace: RewriteTrace) -> RewriteTrace:
+    """The trace that undoes ``trace``: its steps in reverse order, each
+    expand a contract and each contract an expand."""
+    opposite = {"expand": "contract", "contract": "expand"}
+    return RewriteTrace(tuple(RewriteStep(opposite[op], v) for op, v in reversed(trace.steps)))
+
+
 def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Try every vertex bijection and compare parallel-edge counts."""
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
@@ -299,3 +378,16 @@ def diamond_chain(k: int) -> Graph:
         ]
     vertices = ["z"] + [f"{x}{i}" for x in "abc" for i in range(k + 1) if x == "a" or i < k]
     return Graph.build(vertices, edges)
+
+
+def cycle_with_chord(n: int) -> Graph:
+    """The cycle c0 -> c1 -> ... -> c(n-1) -> c0, with one more edge from c0
+    to c(n // 2)."""
+    edges = [(f"e{i}", f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
+    return Graph.build([f"c{i}" for i in range(n)], edges + [("x", "c0", f"c{n // 2}")])
+
+
+def line_into_loop(n: int) -> Graph:
+    """The line u0 -> u1 -> ... -> u(n-1), with a loop at u(n-1)."""
+    edges = [(f"e{i}", f"u{i}", f"u{i + 1}") for i in range(n - 1)]
+    return Graph.build([f"u{i}" for i in range(n)], edges + [("l", f"u{n - 1}", f"u{n - 1}")])

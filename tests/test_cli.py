@@ -117,6 +117,15 @@ def test_precondition_failures_name_the_reason(tmp_path, capsys):
     assert "bad-parameter" in err
 
 
+def test_amplify_refuses_the_empty_graph_for_every_factor(tmp_path, capsys):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("")
+    for factor in ("1", "2"):
+        code, out, err = _run(["amplify", "--factor", factor, str(empty)], capsys)
+        assert (code, out) == (1, "")
+        assert "empty-core" in err
+
+
 def test_bad_multiset_literal_is_a_parse_error(tmp_path, capsys):
     loops = tmp_path / "loops.graph"
     loops.write_text("vertex v0\nedge e0 v0 v0\n")

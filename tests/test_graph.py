@@ -25,13 +25,14 @@ from ckgraph import (
     shortest_path,
     vertex_simple_cycles_without_exit,
 )
-from ckgraph.graph import _BAD_ID_CHAR
+from ckgraph.graph import _BAD_ID_CHAR, Edge, _topological_order
 from conftest import G, all_loop_graphs, graphs
 from oracles import (
     brute_force_isomorphic,
     derived,
     exhaustive_closure,
     format_lines,
+    is_acyclic,
     is_hereditary,
     is_saturated,
     isomorphism,
@@ -134,7 +135,7 @@ def test_build_checks_ids_under_python_O():
 
 def test_edit_keeps_the_base_edges_and_drops_a_vertex_with_its_edges():
     g = G("u v w", "a:u>v b:v>w c:w>w d:u>u")
-    out = g._edit(drop_vertices=["v"], add_vertices=["t"], add_edges=[("e", "t", "w")])
+    out = g._edit(drop_vertices=["v"], add_vertices=["t"], add_edges=[Edge("e", "t", "w")])
     assert out == G("t u w", "c:w>w d:u>u e:t>w")
     assert out.edges[0] is g.edges[2] and out.edges[1] is g.edges[3]
     assert g._edit(drop_edges=["a", "b"]) == G("u v w", "c:w>w d:u>u")
@@ -144,7 +145,8 @@ def test_an_edit_may_drop_a_vertex_and_add_the_same_id_again():
     # as source_elision does when a fresh source takes a dropped vertex's id
     g = G("u v w", "a:u>v b:v>w c:w>w")
     out = g._edit(
-        drop_vertices=["v"], add_vertices=["v"], add_edges=[("d", "v", "w"), ("b", "u", "v")]
+        drop_vertices=["v"], add_vertices=["v"],
+        add_edges=[Edge("d", "v", "w"), Edge("b", "u", "v")],
     )
     assert out == Graph.build(["u", "v", "w"], [("b", "u", "v"), ("c", "w", "w"), ("d", "v", "w")])
     assert (out._lines, out._out, out._in) == derived(out)
@@ -156,7 +158,7 @@ _VERTEX_LOOKUPS = ("out_edges", "in_edges", "out_degree", "in_degree", "loops_at
 
 def test_vertex_lookups_refuse_an_unknown_vertex_on_fresh_and_edited_graphs():
     edited = G("v w", "e:v>w l:w>w")._edit(
-        drop_vertices=["v"], add_vertices=["u"], add_edges=[("f", "u", "w")]
+        drop_vertices=["v"], add_vertices=["u"], add_edges=[Edge("f", "u", "w")]
     )
     # an unhashable argument is refused like any other, as by the edge lookups
     for g, unknown in ((G("v w", "e:v>w l:w>w"), ["x", "", 3, []]), (edited, ["v", "x", 3, {}])):
@@ -256,6 +258,19 @@ def test_closure_follows_edges(line_into_loops):
     assert hereditary_saturated_closure(line_into_loops, {"v2"}) == {"v0", "v1", "v2"}
 
 
+@given(graphs(max_vertices=5), st.data())
+def test_topological_order_is_complete_exactly_when_acyclic(g, data):
+    among = data.draw(st.lists(st.sampled_from(g.vertices), unique=True))
+    order = _topological_order(g, among)
+    position = {v: i for i, v in enumerate(order)}
+    assert len(position) == len(order) and set(order) <= set(among)
+    # each vertex comes after every vertex of `among` that feeds it
+    for e in g.edges:
+        if e.src in among and e.dst in position:
+            assert position.get(e.src, len(order)) < position[e.dst]
+    assert (len(order) == len(among)) == is_acyclic(g, among)
+
+
 def test_closure_on_all_loop_graph_is_hereditary_closure():
     g = G("a b", "la:a>a lb:b>b x:a>b")
     assert hereditary_saturated_closure(g, {"b"}) == {"b"}
@@ -334,12 +349,11 @@ def test_restrict_to_hereditary(line_into_loops, two_loops):
 
 
 def test_edge_lookup_refuses_ids_that_are_not_strings(two_loops):
-    assert two_loops.has_edge(two_loops.edges[0].eid)
-    assert not two_loops.has_edge(3) and not two_loops.has_edge(None)
-    with pytest.raises(PreconditionError) as excinfo:
-        two_loops.edge(3)
-    assert excinfo.value.reason == "unknown-edge"
-    assert str(excinfo.value) == "unknown-edge: no edge 3 in graph"
+    for eid in (3, None):
+        with pytest.raises(PreconditionError) as excinfo:
+            two_loops.edge(eid)
+        assert excinfo.value.reason == "unknown-edge"
+        assert str(excinfo.value) == f"unknown-edge: no edge {eid!r} in graph"
 
 
 def test_reachability_includes_start(line_into_loops):

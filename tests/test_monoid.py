@@ -23,7 +23,9 @@ from ckgraph import (
     path_expansion,
     shortest_path,
 )
-from conftest import G, all_loop_graphs, fans, graphs
+from ckgraph.monoid import _expand_whole
+from conftest import G, all_loop_graphs, fans, graphs, no_sink_graphs
+from oracles import inverted
 
 
 def ms(text: str) -> VertexMultiset:
@@ -100,6 +102,24 @@ def test_expand_preconditions(two_loops):
 def test_contract_inverts_expand(two_loops):
     m = ms("v0=3")
     assert contract_at(two_loops, expand_at(two_loops, m, "v0"), "v0") == m
+
+
+@given(no_sink_graphs(max_vertices=4), st.data())
+def test_whole_expansion_is_that_many_single_expansions(g, data):
+    counts = data.draw(st.dictionaries(st.sampled_from(g.vertices), st.integers(0, 4)))
+    m = VertexMultiset.from_dict(counts)
+    v = data.draw(st.sampled_from(g.vertices))
+    single = m
+    for _ in range(m.get(v)):
+        single = expand_at(g, single, v)
+    assert _expand_whole(g, m, v) == single
+
+
+def test_whole_expansion_refuses_mass_at_a_sink():
+    g = G("u v", "a:u>v")
+    assert _expand_whole(g, ms("u=1"), "v") == ms("u=1")
+    with pytest.raises(PreconditionError, match="not-regular"):
+        _expand_whole(g, ms("v=2"), "v")
 
 
 # -- path expansion ---------------------------------------------------------------
@@ -224,7 +244,7 @@ def test_trace_is_replayable_both_ways():
     result = mvn_equivalent(g, a, b, 2000)
     assert result.verdict == "yes" and result.trace is not None
     assert result.trace.replay(g, a) == b
-    assert result.trace.inverted().replay(g, b) == a
+    assert inverted(result.trace).replay(g, b) == a
 
 
 def test_yes_trace_with_a_multi_step_backward_half_replays():
@@ -247,7 +267,7 @@ def test_every_yes_trace_replays_from_a_to_b(g, data):
     if result.verdict == "yes":
         assert result.trace is not None
         assert result.trace.replay(g, a) == b
-        assert result.trace.inverted().replay(g, b) == a
+        assert inverted(result.trace).replay(g, b) == a
 
 
 def test_bad_trace_op_is_rejected(two_loops):

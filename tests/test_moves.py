@@ -24,6 +24,7 @@ from ckgraph import (
     apply_move,
     attach_heads,
     collapse_vertex,
+    core_vertices,
     format_graph,
     format_move,
     format_move_log,
@@ -41,8 +42,8 @@ from ckgraph import (
 )
 from ckgraph.moves import _MOVES, MAX_LENGTH
 from ckgraph.randgen import SplitMix64, random_no_sink_graph
-from conftest import G, graphs, no_sink_graphs
-from oracles import derived, format_lines, isomorphism, pair_counts
+from conftest import G, bouquet, graphs, no_sink_graphs
+from oracles import crossing_paths, derived, diamond_chain, format_lines, isomorphism, pair_counts
 
 DATA = Path(__file__).parent / "data"
 
@@ -100,7 +101,7 @@ def test_subdivision_of_plain_edge_inserts_midpoint():
     divided = subdivide_edge(g, "e", 1)
     counts = pair_counts(divided)
     assert counts["u", "e~s1"] == 1 and counts["e~s1", "w"] == 1
-    assert not divided.has_edge("e")
+    assert "e" not in [edge.eid for edge in divided.edges]
 
 
 @given(no_sink_graphs(max_vertices=4), st.integers(1, 3), st.data())
@@ -162,6 +163,42 @@ def test_elision_of_a_head_matches_star_sources(g, n, data):
     towered = add_head(g, v, n)
     elided = source_elision(towered, g.vertices)
     assert isomorphism(elided, star_sources(g, v, n)) is not None
+
+
+def _added_sources(out: Graph, h) -> list[tuple[str, str]]:
+    # (path spelling, landing) of each source the elision added, sorted
+    return sorted((s[len("src:"):], out.out_edges(s)[0].dst) for s in out.vertices if s not in h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(no_sink_graphs(max_vertices=5), st.data())
+def test_elision_adds_one_source_per_crossing_path(g, data):
+    drawn = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1, max_size=3))
+    for h in (core_vertices(g), reachable_from(g, drawn)):
+        try:
+            out = source_elision(g, h)
+        except PreconditionError as exc:
+            assert exc.reason in ("complement-cyclic", "unreachable-vertex")
+            continue
+        assert _added_sources(out, h) == crossing_paths(g, h)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_elision_of_a_diamond_chain_adds_every_crossing_path(k):
+    g = diamond_chain(k)
+    out = source_elision(g, {"z"})
+    assert _added_sources(out, {"z"}) == crossing_paths(g, {"z"})
+    # z and one source per path: 2^(k - i) from a_i, 2^(k - i - 1) from b_i
+    # and from c_i, 2^(k + 2) - 3 in all
+    assert len(out.vertices) == 2 ** (k + 2) - 2
+
+
+def test_elision_of_a_long_head_lists_its_paths_without_recursion():
+    # 1,200 paths, the longest of 1,200 edges: deeper than CPython's default
+    # recursion limit of 1,000
+    out = source_elision(add_head(bouquet(2), "v0", 1200), ["v0"])
+    assert len(out.vertices) == 1201
+    assert out.out_edges("src:v0~h1e")[0].dst == "v0"
 
 
 # -- star_sources -----------------------------------------------------------------------

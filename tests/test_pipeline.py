@@ -21,13 +21,14 @@ from ckgraph import (
     realize_corner,
     realize_full_corner,
     replay_move_log,
+    restrict_to_hereditary,
     self_loop_saturate,
     subdivide_edge,
 )
 from ckgraph.pipeline import _head_projection
 from ckgraph.randgen import SplitMix64, derive_seed, random_all_loop_graph
 from conftest import G, all_loop_graphs, bouquet, no_sink_graphs
-from oracles import isomorphism
+from oracles import isomorphism, saturate_unit_by_unit
 
 
 def ms(text: str) -> VertexMultiset:
@@ -125,6 +126,18 @@ def test_saturate_after_normalize(g):
     saturated = self_loop_saturate(normalized.graph)
     assert all(saturated.graph.loops_at(v) for v in saturated.graph.vertices)
     assert saturated.after.groups_equal(k_invariants(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(no_sink_graphs(max_vertices=5), st.data())
+def test_saturate_matches_the_round_by_round_loop(g, data):
+    # the core of a nonempty sink-free graph is nonempty, sink-free and
+    # source-free
+    g = restrict_to_hereditary(g, core_vertices(g))
+    counts = data.draw(st.dictionaries(st.sampled_from(g.vertices), st.integers(0, 3)))
+    carry = VertexMultiset.from_dict(counts)
+    result = self_loop_saturate(g, carry)
+    assert (result.log, result.multiset) == saturate_unit_by_unit(g, carry)
 
 
 # -- realize_full_corner ------------------------------------------------------------------
@@ -287,6 +300,13 @@ def test_amplify_normalizes_first(line_into_loops):
 def test_amplify_rejects_bad_factor(two_loops):
     with pytest.raises(PreconditionError, match="bad-parameter"):
         matrix_amplify(two_loops, 0)
+
+
+def test_amplify_refuses_the_empty_graph_for_every_factor():
+    for n in (1, 2, 3):
+        with pytest.raises(PreconditionError) as excinfo:
+            matrix_amplify(Graph.build([], []), n)
+        assert str(excinfo.value) == "empty-core: the empty graph has no cycles to normalize onto"
 
 
 @settings(max_examples=30, deadline=None)
