@@ -77,6 +77,8 @@ def _load_graph(path: str) -> Graph:
         content = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"cannot read {path}: {exc}") from exc
     return parse_graph(content)
 
 

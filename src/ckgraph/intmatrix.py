@@ -290,11 +290,12 @@ class SnfResult:
     ``u = diag(I, c) * L^-1`` and ``v = R^-1 * diag(I, vc)``.
 
     ``d``, ``u`` and ``v`` are the dense matrices, built on first access:
-    ``u`` and ``v`` by triangular solves and ``core_lines``, the one builder
-    of ``c`` and ``vc``, which also gives a few of their lines without
-    building the rest.  A certificate written out by hand is the case
-    where phase 1 took no pivot: both orders are the identity, ``L`` and
-    ``R`` are identities, ``core`` is ``a`` and ``log`` its elimination.
+    ``u`` and ``v`` by triangular solves and ``_core_lines``, the one
+    builder of ``c`` and ``vc``, which also gives a few of their lines
+    without building the rest; ``u_rows`` gives a few rows of ``u`` in the
+    same way.  A certificate written out by hand is the case where phase 1
+    took no pivot: both orders are the identity, ``L`` and ``R`` are
+    identities, ``core`` is ``a`` and ``log`` its elimination.
     """
 
     diagonal: tuple[int, ...]
@@ -312,7 +313,7 @@ class SnfResult:
     def rank(self) -> int:
         return len(self.divisors())
 
-    def core_lines(self, columns: bool, indices: Iterable[int]) -> list[list[int]]:
+    def _core_lines(self, columns: bool, indices: Iterable[int]) -> list[list[int]]:
         """Rows ``indices`` of ``c``, or if ``columns`` columns ``indices`` of
         ``vc``, dense.  Row t of ``c = E_n * ... * E_1`` is
         ``e_t * E_n * ... * E_1``, and column t of ``vc = F_1^T * ... * F_n^T``
@@ -327,6 +328,33 @@ class SnfResult:
                 _apply(lines, _transposed(op), True)
         return lines
 
+    def u_rows(self, indices: Sequence[int], moduli: Sequence[int]) -> list[Row]:
+        """Rows ``indices`` of ``u``, each a map from row of ``a`` to nonzero
+        entry, reduced mod the matching entry of ``moduli`` unless that is 0.
+
+        Row t of ``u = diag(I, c) * L^-1`` is the ``w`` with ``w * L`` equal
+        to row t of ``diag(I, c)``.  Column s of ``L`` holds +-1 at row
+        ``row_order[s]`` and its other entries at rows later in
+        ``row_order``, so in reverse pivot order each column fixes one entry
+        of ``w`` from those already fixed: one back substitution over ``L``."""
+        m = len(self.row_order)
+        split = m - len(self.core)
+        lines = iter(self._core_lines(False, [t - split for t in indices if t >= split]))
+        out = []
+        for t, d in zip(indices, moduli):
+            target = [0] * split + next(lines) if t >= split else [int(s == t) for s in range(m)]
+            w: Row = {}
+            for s in reversed(range(m)):
+                i, column = self.row_order[s], self.u1_inv[s]
+                # w holds no entry at i yet, so the sum runs over the later rows
+                z = (target[s] - sum(w.get(k, 0) * x for k, x in column.items())) * column[i]
+                if d:
+                    z %= d
+                if z:
+                    w[i] = z
+            out.append(w)
+        return out
+
     @cached_property
     def d(self) -> IntMatrix:
         rows = [{t: x} if x else {} for t, x in enumerate(self.diagonal)]
@@ -335,13 +363,13 @@ class SnfResult:
 
     @cached_property
     def u(self) -> IntMatrix:
-        c = self.core_lines(False, range(len(self.core)))
+        c = self._core_lines(False, range(len(self.core)))
         return _expand(_solve(self.u1_inv, self.row_order), c)
 
     @cached_property
     def v(self) -> IntMatrix:
         split = len(self.row_order) - len(self.core)
-        vc = self.core_lines(True, range(len(self.col_order) - split))
+        vc = self._core_lines(True, range(len(self.col_order) - split))
         return _expand(_solve(self.v1_inv, self.col_order), vc, columns=True)
 
 
@@ -581,32 +609,14 @@ def _clear(d: list[list[int]], log: list[Op], t: int, columns: bool = False) -> 
 
 
 def _core_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
-    """Least nonzero absolute value in the submatrix from (t, t), then least
-    Markowitz cost, then first position in row-major order."""
+    """Least nonzero absolute value in the submatrix from (t, t), first in
+    row-major order."""
     rest = [row[t:] for row in d[t:]]
     lo = min(map(abs, filter(None, chain.from_iterable(rest))), default=0)
     if not lo:
         return None
-    # cost 0 is the least, so the first candidate of cost 0 is the pivot;
-    # column counts are taken only once a candidate needs them
-    col_nonzeros: list[int] = []
-    best = (-1, 0, 0)
-    for i, row in enumerate(rest):
-        if lo not in row and -lo not in row:
-            continue
-        cols = [j for j, x in enumerate(row) if x == lo or x == -lo]
-        r1 = len(row) - 1 - row.count(0)
-        if not r1:
-            return t + i, t + cols[0]
-        if not col_nonzeros:
-            col_nonzeros = [len(rest) - col.count(0) for col in zip(*rest)]
-        c = min(map(col_nonzeros.__getitem__, cols))
-        cost = r1 * (c - 1)
-        if best[0] < 0 or cost < best[0]:
-            best = (cost, i, next(j for j in cols if col_nonzeros[j] == c))
-            if not cost:
-                break
-    return t + best[1], t + best[2]
+    i = next(i for i, row in enumerate(rest) if lo in row or -lo in row)
+    return t + i, t + next(j for j, x in enumerate(rest[i]) if x == lo or x == -lo)
 
 
 def _reduce_core(d: list[list[int]], width: int, log: list[Op]) -> list[int]:
@@ -654,9 +664,9 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     fill-in rather than the matrix size (Kannan and Bachem, SIAM J. Comput.
     8 (1979); Havas, Majewski and Matthews, Experimental Math. 7 (1998)).
     Phase 2 hands the core left without a unit entry to a dense elimination:
-    least nonzero absolute value as the pivot, entries it does not divide
-    folded in by extended-gcd 2x2 steps, and the divisibility chain enforced
-    before each advance.  The diagonal holds the unit pivots in the order
+    the first entry of least nonzero absolute value as the pivot, entries it
+    does not divide folded in by extended-gcd 2x2 steps, and the
+    divisibility chain enforced before each advance.  The diagonal holds the unit pivots in the order
     they were taken, then the core's.
 
     Phase 1 records only the inverses of its transforms, which are

@@ -2,17 +2,18 @@
 
 For a finite graph the K0 group is the cokernel and the K1 group the kernel
 of the map given by the transposed vertex matrix minus the identity,
-restricted to the columns of regular vertices, into the free abelian group on
-all vertices.  Both are read off one Smith normal form, computed once per
-graph object on first use and kept on that graph, so it is freed with it;
-no cache is shared across graphs.  With the Smith form the graph keeps the
-coordinate rows of K0: for each divisor other than 1, the matching row of
-the Smith transform ``u``, as a map from vertex to coefficient, built once
-by one back substitution over the unit pivots' factor.  The class of a
-vertex-coefficient vector is then one sum per row over its support.  The
-class of the unit is the image of the all-ones vector; it is summarized by
-an automorphism-invariant profile (its order plus divisibility flags),
-which is what can be compared across different graphs.
+restricted to the columns of regular vertices, into the free abelian group
+on all vertices.  Both are read off one Smith normal form, computed once per
+graph object on first use.  The graph keeps what K0 and K1 need of it, not
+the Smith form itself: the torsion divisors, the two ranks, and the
+coordinate rows of K0, that is, for each divisor other than 1, the matching
+row of the Smith transform ``u`` as a map from vertex to coefficient, which
+``SnfResult.u_rows`` gives without building ``u``.  They are freed with the
+graph; no cache is shared across graphs.  The class of a vertex-coefficient
+vector is one sum per row over its support.  The class of the unit is the
+image of the all-ones vector; it is summarized by an automorphism-invariant
+profile (its order plus divisibility flags), which is what can be compared
+across different graphs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping
 
 from .errors import CertificateError, PreconditionError
 from .graph import Graph
-from .intmatrix import IntMatrix, SnfResult, smith_normal_form
+from .intmatrix import IntMatrix, smith_normal_form
 
 DIVISIBILITY_FLAGS = 12
 
@@ -73,14 +74,14 @@ class K0Class:
 @dataclass(frozen=True)
 class _K0Engine:
     vertices: frozenset[str]  # the ids a query may name
-    snf: SnfResult  # the presentation's Smith form
     # the coordinate rows: for each divisor d other than 1 of the Smith
-    # diagonal, padded with 0 to one entry per vertex, its row of
-    # u = diag(I, c) * L^-1 as a map from vertex to nonzero coefficient, in
-    # diagonal order, so the torsion rows come first; reduced mod d for
-    # torsion, exact for d = 0
+    # diagonal, padded with 0 to one entry per vertex, its row of u as a map
+    # from vertex to nonzero coefficient, in diagonal order, so the torsion
+    # rows come first; reduced mod d for torsion, exact for d = 0
     rows: tuple[dict[str, int], ...]
     torsion: tuple[int, ...]  # the Smith divisors greater than one
+    k0_rank: int
+    k1_rank: int
 
     def class_of(self, coefficients: Mapping[str, int]) -> K0Class:
         """The coordinates of ``u * x`` against the divisors other than 1:
@@ -95,13 +96,11 @@ class _K0Engine:
 
     @cached_property
     def invariants(self) -> KInvariants:
-        # K0 and K1 ranks: the presentation's row and column counts less its rank
-        rank = self.snf.rank()
         unit_class = self.class_of(dict.fromkeys(self.vertices, 1))
         return KInvariants(
             k0_torsion=self.torsion,
-            k0_rank=len(self.vertices) - rank,
-            k1_rank=len(self.snf.col_order) - rank,
+            k0_rank=self.k0_rank,
+            k1_rank=self.k1_rank,
             unit_profile=UnitProfile(
                 order=_class_order(unit_class, self.torsion),
                 divisible_by=_divisible_by(
@@ -122,40 +121,17 @@ def _engine_of(g: Graph) -> _K0Engine:
 
 def _engine(vertices: tuple[str, ...], presentation: IntMatrix) -> _K0Engine:
     """The engine of a presentation with one row per vertex and one column
-    per regular vertex: its Smith form and the rows of u a class reads."""
+    per regular vertex: the rows of u a class reads, the torsion, and the K0
+    and K1 ranks, the presentation's row and column counts less its rank."""
     snf = smith_normal_form(presentation)
     diagonal = snf.diagonal + (0,) * (len(vertices) - len(snf.diagonal))
-    torsion = tuple(d for d in diagonal if d > 1)
-    # the first p entries of the diagonal are the unit pivots' 1s
-    split = len(vertices) - len(snf.core)
     kept = [t for t, d in enumerate(diagonal) if d != 1]
-    lines = snf.core_lines(False, (t - split for t in kept))
-    rows = tuple(
-        {vertices[i]: x for i, x in _u_row(snf, [0] * split + line, diagonal[t]).items()}
-        for t, line in zip(kept, lines)
-    )
-    return _K0Engine(frozenset(vertices), snf, rows, torsion)
-
-
-def _u_row(snf: SnfResult, target: list[int], d: int) -> dict[int, int]:
-    """The row ``w = target * L^-1`` as a map from row of the presentation
-    to nonzero entry, reduced mod ``d`` unless ``d`` is 0.
-
-    ``w * L = target`` is read column by column: column t of ``L`` holds
-    +-1 at row ``row_order[t]`` and its other entries at rows later in
-    ``row_order``, so in reverse pivot order each column fixes the entry of
-    ``w`` at its pivot row from entries already fixed, one back
-    substitution over the entries of ``L``."""
-    w: dict[int, int] = {}
-    for t in reversed(range(len(target))):
-        i, column = snf.row_order[t], snf.u1_inv[t]
-        # w holds no entry at i yet, so the sum runs over the later rows
-        z = (target[t] - sum(w.get(k, 0) * x for k, x in column.items())) * column[i]
-        if d:
-            z %= d
-        if z:
-            w[i] = z
-    return w
+    moduli = [diagonal[t] for t in kept]
+    rows = tuple({vertices[i]: x for i, x in row.items()} for row in snf.u_rows(kept, moduli))
+    torsion = tuple(d for d in moduli if d > 1)
+    rank = snf.rank()
+    ranks = (presentation.rows - rank, presentation.cols - rank)
+    return _K0Engine(frozenset(vertices), rows, torsion, *ranks)
 
 
 def k_presentation_matrix(g: Graph) -> IntMatrix:
@@ -164,12 +140,11 @@ def k_presentation_matrix(g: Graph) -> IntMatrix:
     the edge counts from w, less 1 at w itself; its rows are built in one
     pass over the out-edges."""
     row_of = {v: i for i, v in enumerate(g.vertices)}
-    out = g._out
-    regulars = [w for w in g.vertices if out[w]]
+    regulars = [(w, edges) for w in g.vertices if (edges := g.out_edges(w))]
     rows: list[dict[int, int]] = [{} for _ in g.vertices]
-    for j, w in enumerate(regulars):
+    for j, (w, edges) in enumerate(regulars):
         column = {row_of[w]: -1}
-        for e in out[w]:
+        for e in edges:
             i = row_of[e.dst]
             column[i] = column.get(i, 0) + 1
         # a single loop at w cancels the -1: the matrix holds no zero

@@ -305,13 +305,14 @@ def matrix_amplify(g: Graph, n: int) -> PipelineResult:
     _require_nonempty(g)
     before = k_invariants(g)
     if n == 1:
+        after = k_invariants(g)
         certificates = (
             ("no-sinks", not g.sinks),
-            ("k-invariants-preserved", True),
-            ("unit-divisible-by-factor", True),
+            ("k-invariants-preserved", before.groups_equal(after)),
+            ("unit-divisible-by-factor", k0_class_divisible(g, {v: 1 for v in g.vertices}, n)),
         )
         return PipelineResult(
-            g, MoveLog(graph_fingerprint(g), ()), before, before, certificates, multiset=ones(g)
+            g, MoveLog(graph_fingerprint(g), ()), before, after, certificates, multiset=ones(g)
         )
     _, corner = _corner_tail(g, ones(g).scaled(n))
     certificates = (

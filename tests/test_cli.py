@@ -71,6 +71,14 @@ def test_missing_file_is_a_parse_error(capsys):
     assert err == "parse error: cannot read no/such/file.graph: No such file or directory\n"
 
 
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "utf16.graph"
+    bad.write_bytes(b"\xff\xfev\x00e\x00r\x00t\x00e\x00x\x00")
+    code, out, err = _run(["info", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_garbage_file_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("vertex v0\nnonsense line\n")

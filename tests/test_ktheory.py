@@ -13,6 +13,7 @@ from ckgraph import (
     Graph,
     IntMatrix,
     PreconditionError,
+    SnfResult,
     expand_at,
     format_graph,
     format_k_invariants,
@@ -255,12 +256,19 @@ def test_engine_lives_on_its_graph_object(monkeypatch, two_loops):
     engine = weakref.ref(_engine_of(G("v", "a:v>v b:v>v")))
     gc.collect()
     assert engine() is None
-    # the K0 path builds none of the dense d, u and v of the Smith result
+    # the engine keeps no Smith result, and the K0 path builds none of the
+    # dense d, u and v
+    def built(self):
+        raise AssertionError("the K0 path built a dense Smith matrix")
+
+    for name in ("u", "v", "d"):
+        monkeypatch.setattr(SnfResult, name, property(built))
     for h in (two_loops, bouquet(3), G("v w", "a:v>w"), *large_random_graphs("engine-rows", 5)):
         k_invariants(h)
         is_cuntz_krieger(h)
         k0_class_divisible(h, {v: 1 for v in h.vertices}, 2)
-        assert not {"u", "v", "d"} & set(vars(_engine_of(h).snf))
+        engine = _engine_of(h)
+        assert not any(isinstance(getattr(engine, f.name), SnfResult) for f in fields(engine))
 
 
 def _dense_class(snf, x: list[int]) -> K0Class:
@@ -297,14 +305,18 @@ def test_class_of_matches_the_dense_u_on_unit_heavy_matrices(m, data):
 
 
 def _check_rows(engine: _K0Engine, vertices: tuple[str, ...], snf) -> None:
-    """Each kept row of the engine is the row of the dense u at a divisor d
-    other than 1, reduced mod d for torsion and exact for d = 0."""
+    """Every row of u that ``u_rows`` gives by back substitution is the row
+    of the dense u, which ``_solve`` builds, reduced mod its diagonal entry
+    unless that is 0; and each kept row of the engine is the one at a
+    divisor other than 1."""
     diagonal = snf.diagonal + (0,) * (len(vertices) - len(snf.diagonal))
-    kept = [(line, d) for line, d in zip(snf.u.to_rows(), diagonal) if d != 1]
-    assert len(engine.rows) == len(kept)
-    for row, (line, d) in zip(engine.rows, kept):
-        reduced = [x % d if d else x for x in line]
-        assert row == {v: x for v, x in zip(vertices, reduced) if x}
+    dense = []
+    for line, d in zip(snf.u.to_rows(), diagonal):
+        reduced = (x % d if d else x for x in line)
+        dense.append({i: x for i, x in enumerate(reduced) if x})
+    assert snf.u_rows(range(len(vertices)), diagonal) == dense
+    kept = [row for row, d in zip(dense, diagonal) if d != 1]
+    assert engine.rows == tuple({vertices[i]: x for i, x in row.items()} for row in kept)
 
 
 def test_coordinate_rows_match_the_dense_u_at_benchmark_size():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckgraph import (
+    CertificateError,
     Graph,
     PreconditionError,
     VertexMultiset,
@@ -25,6 +26,7 @@ from ckgraph import (
     self_loop_saturate,
     subdivide_edge,
 )
+from ckgraph import pipeline
 from ckgraph.pipeline import _head_projection
 from ckgraph.randgen import SplitMix64, derive_seed, random_all_loop_graph
 from conftest import G, all_loop_graphs, bouquet, no_sink_graphs
@@ -273,6 +275,15 @@ def test_corner_is_stable_under_projection_rewrites(g, data):
 def test_amplify_by_one_is_identity(line_into_loops):
     result = matrix_amplify(line_into_loops, 1)
     assert result.graph == line_into_loops and result.log.steps == ()
+
+
+def test_amplify_by_one_checks_its_certificates(monkeypatch, line_into_loops):
+    names = [name for name, _ in matrix_amplify(line_into_loops, 1).certificates]
+    assert names == ["no-sinks", "k-invariants-preserved", "unit-divisible-by-factor"]
+    monkeypatch.setattr(pipeline, "k0_class_divisible", lambda g, coefficients, k: False)
+    for n in (1, 2):
+        with pytest.raises(CertificateError, match="unit-divisible-by-factor"):
+            matrix_amplify(line_into_loops, n)
 
 
 def test_amplify_single_loop_by_three():
