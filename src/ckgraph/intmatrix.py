@@ -171,18 +171,21 @@ def _factor_fault(
     return fault
 
 
-# A phase-2 operation acts on two lines of the core, rows or, if
-# ``columns``, columns, or on one line for a negation.  It is logged as a
-# flat tuple:
+# A phase-2 operation acts on lines of the core, rows or, if ``columns``,
+# columns.  It is logged as a flat tuple:
 #   ("swap", columns, i, j)                lines i and j trade places
 #   ("negate", columns, i)                 line i := -line i
-#   ("add", columns, i, j, q)              line i += q * line j
+#   ("add", columns, j, ((i, q), ...))     line i += q * line j, for each pair
 #   ("mix", columns, i, j, x, y, xx, yy)   (line i, line j) :=
 #                                          (x*i + y*j, xx*i + yy*j), x*yy - y*xx = 1
-# with i != j.  Each is unimodular by inspection, and the core's transforms
-# are their products: c = E_n * ... * E_1 over the row operations and
-# vc = F_1^T * ... * F_n^T over the column operations, where E and F are
-# the operations' matrices on lines.
+# with i != j, and an add's targets distinct.  An add is the run of
+# transvections from one source line between two mixes: the source does not
+# change while it runs, so its pairs may apply in any order, and a batch of
+# column adds reads each row once.  Each operation is unimodular by
+# inspection, and the core's transforms are their products:
+# c = E_n * ... * E_1 over the row operations and vc = F_1^T * ... * F_n^T
+# over the column operations, where E and F are the operations' matrices on
+# lines.
 Op = tuple
 
 
@@ -194,13 +197,19 @@ def _apply(mat: list[list[int]], op: Op, within: bool) -> None:
     certificate's replay and the transforms built from the log."""
     kind = op[0]
     if kind == "add":
-        _, _, i, j, q = op
+        _, _, j, pairs = op
         if within:
             for row in mat:
-                if row[j]:
-                    row[i] += q * row[j]
+                y = row[j]
+                if y:
+                    for i, q in pairs:
+                        row[i] += q * y
         else:
-            mat[i] = [x + q * y if y else x for x, y in zip(mat[i], mat[j])]
+            source = [(k, y) for k, y in enumerate(mat[j]) if y]
+            for i, q in pairs:
+                row = mat[i]
+                for k, y in source:
+                    row[k] += q * y
     elif kind == "mix":
         _, _, i, j, x, y, xx, yy = op
         if within:
@@ -227,22 +236,12 @@ def _apply(mat: list[list[int]], op: Op, within: bool) -> None:
             mat[i] = [-x for x in mat[i]]
 
 
-def _transposed(op: Op) -> Op:
-    kind, columns, i, *rest = op
-    if kind == "add":
-        j, q = rest
-        return (kind, columns, j, i, q)
-    if kind == "mix":
-        j, x, y, xx, yy = rest
-        return (kind, columns, i, j, x, xx, y, yy)
-    return op
-
-
 def _unimodular(log: Sequence[Op], k: int, w: int) -> bool:
     """Whether every logged operation is of a known kind, on distinct lines
     in range (below ``k`` for rows, ``w`` for columns), with integer
     coefficients and, for a mix, determinant 1: each operation's matrix then
-    has determinant +-1, whatever the lines hold."""
+    has determinant +-1, whatever the lines hold.  An add's pairs are a
+    tuple of ``(target, q)`` tuples, so its replay reads what was checked."""
     for op in log:
         if type(op) is not tuple or len(op) < 3 or type(op[1]) is not bool:
             return False
@@ -252,9 +251,19 @@ def _unimodular(log: Sequence[Op], k: int, w: int) -> bool:
             return False
         if kind == "negate" and not rest:
             continue
+        if kind == "add" and len(rest) == 1 and type(rest[0]) is tuple:
+            targets = set()
+            for pair in rest[0]:
+                if type(pair) is not tuple or len(pair) != 2:
+                    return False
+                j, q = pair
+                if type(j) is not int or type(q) is not int or not 0 <= j < bound or j == i:
+                    return False
+                targets.add(j)
+            if len(targets) != len(rest[0]):
+                return False
+            continue
         if kind == "swap" and len(rest) == 1:
-            j = rest[0]
-        elif kind == "add" and len(rest) == 2 and type(rest[1]) is int:
             j = rest[0]
         elif kind == "mix" and len(rest) == 5:
             j, x, y, xx, yy = rest
@@ -284,8 +293,9 @@ class SnfResult:
     columns later in ``col_order``.  So in pivot order ``L`` is lower and
     ``R`` upper triangular, both with a unit diagonal.  ``core``, dense by
     rows, is k x w with ``k = m - p`` and ``w = n - p``.  Its elimination is
-    kept as ``log``, the operations it applied in order (see ``Op``): ``c``
-    is the product of the row operations and ``vc`` of the column
+    kept as ``log``, the operations it applied in order (see ``Op``), each
+    run of adds from one line between two gcd steps logged as one ``add``:
+    ``c`` is the product of the row operations and ``vc`` of the column
     operations, with ``c * core * vc = D_core``.  So
     ``u = diag(I, c) * L^-1`` and ``v = R^-1 * diag(I, vc)``.
 
@@ -318,14 +328,31 @@ class SnfResult:
         ``vc``, dense.  Row t of ``c = E_n * ... * E_1`` is
         ``e_t * E_n * ... * E_1``, and column t of ``vc = F_1^T * ... * F_n^T``
         is, as a row, ``e_t * F_n * ... * F_1``: that side's operations run
-        backwards on the unit vector, each transposed, so each operation
-        costs two entries per line asked for."""
+        backwards on the unit vector, each transposed, so a swap or mix costs
+        two entries per line asked for, and an add one per pair and one more.
+        A swap or negation is its own transpose; a mix's trades ``y`` and
+        ``xx``; an add's gathers its targets, scaled, into its source."""
         # k = m - p rows of c, w = n - p columns of vc
         size = len(self.core) + (len(self.col_order) - len(self.row_order) if columns else 0)
         lines = [[0] * t + [1] + [0] * (size - t - 1) for t in indices]
         for op in reversed(self.log):
-            if op[1] == columns:
-                _apply(lines, _transposed(op), True)
+            if op[1] != columns:
+                continue
+            kind = op[0]
+            if kind == "add":
+                _, _, j, pairs = op
+                for line in lines:
+                    s = 0
+                    for i, q in pairs:
+                        x = line[i]
+                        if x:
+                            s += q * x
+                    line[j] += s
+            elif kind == "mix":
+                _, _, i, j, x, y, xx, yy = op
+                _apply(lines, (kind, columns, i, j, x, xx, y, yy), True)
+            else:
+                _apply(lines, op, True)
         return lines
 
     def u_rows(self, indices: Sequence[int], moduli: Sequence[int]) -> list[Row]:
@@ -416,8 +443,10 @@ def verify_snf(a: IntMatrix, result: SnfResult) -> None:
       entries' positions, in the same walk over each factor that checks
       its types and index bounds (``_factor_fault``).  Each logged
       operation is of a known kind, on distinct lines inside the core, with
-      integer coefficients and a mix of determinant 1, so ``c`` and ``vc``,
-      their products, have determinant +-1;
+      integer coefficients and a mix of determinant 1; an add's targets are
+      distinct ints in range other than its source, and each multiplier is
+      an int, before it is replayed.  So ``c`` and ``vc``, their products,
+      have determinant +-1;
     * ``a = L * (D_p (+) core) * R``, where ``D_p`` is the first p entries
       of ``diagonal``, and the log replayed on ``core`` gives ``D_core``,
       the other entries: that replay is ``c * core * vc``, so
@@ -565,11 +594,16 @@ def _unit_pivots(
         for i in others:
             target = rows[i]
             q = -target.pop(c) * e
+            # cols changes only where an entry fills in or cancels
             for j, x in row.items():
-                y = target.get(j, 0) + q * x
+                y = target.get(j)
+                if y is None:
+                    target[j] = q * x
+                    cols[j].add(i)
+                    continue
+                y += q * x
                 if y:
                     target[j] = y
-                    cols[j].add(i)
                 else:
                     del target[j]
                     cols[j].discard(i)
@@ -595,17 +629,26 @@ def _log(d: list[list[int]], log: list[Op], op: Op) -> None:
 def _clear(d: list[list[int]], log: list[Op], t: int, columns: bool = False) -> None:
     """Zero column t of the core below row t, or row t right of column t,
     folding each entry the pivot does not divide into it by an extended-gcd
-    2x2 step (no swap cascades, so intermediate entries stay manageable)."""
+    2x2 step (no swap cascades, so intermediate entries stay manageable).
+    The lines the pivot divides are cleared by one add per run between two
+    steps: each multiplier is read off its own line, which no other add of
+    the run touches."""
+    pairs: list[tuple[int, int]] = []
     for i in range(t + 1, len(d[t]) if columns else len(d)):
         b = d[t][i] if columns else d[i][t]
         if not b:
             continue
         p = d[t][t]
         if b % p == 0:
-            _log(d, log, ("add", columns, i, t, -(b // p)))
-        else:
-            g, x, y = _xgcd(p, b)
-            _log(d, log, ("mix", columns, t, i, x, y, -(b // g), p // g))
+            pairs.append((i, -(b // p)))
+            continue
+        if pairs:
+            _log(d, log, ("add", columns, t, tuple(pairs)))
+            pairs = []
+        g, x, y = _xgcd(p, b)
+        _log(d, log, ("mix", columns, t, i, x, y, -(b // g), p // g))
+    if pairs:
+        _log(d, log, ("add", columns, t, tuple(pairs)))
 
 
 def _core_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -646,7 +689,7 @@ def _reduce_core(d: list[list[int]], width: int, log: list[Op]) -> list[int]:
                 offender = next((i for i in below if any(x % p for x in d[i][t + 1 :])), None)
             if offender is None:
                 break
-            _log(d, log, ("add", False, t, offender, 1))
+            _log(d, log, ("add", False, offender, ((t, 1),)))
         t += 1
     diagonal = [d[t][t] for t in range(min(len(d), width))]
     for t, x in enumerate(diagonal):

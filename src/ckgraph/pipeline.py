@@ -232,7 +232,8 @@ def realize_full_corner(g: Graph, m: VertexMultiset) -> PipelineResult:
             w = projection[e.dst]
             column[w] = column.get(w, 0) + 1
         column[projection[v]] = column.get(projection[v], 0) - 1
-        if not k0_class_of(g, column).is_zero():
+        # a head vertex's relation projects to zero, whose class is 0
+        if any(column.values()) and not k0_class_of(g, column).is_zero():
             relations_land_in_image = False
     unit_image: dict[str, int] = {}
     for v in out.vertices:

@@ -157,7 +157,38 @@ BROKEN_CERTIFICATES = {
         "not unimodular",
     ),
     # row 0 += row 0 doubles it: u = [[2]] again
-    "add-to-itself": (_certificate([[1]], (2,), [("add", False, 0, 0, 1)]), "not unimodular"),
+    "add-to-itself": (_certificate([[1]], (2,), [("add", False, 0, ((0, 1),))]), "not unimodular"),
+    # the same inside a batch: row 1 -= row 0 clears it, then row 0 doubles
+    "source-among-targets": (
+        _certificate([[1], [1]], (2,), [("add", False, 0, ((1, -1), (0, 1)))]),
+        "not unimodular",
+    ),
+    # row 1 -= 2 row 0, then row 1 += row 0: each is unimodular and the
+    # replay gives d, but a batch names each target once
+    "repeated-target": (
+        _certificate([[1], [1]], (1,), [("add", False, 0, ((1, -2), (1, 1)))]),
+        "not unimodular",
+    ),
+    # row 1 is outside a core of one row
+    "target-out-of-range": (
+        _certificate([[1, 0]], (1,), [("add", False, 0, ((1, 1),))]),
+        "not unimodular",
+    ),
+    # a negative target would name a line from the end: here row 0 itself
+    "negative-target": (
+        _certificate([[1]], (2,), [("add", False, 0, ((-1, 1),))]),
+        "not unimodular",
+    ),
+    # adding a zero row leaves the core as it is, and 1.0 and True equal 1,
+    # but only ints are coefficients
+    "float-coefficient": (
+        _certificate([[1, 0], [0, 0]], (1, 0), [("add", False, 1, ((0, 1.0),))]),
+        "not unimodular",
+    ),
+    "bool-coefficient": (
+        _certificate([[1, 0], [0, 0]], (1, 0), [("add", False, 1, ((0, True),))]),
+        "not unimodular",
+    ),
     # lines outside the core: a row index within the width but not the
     # height, and a column index within the height but not the width
     "row-out-of-range": (
@@ -169,12 +200,12 @@ BROKEN_CERTIFICATES = {
         "not unimodular",
     ),
     "unknown-kind": (_certificate([[1]], (2,), [("scale", False, 0, 2)]), "not unimodular"),
-    # a negative index would name a line from the end: here row 0 itself
-    "negative-line": (_certificate([[1]], (2,), [("add", False, 0, -1, 1)]), "not unimodular"),
+    # a negative source would name a line from the end: here row 0 itself
+    "negative-line": (_certificate([[1]], (2,), [("add", False, -1, ((0, 1),))]), "not unimodular"),
     # adding half of a zero row leaves the core as it is, but u is not an
     # integer matrix
     "fractional-coefficient": (
-        _certificate([[1, 0], [0, 0]], (1, 0), [("add", False, 0, 1, 0.5)]),
+        _certificate([[1, 0], [0, 0]], (1, 0), [("add", False, 1, ((0, 0.5),))]),
         "not unimodular",
     ),
     # the elimination's log without its last operation
@@ -274,8 +305,8 @@ def _break_sparse_factor(result, name, data):
 
 def _break_log(result, data):
     """The result with one logged operation changed: a line index or a
-    coefficient moved, the other side, another kind, or the operation
-    dropped."""
+    coefficient moved, a batch's target or multiplier among them, the other
+    side, another kind, or the operation dropped."""
     log = list(result.log)
     t = data.draw(st.integers(0, len(log) - 1))
     op = list(log[t])
@@ -285,7 +316,14 @@ def _break_log(result, data):
     else:
         if change == "entry":
             at = data.draw(st.integers(2, len(op) - 1))
-            op[at] += data.draw(st.integers(-3, 3).filter(bool))
+            delta = data.draw(st.integers(-3, 3).filter(bool))
+            if op[0] == "add" and at == 3:
+                pairs = [list(pair) for pair in op[3]]
+                pair = pairs[data.draw(st.integers(0, len(pairs) - 1))]
+                pair[data.draw(st.integers(0, 1))] += delta
+                op[3] = tuple(map(tuple, pairs))
+            else:
+                op[at] += delta
         elif change == "side":
             op[1] = not op[1]
         else:
@@ -343,6 +381,23 @@ def test_verify_snf_refuses_another_input_or_diagonal(m, data):
     diagonal[data.draw(st.integers(0, len(diagonal) - 1))] += delta
     with pytest.raises(CertificateError):
         verify_snf(m, replace(result, diagonal=tuple(diagonal)))
+
+
+def test_core_clears_a_column_by_one_batched_add():
+    # the pivot 2 divides both entries below it, so one add clears them
+    result = smith_normal_form(IntMatrix.from_rows([[2, 4, 6], [4, 2, 8], [6, 8, 2]]))
+    assert result.log[0] == ("add", False, 0, ((1, -2), (2, -3)))
+
+
+@settings(max_examples=100)
+@given(matrices)
+def test_core_adds_are_maximal_batches(m):
+    # a run of adds from one line between two other operations is one add
+    result = smith_normal_form(m)
+    for op, after in zip(result.log, result.log[1:]):
+        assert not (op[0] == after[0] == "add" and op[1:3] == after[1:3])
+    assert all(op[3] for op in result.log if op[0] == "add")
+    assert naive_product(naive_product(result.u, m), result.v) == result.d
 
 
 @settings(max_examples=100)

@@ -191,6 +191,20 @@ def test_head_projection_matches_the_hop_walk_on_random_corners():
         assert _head_projection(g, corner) == _hop_walk(g, corner)
 
 
+def test_full_corner_refuses_a_projection_that_leaves_the_k0_class(monkeypatch):
+    # K0 = Z/2 + Z/2 with u and v as generators: sending the head vertex of
+    # u to v maps its relation to u - v, which is not 0
+    g = G("u v", "l1:u>u l2:u>u l3:u>u m1:v>v m2:v>v m3:v>v")
+    m = ms("u=2,v=1")
+    projection = pipeline._head_projection
+    assert realize_full_corner(g, m).certificate("k0-projection-certified")
+    monkeypatch.setattr(
+        pipeline, "_head_projection", lambda base, corner: {**projection(base, corner), "u~h1": "v"}
+    )
+    with pytest.raises(CertificateError, match="k0-projection-certified"):
+        realize_full_corner(g, m)
+
+
 @settings(max_examples=50, deadline=None)
 @given(all_loop_graphs(max_vertices=4), st.data())
 def test_full_corner_unit_class_equals_multiset_class(g, data):
