@@ -552,6 +552,18 @@ def _unit_pivots(
     entry on a lower cost, or on an equal cost in the same row at a lower
     column: rows come in increasing order, so that is the least
     ``(cost, row, column)``, with no key built per entry.
+
+    The scan skips the rows that cannot hold the pivot.  With no unit of
+    cost 0 left, each unit lies in a row of ``r + 1 >= 2`` entries and in a
+    column of at least ``least + 1 >= 2``, where ``least + 1`` is the fewest
+    entries of any column holding two or more; so it costs at least
+    ``r * least``.  A row with ``best <= r * least`` is skipped, since a
+    later row wins no tie, and the scan stops once ``best <= least``.
+    ``least`` starts at 1, which skips a row whose ``r`` reaches the best
+    cost and stops at cost 1.  It is made exact by one pass over ``cols``
+    once the scan has read as many entries as there are columns, so the
+    pass costs no more than the scan it prunes: a pass at every scan makes
+    the cost-1 pivots of a long cycle with a chord quadratic.
     """
     pivots = []
     queue = [i for i, row in rows.items() if len(row) == 1]
@@ -568,14 +580,13 @@ def _unit_pivots(
                     if best < 0 or j < c:
                         best, p, c = 0, i, j
         if best < 0:
-            # no unit costs 0, so one in a row of r + 1 entries costs at
-            # least r: a row whose r reaches the best cost holds no better
-            # pivot, and as rows come in increasing order, a later row wins
-            # no tie and cost 1 is final
+            # a unit in a row of r + 1 entries costs at least r * least; the
+            # exact least waits until the scan has read len(cols) entries
+            least, unread = 1, len(cols)
             for i, row in rows.items():
                 r = len(row) - 1
-                if 0 <= best <= r:
-                    if best == 1:
+                if 0 <= best <= r * least:
+                    if best <= least:
                         break
                     continue
                 for j, x in row.items():
@@ -583,6 +594,11 @@ def _unit_pivots(
                         cost = r * (len(cols[j]) - 1)
                         if cost < best or best < 0 or (cost == best and i == p and j < c):
                             best, p, c = cost, i, j
+                if unread > 0:
+                    unread -= r + 1
+                    if unread <= 0:
+                        sizes = (len(held) for held in cols.values() if len(held) > 1)
+                        least = min(sizes, default=2) - 1
         if best < 0:
             return pivots
         row = rows.pop(p)

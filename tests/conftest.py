@@ -111,6 +111,23 @@ UNIT_HEAVY = (0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3)
 
 
 @st.composite
+def dense_unit_matrices(draw, max_dim: int):
+    """Matrices of 3 to ``max_dim`` rows and columns of +-1 with a few holes,
+    every row and column keeping at least 3 nonzeros: each unit costs at
+    least 4 at the start, so no pivot comes from the heap or from the cost-1
+    stop, and the scans run on to the exact column bound.  The holes let
+    units outlive the first pivot."""
+    rows, cols = draw(st.integers(3, max_dim)), draw(st.integers(3, max_dim))
+    flat = draw(st.lists(st.sampled_from((1, -1)), min_size=rows * cols, max_size=rows * cols))
+    a = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    for i, j in draw(st.lists(cells, max_size=rows * cols // 2)):
+        if a[i][j] and sum(map(bool, a[i])) > 3 and sum(bool(row[j]) for row in a) > 3:
+            a[i][j] = 0
+    return IntMatrix.from_rows(a)
+
+
+@st.composite
 def unit_heavy_matrices(draw, max_dim: int):
     rows, cols = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
     flat = draw(st.lists(st.sampled_from(UNIT_HEAVY), min_size=rows * cols, max_size=rows * cols))

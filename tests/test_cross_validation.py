@@ -30,7 +30,7 @@ from ckgraph.randgen import (  # noqa: E402
     random_graph,
     random_int_matrix,
 )
-from conftest import large_random_graphs, unit_heavy_matrices  # noqa: E402
+from conftest import dense_unit_matrices, large_random_graphs, unit_heavy_matrices  # noqa: E402
 from oracles import (  # noqa: E402
     determinant,
     markowitz_unit_pivots,
@@ -111,6 +111,30 @@ def _examples(inputs):
 def test_unit_pivots_follow_the_full_markowitz_scan(m):
     # the heap of cost-0 candidates must pick the pivots a scan of every
     # unit entry picks, so the transforms stay the same
+    _check_unit_pivots(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_unit_matrices(max_dim=7))
+# every column holds 3 entries, so once row 0 is read the bound is 2 per
+# entry of a row past the first: rows 1 and 2 reach the best cost 4, and
+# their unit (1, 0) of that cost, at a lower column than (0, 2), must lose
+@example(IntMatrix.from_rows([[2, 2, 1], [1, 1, 1], [1, 1, 1]]))
+# the first scan stops at (0, 0) of cost 1 after reading 2 entries, fewer
+# than the 5 columns; the next makes its bound exact after row 2, and then
+# rows 3 and 4 reach its best cost 4
+@example(
+    IntMatrix.from_rows(
+        [[1, 1, 0, 0, 0], [1, -1, 0, 0, 0], [0, 0, 1, 1, 1], [0, 0, 1, 1, 1], [0, 0, 1, 1, 1]]
+    )
+)
+def test_unit_pivots_follow_the_full_markowitz_scan_past_the_column_bound(m):
+    # with no unit of cost 0 or 1 the scan skips rows by the fewest entries
+    # of a column, which must not change the pivots
+    _check_unit_pivots(m)
+
+
+def _check_unit_pivots(m: IntMatrix) -> None:
     rows = {i: dict(row) for i, row in enumerate(m.data)}
     cols = {j: {i for i, row in rows.items() if j in row} for j in range(m.cols)}
     pivots = [(p, c) for p, c, *_ in _unit_pivots(rows, cols)]

@@ -15,10 +15,18 @@ from ckgraph import (
     GraphFormatError,
     IntMatrix,
     SnfResult,
+    k_presentation_matrix,
     smith_normal_form,
     verify_snf,
 )
-from oracles import determinant, laplace_determinant, minors_divisors, naive_product
+from ckgraph.intmatrix import _unit_pivots
+from oracles import (
+    cycle_with_chord,
+    determinant,
+    laplace_determinant,
+    minors_divisors,
+    naive_product,
+)
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -408,6 +416,35 @@ def test_snf_inverses_are_exact(m):
     assert naive_product(naive_product(result.u, m), result.v) == result.d
     for t in (result.u, result.v):
         assert abs(determinant(t)) == 1
+
+
+class _CountedColumns(dict):
+    """A column map that counts the column sets it hands out."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return super().__getitem__(j)
+
+    def values(self):
+        return [self[j] for j in self]
+
+
+def _column_reads(m: IntMatrix) -> int:
+    rows = {i: dict(row) for i, row in enumerate(m.data)}
+    cols = _CountedColumns({j: {i for i, row in rows.items() if j in row} for j in range(m.cols)})
+    assert len(_unit_pivots(rows, cols)) == m.cols
+    return cols.reads
+
+
+def test_unit_pivot_scan_reads_linearly_many_column_sets():
+    # nearly every pivot of a cycle with a chord costs 1 and comes from the
+    # scan, so a scan that passed over every column to tighten its bound,
+    # even only on the scans whose cost-1 stop had not yet fired, would read
+    # quadratically many column sets
+    small, large = (_column_reads(k_presentation_matrix(cycle_with_chord(n))) for n in (1000, 4000))
+    assert large < 5 * small
 
 
 def test_certificate_is_checked_under_python_O():
