@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that a
+count or coefficient is an int."""
 
 
 class CkGraphError(Exception):
@@ -23,3 +24,9 @@ class PreconditionError(CkGraphError):
 
 class CertificateError(CkGraphError):
     """An internal verification failed.  This signals a bug, not bad input."""
+
+
+def require_int(x: object, what: str) -> None:
+    """Refuse with ``bad-parameter`` a value that is not an int, or is a bool."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise PreconditionError("bad-parameter", f"{what} must be an int, got {x!r}")

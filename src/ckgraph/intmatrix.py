@@ -302,10 +302,11 @@ class SnfResult:
     ``d``, ``u`` and ``v`` are the dense matrices, built on first access:
     ``u`` and ``v`` by triangular solves and ``_core_lines``, the one
     builder of ``c`` and ``vc``, which also gives a few of their lines
-    without building the rest; ``u_rows`` gives a few rows of ``u`` in the
-    same way.  A certificate written out by hand is the case where phase 1
-    took no pivot: both orders are the identity, ``L`` and ``R`` are
-    identities, ``core`` is ``a`` and ``log`` its elimination.
+    without building the rest; ``cokernel`` gives the rows of ``u`` at the
+    diagonal entries other than 1 in the same way.  A certificate written
+    out by hand is the case where phase 1 took no pivot: both orders are the
+    identity, ``L`` and ``R`` are identities, ``core`` is ``a`` and ``log``
+    its elimination.
     """
 
     diagonal: tuple[int, ...]
@@ -355,21 +356,25 @@ class SnfResult:
                 _apply(lines, op, True)
         return lines
 
-    def u_rows(self, indices: Sequence[int], moduli: Sequence[int]) -> list[Row]:
-        """Rows ``indices`` of ``u``, each a map from row of ``a`` to nonzero
-        entry, reduced mod the matching entry of ``moduli`` unless that is 0.
+    def cokernel(self) -> tuple[tuple[int, ...], list[Row]]:
+        """The cokernel of ``a``: its divisors greater than 1, and for each
+        entry d other than 1 of the diagonal, padded with 0 to one entry per
+        row of ``a``, that row of ``u`` as a map from row of ``a`` to nonzero
+        entry, reduced mod d unless d is 0.
 
-        Row t of ``u = diag(I, c) * L^-1`` is the ``w`` with ``w * L`` equal
-        to row t of ``diag(I, c)``.  Column s of ``L`` holds +-1 at row
+        Every unit pivot's entry is 1, so these are rows of the core.  Row t
+        of ``u = diag(I, c) * L^-1`` is the ``w`` with ``w * L`` equal to
+        row t of ``diag(I, c)``.  Column s of ``L`` holds +-1 at row
         ``row_order[s]`` and its other entries at rows later in
         ``row_order``, so in reverse pivot order each column fixes one entry
         of ``w`` from those already fixed: one back substitution over ``L``."""
         m = len(self.row_order)
         split = m - len(self.core)
-        lines = iter(self._core_lines(False, [t - split for t in indices if t >= split]))
-        out = []
-        for t, d in zip(indices, moduli):
-            target = [0] * split + next(lines) if t >= split else [int(s == t) for s in range(m)]
+        diagonal = self.diagonal + (0,) * (m - len(self.diagonal))
+        kept = [t for t in range(split, m) if diagonal[t] != 1]
+        rows = []
+        for t, line in zip(kept, self._core_lines(False, [t - split for t in kept])):
+            target, d = [0] * split + line, diagonal[t]
             w: Row = {}
             for s in reversed(range(m)):
                 i, column = self.row_order[s], self.u1_inv[s]
@@ -379,8 +384,8 @@ class SnfResult:
                     z %= d
                 if z:
                     w[i] = z
-            out.append(w)
-        return out
+            rows.append(w)
+        return tuple(d for d in diagonal if d > 1), rows
 
     @cached_property
     def d(self) -> IntMatrix:

@@ -8,12 +8,12 @@ graph object on first use.  The graph keeps what K0 and K1 need of it, not
 the Smith form itself: the torsion divisors, the two ranks, and the
 coordinate rows of K0, that is, for each divisor other than 1, the matching
 row of the Smith transform ``u`` as a map from vertex to coefficient, which
-``SnfResult.u_rows`` gives without building ``u``.  They are freed with the
-graph; no cache is shared across graphs.  The class of a vertex-coefficient
-vector is one sum per row over its support.  The class of the unit is the
-image of the all-ones vector; it is summarized by an automorphism-invariant
-profile (its order plus divisibility flags), which is what can be compared
-across different graphs.
+``SnfResult.cokernel`` gives with the torsion without building ``u``.  They
+are freed with the graph; no cache is shared across graphs.  The class of a
+vertex-coefficient vector is one sum per row over its support.  The class of
+the unit is the image of the all-ones vector; it is summarized by an
+automorphism-invariant profile (its order plus divisibility flags), which is
+what can be compared across different graphs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import CertificateError, PreconditionError
+from .errors import CertificateError, PreconditionError, require_int
 from .graph import Graph
 from .intmatrix import IntMatrix, smith_normal_form
 
@@ -86,9 +86,10 @@ class _K0Engine:
     def class_of(self, coefficients: Mapping[str, int]) -> K0Class:
         """The coordinates of ``u * x`` against the divisors other than 1:
         one sum per kept row of ``u`` over the support of ``x``."""
-        for v in coefficients:
+        for v, c in coefficients.items():
             if v not in self.vertices:
                 raise PreconditionError("unknown-vertex", f"no vertex {v!r} in graph")
+            require_int(c, "coefficient")
         y = [sum(row.get(v, 0) * c for v, c in coefficients.items()) for row in self.rows]
         return K0Class(
             tuple(r % d for r, d in zip(y, self.torsion)), tuple(y[len(self.torsion) :])
@@ -121,17 +122,14 @@ def _engine_of(g: Graph) -> _K0Engine:
 
 def _engine(vertices: tuple[str, ...], presentation: IntMatrix) -> _K0Engine:
     """The engine of a presentation with one row per vertex and one column
-    per regular vertex: the rows of u a class reads, the torsion, and the K0
-    and K1 ranks, the presentation's row and column counts less its rank."""
+    per regular vertex: its cokernel's rows, labelled by vertex, and
+    torsion, and the K0 and K1 ranks, the presentation's rows less the
+    torsion and its columns less its rank."""
     snf = smith_normal_form(presentation)
-    diagonal = snf.diagonal + (0,) * (len(vertices) - len(snf.diagonal))
-    kept = [t for t, d in enumerate(diagonal) if d != 1]
-    moduli = [diagonal[t] for t in kept]
-    rows = tuple({vertices[i]: x for i, x in row.items()} for row in snf.u_rows(kept, moduli))
-    torsion = tuple(d for d in moduli if d > 1)
-    rank = snf.rank()
-    ranks = (presentation.rows - rank, presentation.cols - rank)
-    return _K0Engine(frozenset(vertices), rows, torsion, *ranks)
+    torsion, rows = snf.cokernel()
+    labelled = tuple({vertices[i]: x for i, x in row.items()} for row in rows)
+    ranks = (len(rows) - len(torsion), presentation.cols - snf.rank())
+    return _K0Engine(frozenset(vertices), labelled, torsion, *ranks)
 
 
 def k_presentation_matrix(g: Graph) -> IntMatrix:
@@ -161,6 +159,7 @@ def k0_class_of(g: Graph, coefficients: Mapping[str, int]) -> K0Class:
 
 def k0_class_divisible(g: Graph, coefficients: Mapping[str, int], k: int) -> bool:
     """Whether the class lies in k * K0."""
+    require_int(k, "divisor")
     if k <= 0:
         raise PreconditionError("bad-parameter", f"divisor must be positive, got {k}")
     engine = _engine_of(g)
@@ -219,16 +218,14 @@ def is_cuntz_krieger(g: Graph) -> tuple[bool, CkWitness]:
 
 def format_k_invariants(inv: KInvariants) -> str:
     """Stable key-value record, one field per line."""
-    torsion = ",".join(str(d) for d in inv.k0_torsion) or "-"
-    order = "infinite" if inv.unit_profile.order is None else str(inv.unit_profile.order)
-    divisible = ",".join(
-        str(k) for k, flag in enumerate(inv.unit_profile.divisible_by, start=1) if flag
-    )
+    record = k_invariants_dict(inv)
+    torsion = ",".join(map(str, record["k0_torsion"])) or "-"
+    divisible = ",".join(map(str, record["unit_divisible_by"]))
     return (
         f"k0_torsion = {torsion}\n"
-        f"k0_rank = {inv.k0_rank}\n"
-        f"k1_rank = {inv.k1_rank}\n"
-        f"unit_order = {order}\n"
+        f"k0_rank = {record['k0_rank']}\n"
+        f"k1_rank = {record['k1_rank']}\n"
+        f"unit_order = {record['unit_order']}\n"
         f"unit_divisible = {divisible}\n"
     )
 

@@ -32,7 +32,8 @@ from .graph import (
 class VertexMultiset:
     """Finitely supported map from vertex ids to non-negative multiplicities.
 
-    Zero entries are dropped, so equal multisets compare equal.
+    Zero entries are dropped, so equal multisets compare equal.  A rewrite
+    changes one by ``traded``, which builds one multiset per trade.
     """
 
     counts: tuple[tuple[str, int], ...]
@@ -64,21 +65,19 @@ class VertexMultiset:
     def to_dict(self) -> dict[str, int]:
         return dict(self.counts)
 
-    def plus(self, other: Mapping[str, int]) -> "VertexMultiset":
+    def traded(self, removed: Mapping[str, int], added: Mapping[str, int]) -> "VertexMultiset":
+        """This multiset less ``removed``, which it must hold before anything
+        is added, plus ``added``."""
         merged = self.to_dict()
-        for v, n in other.items():
-            merged[v] = merged.get(v, 0) + n
-        return VertexMultiset.from_dict(merged)
-
-    def minus(self, other: Mapping[str, int]) -> "VertexMultiset":
-        merged = self.to_dict()
-        for v, n in other.items():
+        for v, n in removed.items():
             merged[v] = merged.get(v, 0) - n
             if merged[v] < 0:
                 raise PreconditionError(
                     "insufficient-multiplicity",
                     f"cannot remove {n} unit(s) of {v!r} from multiplicity {self.get(v)}",
                 )
+        for v, n in added.items():
+            merged[v] = merged.get(v, 0) + n
         return VertexMultiset.from_dict(merged)
 
     def scaled(self, k: int) -> "VertexMultiset":
@@ -163,7 +162,7 @@ def expand_at(g: Graph, m: VertexMultiset, v: str) -> VertexMultiset:
     _require_regular(g, v)
     if m.get(v) < 1:
         raise PreconditionError("zero-multiplicity", f"no unit of {v!r} to expand")
-    return m.minus({v: 1}).plus(expansion_profile(g, v))
+    return m.traded({v: 1}, expansion_profile(g, v))
 
 
 def _expand_whole(g: Graph, m: VertexMultiset, v: str) -> VertexMultiset:
@@ -173,13 +172,13 @@ def _expand_whole(g: Graph, m: VertexMultiset, v: str) -> VertexMultiset:
     if k == 0:
         return m
     _require_regular(g, v)
-    return m.minus({v: k}).plus({w: k * n for w, n in expansion_profile(g, v).items()})
+    return m.traded({v: k}, {w: k * n for w, n in expansion_profile(g, v).items()})
 
 
 def contract_at(g: Graph, m: VertexMultiset, v: str) -> VertexMultiset:
     """Reverse rewrite: absorb one full out-edge profile back into the vertex."""
     _require_regular(g, v)
-    return m.minus(expansion_profile(g, v)).plus({v: 1})
+    return m.traded(expansion_profile(g, v), {v: 1})
 
 
 def path_expansion(g: Graph, path: Path) -> VertexMultiset:
@@ -356,4 +355,4 @@ def fullness_normalize(g: Graph, n: VertexMultiset) -> VertexMultiset:
         route = next((r for r in routes if r is not None), None)
         if route is None:
             raise CertificateError(f"full multiset cannot reach {w!r}; fullness check lied")
-        m = m.minus({route.source: 1}).plus(path_expansion(g, route).to_dict())
+        m = m.traded({route.source: 1}, path_expansion(g, route).to_dict())

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
-from .errors import CertificateError, GraphFormatError, PreconditionError
+from .errors import CertificateError, GraphFormatError, PreconditionError, require_int
 from .graph import Edge, Graph, _require_hereditary, _topological_order, graph_fingerprint
 
 
@@ -67,6 +67,7 @@ def _attach_fresh(g: Graph, counts: Iterable[tuple[str, int]], tag: str, chained
 def add_head(g: Graph, v0: str, n: int) -> Graph:
     """Attach a line of ``n`` fresh vertices feeding ``v0``."""
     g.require_vertex(v0)
+    require_int(n, "head length")
     if n <= 0:
         raise PreconditionError("bad-parameter", f"head length must be positive, got {n}")
     _require_length(n, "head length")
@@ -76,6 +77,7 @@ def add_head(g: Graph, v0: str, n: int) -> Graph:
 def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
     """Replace an edge by a path through ``n`` fresh vertices."""
     target = g.edge(e0)
+    require_int(n, "subdivision length")
     if n <= 0:
         raise PreconditionError("bad-parameter", f"subdivision length must be positive, got {n}")
     _require_length(n, "subdivision length")
@@ -91,6 +93,7 @@ def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
 def star_sources(g: Graph, v0: str, n: int) -> Graph:
     """Attach ``n`` fresh sources, each with a single edge into ``v0``."""
     g.require_vertex(v0)
+    require_int(n, "source count")
     if n <= 0:
         raise PreconditionError("bad-parameter", f"source count must be positive, got {n}")
     _require_length(n, "source count")
@@ -191,6 +194,7 @@ def attach_heads(g: Graph, lengths: Mapping[str, int] | Iterable[tuple[str, int]
         raise PreconditionError("bad-parameter", f"two head lengths at {repeated!r}")
     for v, n in heads:
         g.require_vertex(v)
+        require_int(n, f"head length at {v!r}")
         if n < 0:
             raise PreconditionError("bad-parameter", f"negative head length {n} at {v!r}")
     _require_length(sum(n for _, n in heads), "total head length")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .errors import CertificateError, PreconditionError
+from .errors import CertificateError, PreconditionError, require_int
 from .graph import (
     Graph,
     _topological_order,
@@ -75,20 +75,6 @@ def core_vertices(g: Graph) -> frozenset[str]:
     return frozenset(g.vertices) - set(_topological_order(g, g.vertices))
 
 
-def _push_mass(g: Graph, m: VertexMultiset, keep: frozenset[str]) -> VertexMultiset:
-    # expand all mass off the complement of `keep`; the complement must be
-    # acyclic (true for the complement of the core), so a sweep in any
-    # topological order moves each vertex's mass whole, once, after every
-    # vertex that feeds it
-    outside = [v for v in g.vertices if v not in keep]
-    order = _topological_order(g, outside)
-    if len(order) != len(outside):
-        raise CertificateError("mass transport expected an acyclic complement")
-    for v in order:
-        m = _expand_whole(g, m, v)
-    return m
-
-
 def _require_nonempty(g: Graph) -> None:
     if g.is_empty():
         raise PreconditionError("empty-core", "the empty graph has no cycles to normalize onto")
@@ -106,7 +92,11 @@ def normalize_to_ck(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipelin
     _require_no_sinks(g)
     _require_nonempty(g)
     before = k_invariants(g)
-    core = core_vertices(g)
+    # every vertex Kahn's order lists has its in-edges from vertices listed
+    # before it, so the order is the complement of the core in an order that
+    # moves each vertex's mass whole, once, after every vertex that feeds it
+    order = _topological_order(g, g.vertices)
+    core = frozenset(g.vertices).difference(order)
     if not core:
         raise PreconditionError(
             "empty-core", "no cycles anywhere: no sink-free and source-free form exists"
@@ -115,7 +105,8 @@ def normalize_to_ck(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipelin
     if m is not None:
         for v in m.support:
             g.require_vertex(v)
-        m = _push_mass(g, m, core)
+        for v in order:
+            m = _expand_whole(g, m, v)
 
     builder = MoveLogBuilder(g)
     if core != frozenset(g.vertices):
@@ -300,6 +291,7 @@ def matrix_amplify(g: Graph, n: int) -> PipelineResult:
     For n = 1 the graph is returned unchanged; the empty graph is refused
     for every n.
     """
+    require_int(n, "amplification factor")
     if n <= 0:
         raise PreconditionError("bad-parameter", f"amplification factor must be positive, got {n}")
     _require_no_sinks(g)

@@ -183,6 +183,18 @@ def test_unit_profile_of_three_loop_bouquet():
     assert not k0_class_divisible(bouquet(3), {"v0": 1}, 2)
 
 
+def test_k0_queries_refuse_a_coefficient_or_divisor_that_is_not_an_int():
+    # 1.5 would be read as a torsion residue, and True as the divisor 1
+    g = bouquet(3)
+    for x in (1.5, 2.0, True):
+        with pytest.raises(PreconditionError, match="bad-parameter: coefficient"):
+            k0_class_of(g, {"v0": x})
+        with pytest.raises(PreconditionError, match="bad-parameter: divisor"):
+            k0_class_divisible(g, {"v0": 1}, x)
+    with pytest.raises(PreconditionError, match="divisor must be positive, got 0"):
+        k0_class_divisible(g, {"v0": 1}, 0)
+
+
 def test_invariant_record_format(two_loops):
     assert format_k_invariants(k_invariants(two_loops)) == (
         "k0_torsion = -\n"
@@ -305,17 +317,17 @@ def test_class_of_matches_the_dense_u_on_unit_heavy_matrices(m, data):
 
 
 def _check_rows(engine: _K0Engine, vertices: tuple[str, ...], snf) -> None:
-    """Every row of u that ``u_rows`` gives by back substitution is the row
-    of the dense u, which ``_solve`` builds, reduced mod its diagonal entry
-    unless that is 0; and each kept row of the engine is the one at a
-    divisor other than 1."""
+    """Every row that ``cokernel`` gives by back substitution is the row of
+    the dense u, which ``_solve`` builds, at a diagonal entry other than 1,
+    reduced mod that entry unless it is 0; its torsion is the divisors
+    greater than 1; and the engine keeps those rows, labelled by vertex."""
     diagonal = snf.diagonal + (0,) * (len(vertices) - len(snf.diagonal))
-    dense = []
+    kept = []
     for line, d in zip(snf.u.to_rows(), diagonal):
-        reduced = (x % d if d else x for x in line)
-        dense.append({i: x for i, x in enumerate(reduced) if x})
-    assert snf.u_rows(range(len(vertices)), diagonal) == dense
-    kept = [row for row, d in zip(dense, diagonal) if d != 1]
+        if d != 1:
+            reduced = (x % d if d else x for x in line)
+            kept.append({i: x for i, x in enumerate(reduced) if x})
+    assert snf.cokernel() == (tuple(d for d in diagonal if d > 1), kept)
     assert engine.rows == tuple({vertices[i]: x for i, x in row.items()} for row in kept)
 
 

@@ -69,9 +69,25 @@ def test_multiset_refuses_a_bool_multiplicity():
 def test_multiset_arithmetic_guards():
     m = ms("v0=1")
     with pytest.raises(PreconditionError, match="insufficient-multiplicity"):
-        m.minus({"v0": 2})
-    assert m.plus({"v0": 1}).total() == 2
+        m.traded({"v0": 2}, {})
+    assert m.traded({}, {"v0": 1}).total() == 2
     assert m.scaled(3) == ms("v0=3")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from("abc"), st.integers(0, 3)),
+    st.dictionaries(st.sampled_from("abc"), st.integers(0, 3)),
+    st.dictionaries(st.sampled_from("abc"), st.integers(0, 3)),
+)
+def test_a_trade_removes_what_the_multiset_holds_then_adds(held, removed, added):
+    m = VertexMultiset.from_dict(held)
+    if all(m.get(v) >= n for v, n in removed.items()):
+        net = {v: m.get(v) - removed.get(v, 0) + added.get(v, 0) for v in "abc"}
+        assert m.traded(removed, added) == VertexMultiset.from_dict(net)
+    else:
+        with pytest.raises(PreconditionError, match="insufficient-multiplicity"):
+            m.traded(removed, added)
 
 
 # -- expand / contract ------------------------------------------------------------
@@ -102,6 +118,15 @@ def test_expand_preconditions(two_loops):
 def test_contract_inverts_expand(two_loops):
     m = ms("v0=3")
     assert contract_at(two_loops, expand_at(two_loops, m, "v0"), "v0") == m
+
+
+def test_contract_pays_for_its_profile_before_it_adds():
+    # v's profile is v=2,w=1: a trade netting removed against added would
+    # accept v=1,w=1, since 1 - 2 + 1 = 0 at v
+    g = G("v w", "a:v>v b:v>v c:v>w")
+    with pytest.raises(PreconditionError, match="insufficient-multiplicity"):
+        contract_at(g, ms("v=1,w=1"), "v")
+    assert contract_at(g, ms("v=2,w=1"), "v") == ms("v=1")
 
 
 @given(no_sink_graphs(max_vertices=4), st.data())

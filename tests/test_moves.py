@@ -30,6 +30,7 @@ from ckgraph import (
     format_move_log,
     graph_fingerprint,
     k_invariants,
+    matrix_amplify,
     parse_move,
     parse_move_log,
     reachable_from,
@@ -337,6 +338,25 @@ def test_attach_heads_matches_the_fold_of_add_head(data):
 def test_attach_heads_rejects_negative(two_loops):
     with pytest.raises(PreconditionError, match="bad-parameter"):
         attach_heads(two_loops, {"v0": -1})
+
+
+def test_counts_that_are_not_ints_are_refused(two_loops):
+    # range() would raise a bare TypeError on a float, and True would build a
+    # head of length 1; the amplification factor reached the multiset's
+    # format check
+    builds = (
+        lambda n: add_head(two_loops, "v0", n),
+        lambda n: subdivide_edge(two_loops, "e0", n),
+        lambda n: star_sources(two_loops, "v0", n),
+        lambda n: attach_heads(two_loops, {"v0": n}),
+        lambda n: matrix_amplify(two_loops, n),
+    )
+    for build in builds:
+        for n in (2.0, 1.5, True):
+            with pytest.raises(PreconditionError, match="bad-parameter: .* must be an int"):
+                build(n)
+    with pytest.raises(PreconditionError, match="head length must be positive, got 0"):
+        add_head(two_loops, "v0", 0)
 
 
 def test_attach_heads_refuses_a_repeated_vertex(two_loops):
