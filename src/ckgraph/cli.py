@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .errors import CertificateError, CkGraphError, GraphFormatError, PreconditionError
+from .errors import CertificateError, CkGraphError, GraphFormatError, PreconditionError, require_int
 from .graph import (
     Graph,
     classify_vertex,
@@ -311,8 +311,7 @@ def _fuzz_moves_once(rng: SplitMix64, g: Graph) -> int:
 
 def _cmd_fuzz(args) -> int:
     seed, cases = args.seed, args.cases
-    if cases < 0:
-        raise PreconditionError("bad-parameter", f"case count must be non-negative, got {cases}")
+    require_int(cases, "case count", least=0)
     lines = [f"fuzz seed={seed} cases={cases}"]
 
     rng = SplitMix64(derive_seed(seed, "snf"))

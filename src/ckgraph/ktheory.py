@@ -159,9 +159,7 @@ def k0_class_of(g: Graph, coefficients: Mapping[str, int]) -> K0Class:
 
 def k0_class_divisible(g: Graph, coefficients: Mapping[str, int], k: int) -> bool:
     """Whether the class lies in k * K0."""
-    require_int(k, "divisor")
-    if k <= 0:
-        raise PreconditionError("bad-parameter", f"divisor must be positive, got {k}")
+    require_int(k, "divisor", least=1)
     engine = _engine_of(g)
     return _divisible_by(engine.class_of(coefficients), engine.torsion, (k,))[0]
 

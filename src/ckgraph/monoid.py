@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import CertificateError, GraphFormatError, PreconditionError
+from .errors import CertificateError, GraphFormatError, PreconditionError, require_int
 from .graph import (
     Graph,
     Path,
@@ -81,8 +81,7 @@ class VertexMultiset:
         return VertexMultiset.from_dict(merged)
 
     def scaled(self, k: int) -> "VertexMultiset":
-        if k < 0:
-            raise PreconditionError("bad-parameter", "scale factor must be non-negative")
+        require_int(k, "scale factor", least=0)
         return VertexMultiset.from_dict({v: k * n for v, n in self.counts})
 
 
@@ -157,21 +156,14 @@ def _require_regular(g: Graph, v: str) -> None:
         raise PreconditionError("not-regular", f"vertex {v!r} emits no edges")
 
 
-def expand_at(g: Graph, m: VertexMultiset, v: str) -> VertexMultiset:
-    """Trade one unit at a regular vertex for its out-edge ranges."""
+def expand_at(g: Graph, m: VertexMultiset, v: str, k: int = 1) -> VertexMultiset:
+    """Trade ``k`` units at a regular vertex for ``k`` times its out-edge
+    ranges, as ``k`` single expansions would.  A vertex with no unit is
+    refused as ``zero-multiplicity``; one with fewer than ``k`` by the trade."""
+    require_int(k, "expansion count", least=1)
     _require_regular(g, v)
     if m.get(v) < 1:
         raise PreconditionError("zero-multiplicity", f"no unit of {v!r} to expand")
-    return m.traded({v: 1}, expansion_profile(g, v))
-
-
-def _expand_whole(g: Graph, m: VertexMultiset, v: str) -> VertexMultiset:
-    # all m(v) units at v traded at once for m(v) times its expansion
-    # profile, as m(v) calls of expand_at would; m itself when m(v) = 0
-    k = m.get(v)
-    if k == 0:
-        return m
-    _require_regular(g, v)
     return m.traded({v: k}, {w: k * n for w, n in expansion_profile(g, v).items()})
 
 
@@ -258,8 +250,7 @@ def mvn_equivalent(g: Graph, a: VertexMultiset, b: VertexMultiset, budget: int) 
     so ``no`` is proved; if the cap dropped one, the answer is ``unknown``
     (the general word problem has no termination guarantee).
     """
-    if budget < 0:
-        raise PreconditionError("bad-parameter", "budget must be non-negative")
+    require_int(budget, "budget", least=0)
     for v in a.support + b.support:
         g.require_vertex(v)
     if a == b:
@@ -351,8 +342,8 @@ def fullness_normalize(g: Graph, n: VertexMultiset) -> VertexMultiset:
         if not missing:
             return m
         w = missing[0]
+        # with a loop at every vertex the closure is the set the support
+        # reaches, so a full multiset's support, which only grows, reaches w
         routes = (shortest_path(g, v, w) for v in m.support)
-        route = next((r for r in routes if r is not None), None)
-        if route is None:
-            raise CertificateError(f"full multiset cannot reach {w!r}; fullness check lied")
+        route = next(r for r in routes if r is not None)
         m = m.traded({route.source: 1}, path_expansion(g, route).to_dict())

@@ -67,9 +67,7 @@ def _attach_fresh(g: Graph, counts: Iterable[tuple[str, int]], tag: str, chained
 def add_head(g: Graph, v0: str, n: int) -> Graph:
     """Attach a line of ``n`` fresh vertices feeding ``v0``."""
     g.require_vertex(v0)
-    require_int(n, "head length")
-    if n <= 0:
-        raise PreconditionError("bad-parameter", f"head length must be positive, got {n}")
+    require_int(n, "head length", least=1)
     _require_length(n, "head length")
     return _attach_fresh(g, [(v0, n)], "h", chained=True)
 
@@ -77,9 +75,7 @@ def add_head(g: Graph, v0: str, n: int) -> Graph:
 def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
     """Replace an edge by a path through ``n`` fresh vertices."""
     target = g.edge(e0)
-    require_int(n, "subdivision length")
-    if n <= 0:
-        raise PreconditionError("bad-parameter", f"subdivision length must be positive, got {n}")
+    require_int(n, "subdivision length", least=1)
     _require_length(n, "subdivision length")
     chain = g._fresh("vertex", [f"{e0}~s{k}" for k in range(1, n + 1)])
     eids = g._fresh("edge", [f"{e0}~s{k}e" for k in range(1, n + 2)], free=[e0])
@@ -93,9 +89,7 @@ def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
 def star_sources(g: Graph, v0: str, n: int) -> Graph:
     """Attach ``n`` fresh sources, each with a single edge into ``v0``."""
     g.require_vertex(v0)
-    require_int(n, "source count")
-    if n <= 0:
-        raise PreconditionError("bad-parameter", f"source count must be positive, got {n}")
+    require_int(n, "source count", least=1)
     _require_length(n, "source count")
     return _attach_fresh(g, [(v0, n)], "t", chained=False)
 
@@ -194,9 +188,7 @@ def attach_heads(g: Graph, lengths: Mapping[str, int] | Iterable[tuple[str, int]
         raise PreconditionError("bad-parameter", f"two head lengths at {repeated!r}")
     for v, n in heads:
         g.require_vertex(v)
-        require_int(n, f"head length at {v!r}")
-        if n < 0:
-            raise PreconditionError("bad-parameter", f"negative head length {n} at {v!r}")
+        require_int(n, f"head length at {v!r}", least=0)
     _require_length(sum(n for _, n in heads), "total head length")
     # one edit for all heads, with the ids of adding them one by one
     return _attach_fresh(g, heads, "h", chained=True)

@@ -30,7 +30,7 @@ from .monoid import (
     _require_loops_everywhere,
     _require_no_sinks,
     _require_no_sources,
-    _expand_whole,
+    expand_at,
     fullness_normalize,
     ones,
 )
@@ -106,7 +106,8 @@ def normalize_to_ck(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipelin
         for v in m.support:
             g.require_vertex(v)
         for v in order:
-            m = _expand_whole(g, m, v)
+            if m.get(v):
+                m = expand_at(g, m, v, m.get(v))
 
     builder = MoveLogBuilder(g)
     if core != frozenset(g.vertices):
@@ -120,9 +121,9 @@ def normalize_to_ck(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipelin
         for v in sorted(groups):
             for s in sorted(groups[v]):
                 builder.apply(RemoveSource(s))
+            # v keeps an in-edge from the core, or Kahn's order would list v:
+            # neither the elision, a source removal nor another subdivision cuts it
             incoming = builder.graph.in_edges(v)
-            if not incoming:
-                raise CertificateError(f"core vertex {v!r} lost its incoming edges")
             builder.apply(SubdivideEdge(min(e.eid for e in incoming), len(groups[v])))
 
     out = builder.graph
@@ -155,8 +156,8 @@ def self_loop_saturate(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipe
     for v in [v for v in g.vertices if not g.loops_at(v)]:
         if builder.graph.loops_at(v):
             continue
-        if m is not None:
-            m = _expand_whole(builder.graph, m, v)
+        if m is not None and m.get(v):
+            m = expand_at(builder.graph, m, v, m.get(v))
         builder.apply(CollapseVertex(v))
     out = builder.graph
     after = k_invariants(out)
@@ -291,9 +292,7 @@ def matrix_amplify(g: Graph, n: int) -> PipelineResult:
     For n = 1 the graph is returned unchanged; the empty graph is refused
     for every n.
     """
-    require_int(n, "amplification factor")
-    if n <= 0:
-        raise PreconditionError("bad-parameter", f"amplification factor must be positive, got {n}")
+    require_int(n, "amplification factor", least=1)
     _require_no_sinks(g)
     _require_nonempty(g)
     before = k_invariants(g)

@@ -159,6 +159,17 @@ def test_fuzz_refuses_a_negative_case_count(capsys):
     assert code == 0 and out.endswith("fuzz: PASS\n")
 
 
+def test_move_refuses_a_negative_head_length(capsys, monkeypatch):
+    monkeypatch.chdir(HERE.parent)
+    argv = ["move", "--move", "attach-heads:v0=-1", "tests/data/example_loops.graph"]
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: precondition violated: bad-parameter: "
+        "head length at 'v0' must be non-negative, got -1\n"
+    )
+
+
 def test_module_entry_point_runs_in_a_subprocess():
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
     proc = subprocess.run(

@@ -277,6 +277,15 @@ def test_closure_on_all_loop_graph_is_hereditary_closure():
     assert hereditary_saturated_closure(g, {"a"}) == {"a", "b"}
 
 
+@settings(max_examples=100, deadline=None)
+@given(all_loop_graphs(max_vertices=5), st.data())
+def test_closure_is_the_reachable_set_when_every_vertex_has_a_loop(g, data):
+    # a vertex's own loop lands outside a set it has not joined, so
+    # saturation adds nothing and fullness_normalize always finds a route
+    s = data.draw(st.sets(st.sampled_from(g.vertices)))
+    assert hereditary_saturated_closure(g, s) == reachable_from(g, s)
+
+
 def test_every_hereditary_set_is_saturated_on_all_loop_graphs_exhaustively():
     from itertools import combinations
 

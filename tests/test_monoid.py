@@ -23,7 +23,6 @@ from ckgraph import (
     path_expansion,
     shortest_path,
 )
-from ckgraph.monoid import _expand_whole
 from conftest import G, all_loop_graphs, fans, graphs, no_sink_graphs
 from oracles import inverted
 
@@ -130,21 +129,28 @@ def test_contract_pays_for_its_profile_before_it_adds():
 
 
 @given(no_sink_graphs(max_vertices=4), st.data())
-def test_whole_expansion_is_that_many_single_expansions(g, data):
+def test_expanding_k_units_is_k_single_expansions(g, data):
     counts = data.draw(st.dictionaries(st.sampled_from(g.vertices), st.integers(0, 4)))
     m = VertexMultiset.from_dict(counts)
     v = data.draw(st.sampled_from(g.vertices))
-    single = m
-    for _ in range(m.get(v)):
-        single = expand_at(g, single, v)
-    assert _expand_whole(g, m, v) == single
+    k = data.draw(st.integers(1, 5))
+    if m.get(v) == 0:
+        with pytest.raises(PreconditionError, match="zero-multiplicity"):
+            expand_at(g, m, v, k)
+    elif m.get(v) < k:
+        with pytest.raises(PreconditionError, match="insufficient-multiplicity"):
+            expand_at(g, m, v, k)
+    else:
+        single = m
+        for _ in range(k):
+            single = expand_at(g, single, v)
+        assert expand_at(g, m, v, k) == single
 
 
-def test_whole_expansion_refuses_mass_at_a_sink():
+def test_expanding_k_units_at_a_sink_is_not_regular():
     g = G("u v", "a:u>v")
-    assert _expand_whole(g, ms("u=1"), "v") == ms("u=1")
     with pytest.raises(PreconditionError, match="not-regular"):
-        _expand_whole(g, ms("v=2"), "v")
+        expand_at(g, ms("v=2"), "v", 2)
 
 
 # -- path expansion ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
@@ -29,10 +30,13 @@ from ckgraph import (
     format_move,
     format_move_log,
     graph_fingerprint,
+    k0_class_divisible,
     k_invariants,
     matrix_amplify,
+    mvn_equivalent,
     parse_move,
     parse_move_log,
+    parse_multiset,
     reachable_from,
     remove_source,
     replay_move_log,
@@ -41,6 +45,7 @@ from ckgraph import (
     star_sources,
     subdivide_edge,
 )
+from ckgraph.cli import _cmd_fuzz
 from ckgraph.moves import _MOVES, MAX_LENGTH
 from ckgraph.randgen import SplitMix64, random_no_sink_graph
 from conftest import G, bouquet, graphs, no_sink_graphs
@@ -341,22 +346,29 @@ def test_attach_heads_rejects_negative(two_loops):
 
 
 def test_counts_that_are_not_ints_are_refused(two_loops):
-    # range() would raise a bare TypeError on a float, and True would build a
-    # head of length 1; the amplification factor reached the multiset's
-    # format check
-    builds = (
-        lambda n: add_head(two_loops, "v0", n),
-        lambda n: subdivide_edge(two_loops, "e0", n),
-        lambda n: star_sources(two_loops, "v0", n),
-        lambda n: attach_heads(two_loops, {"v0": n}),
-        lambda n: matrix_amplify(two_loops, n),
+    # every count site says the one count rule: range() would raise a bare
+    # TypeError on a float, True would build a head of length 1, a float
+    # budget ran a search and scaled(True) returned the multiset unchanged
+    one = parse_multiset("v0=1")
+    sites = (
+        ("head length", 1, lambda n: add_head(two_loops, "v0", n)),
+        ("subdivision length", 1, lambda n: subdivide_edge(two_loops, "e0", n)),
+        ("source count", 1, lambda n: star_sources(two_loops, "v0", n)),
+        ("head length at 'v0'", 0, lambda n: attach_heads(two_loops, {"v0": n})),
+        ("divisor", 1, lambda n: k0_class_divisible(two_loops, {"v0": 1}, n)),
+        ("amplification factor", 1, lambda n: matrix_amplify(two_loops, n)),
+        ("budget", 0, lambda n: mvn_equivalent(two_loops, one, parse_multiset("v0=2"), n)),
+        ("scale factor", 0, lambda n: one.scaled(n)),
+        ("case count", 0, lambda n: _cmd_fuzz(Namespace(seed=1, cases=n))),
     )
-    for build in builds:
-        for n in (2.0, 1.5, True):
-            with pytest.raises(PreconditionError, match="bad-parameter: .* must be an int"):
-                build(n)
-    with pytest.raises(PreconditionError, match="head length must be positive, got 0"):
-        add_head(two_loops, "v0", 0)
+    for what, least, call in sites:
+        below = f"must be {'positive' if least else 'non-negative'}, got {least - 1}"
+        refusals = ((2.5, "must be an int, got 2.5"), (True, "must be an int, got True"))
+        for n, message in (*refusals, (least - 1, below)):
+            with pytest.raises(PreconditionError) as refused:
+                call(n)
+            assert refused.value.reason == "bad-parameter"
+            assert str(refused.value) == f"bad-parameter: {what} {message}"
 
 
 def test_attach_heads_refuses_a_repeated_vertex(two_loops):

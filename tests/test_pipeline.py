@@ -21,16 +21,18 @@ from ckgraph import (
     parse_multiset,
     realize_corner,
     realize_full_corner,
+    remove_source,
     replay_move_log,
     restrict_to_hereditary,
     self_loop_saturate,
+    source_elision,
     subdivide_edge,
 )
 from ckgraph import pipeline
 from ckgraph.pipeline import _head_projection
 from ckgraph.randgen import SplitMix64, derive_seed, random_all_loop_graph
 from conftest import G, all_loop_graphs, bouquet, no_sink_graphs
-from oracles import isomorphism, saturate_unit_by_unit
+from oracles import diamond_chain, isomorphism, saturate_unit_by_unit
 
 
 def ms(text: str) -> VertexMultiset:
@@ -96,6 +98,33 @@ def test_normalize_transports_multiset(line_into_loops):
 
 
 # -- self_loop_saturate ----------------------------------------------------------------
+
+
+def _assert_landings_keep_a_core_in_edge(g: Graph) -> None:
+    # normalize_to_ck's stages up to each subdivision: every core vertex has
+    # an in-edge from the core, which no stage before its subdivision cuts
+    core = core_vertices(g)
+    h = source_elision(g, sorted(core))
+    groups: dict[str, list[str]] = {}
+    for s in h.vertices:
+        if s not in core and h.in_degree(s) == 0:
+            groups.setdefault(h.out_edges(s)[0].dst, []).append(s)
+    for v in sorted(groups):
+        for s in sorted(groups[v]):
+            h = remove_source(h, s)
+        assert any(e.src in core for e in h.in_edges(v))
+        h = subdivide_edge(h, min(e.eid for e in h.in_edges(v)), len(groups[v]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(no_sink_graphs(max_vertices=6))
+def test_a_landing_vertex_keeps_an_in_edge_from_the_core(g):
+    _assert_landings_keep_a_core_in_edge(g)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_diamond_chain_landing_keeps_an_in_edge_from_the_core(k):
+    _assert_landings_keep_a_core_in_edge(diamond_chain(k))
 
 
 def test_saturate_two_cycle_to_single_loop():
