@@ -9,6 +9,11 @@ errors.
 The JSON report (``--format json``) always carries exactly the five top-level
 fields ``certificates``, ``graph``, ``invariants``, ``moves``, ``verdicts``;
 fields a command does not produce are null.
+
+``run`` reads the graph before any other argument, so a graph it cannot read
+or parse exits 2 first, and writes standard output only once the command has
+succeeded; each command takes the arguments and the graph and returns its
+report and its text.
 """
 
 from __future__ import annotations
@@ -31,7 +36,10 @@ from .graph import (
 from .intmatrix import smith_normal_form
 from .ktheory import format_k_invariants, is_cuntz_krieger, k_invariants, k_invariants_dict
 from .monoid import format_multiset, mvn_equivalent, parse_multiset
-from .moves import MoveLogBuilder, format_move, format_move_log, parse_move
+from .moves import (
+    MoveLogBuilder, add_head, collapse_vertex, format_move, format_move_log, parse_move,
+    remove_source, star_sources, subdivide_edge,
+)
 from .pipeline import PipelineResult, matrix_amplify, normalize_to_ck, realize_corner
 from .randgen import (
     SplitMix64,
@@ -63,13 +71,6 @@ def _report(certificates=None, graph=None, invariants=None, moves=None, verdicts
         "moves": moves,
         "verdicts": verdicts,
     }
-
-
-def _emit(report: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(text)
 
 
 def _load_graph(path: str) -> Graph:
@@ -152,8 +153,7 @@ def _pipeline_report(source: Graph, result: PipelineResult) -> dict:
 # -- commands --------------------------------------------------------------
 
 
-def _cmd_info(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_info(args, g: Graph) -> tuple[dict, str]:
     classes = {v: classify_vertex(g, v) for v in g.vertices}
     cycles = vertex_simple_cycles_without_exit(g)
     lines = [f"graph: {len(g.vertices)} vertices, {len(g.edges)} edges"]
@@ -177,12 +177,10 @@ def _cmd_info(args) -> int:
             "cycles_without_exit": [list(p.edges) for p in cycles],
         },
     )
-    _emit(report, "\n".join(lines) + "\n", args.format)
-    return EXIT_OK
+    return report, "\n".join(lines) + "\n"
 
 
-def _cmd_ktheory(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_ktheory(args, g: Graph) -> tuple[dict, str]:
     inv = k_invariants(g)
     text = (
         f"vertices = {len(g.vertices)}\n"
@@ -192,12 +190,10 @@ def _cmd_ktheory(args) -> int:
         graph={"input": _graph_dict(g), "output": None, "restriction": None},
         invariants={"before": k_invariants_dict(inv), "after": None},
     )
-    _emit(report, text, args.format)
-    return EXIT_OK
+    return report, text
 
 
-def _cmd_is_ck(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_is_ck(args, g: Graph) -> tuple[dict, str]:
     verdict, witness = is_cuntz_krieger(g)
     if verdict:
         text = (
@@ -219,8 +215,7 @@ def _cmd_is_ck(args) -> int:
             "k1_rank": witness.k1_rank,
         },
     )
-    _emit(report, text, args.format)
-    return EXIT_OK
+    return report, text
 
 
 def _apply_moves(args, g: Graph) -> PipelineResult:
@@ -233,8 +228,7 @@ def _apply_moves(args, g: Graph) -> PipelineResult:
 
 
 # How each move-log command builds its result from the arguments and the
-# loaded graph; any argument it parses is read after the graph, so a graph
-# parse error is reported first.
+# loaded graph.
 _PIPELINES = {
     "normalize": lambda args, g: normalize_to_ck(g),
     "move": _apply_moves,
@@ -243,20 +237,17 @@ _PIPELINES = {
 }
 
 
-def _cmd_pipeline(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_pipeline(args, g: Graph) -> tuple[dict, str]:
     result = _PIPELINES[args.command](args, g)
     if args.log:
         try:
             Path(args.log).write_text(format_move_log(result.log), encoding="utf-8")
         except OSError as exc:
             raise CkGraphError(f"cannot write {args.log}: {exc.strerror or exc}") from exc
-    _emit(_pipeline_report(g, result), _pipeline_text(args.command, g, result), args.format)
-    return EXIT_OK
+    return _pipeline_report(g, result), _pipeline_text(args.command, g, result)
 
 
-def _cmd_monoid_eq(args) -> int:
-    g = _load_graph(args.graph)
+def _cmd_monoid_eq(args, g: Graph) -> tuple[dict, str]:
     a = parse_multiset(args.a)
     b = parse_multiset(args.b)
     result = mvn_equivalent(g, a, b, args.budget)
@@ -278,13 +269,10 @@ def _cmd_monoid_eq(args) -> int:
         graph={"input": _graph_dict(g), "output": None, "restriction": None},
         verdicts={"verdict": result.verdict, "trace": trace_json},
     )
-    _emit(report, text, args.format)
-    return EXIT_OK
+    return report, text
 
 
 def _fuzz_moves_once(rng: SplitMix64, g: Graph) -> int:
-    from .moves import add_head, collapse_vertex, remove_source, star_sources, subdivide_edge
-
     base = k_invariants(g)
     applied = 0
     variants = [add_head(g, rng.choice(g.vertices), rng.randint(1, 2))]
@@ -309,7 +297,7 @@ def _fuzz_moves_once(rng: SplitMix64, g: Graph) -> int:
     return applied
 
 
-def _cmd_fuzz(args) -> int:
+def _cmd_fuzz(args, g: Optional[Graph]) -> tuple[dict, str]:
     seed, cases = args.seed, args.cases
     require_int(cases, "case count", least=0)
     lines = [f"fuzz seed={seed} cases={cases}"]
@@ -348,8 +336,7 @@ def _cmd_fuzz(args) -> int:
             "pass": True,
         }
     )
-    _emit(report, "\n".join(lines) + "\n", args.format)
-    return EXIT_OK
+    return report, "\n".join(lines) + "\n"
 
 
 # -- argument wiring -----------------------------------------------------------
@@ -425,8 +412,12 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The graph is read and parsed before any other argument is looked at,
+    # so a graph parse error is reported first; stdout is written only once
+    # the command has succeeded.
     try:
-        return _HANDLERS[args.command](args)
+        g = _load_graph(args.graph) if "graph" in args else None
+        report, text = _HANDLERS[args.command](args, g)
     except GraphFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -437,6 +428,11 @@ def run(argv: list[str]) -> int:
     except CkGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    if args.format == "json":
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
 
 
 def main() -> None:

@@ -114,8 +114,9 @@ def normalize_to_ck(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipelin
         builder.apply(SourceElision(tuple(sorted(core))))
         elided = builder.graph
         groups: dict[str, list[str]] = {}
+        # besides the core, the elision leaves only fresh sources: no in-edge, one edge into it
         for s in elided.vertices:
-            if s not in core and elided.in_degree(s) == 0:
+            if s not in core:
                 landing = elided.out_edges(s)[0].dst
                 groups.setdefault(landing, []).append(s)
         for v in sorted(groups):

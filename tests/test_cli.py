@@ -88,6 +88,28 @@ def test_garbage_file_is_a_parse_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["info"],
+        ["ktheory"],
+        ["is-ck"],
+        ["normalize"],
+        ["move", "--move", "nonsense"],
+        ["corner", "--proj", "v0"],
+        ["amplify", "--factor", "0"],
+        ["monoid-eq", "--a", "x", "--b", "y"],
+    ],
+)
+def test_a_bad_graph_is_reported_before_any_other_argument(argv, tmp_path, capsys):
+    # any other argument given here is bad too, but the graph is read first
+    bad = tmp_path / "bad.graph"
+    bad.write_text("vertex v0\nbogus line\n")
+    code, out, err = _run([*argv, str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 2: cannot parse 'bogus line'\n"
+
+
+@pytest.mark.parametrize(
     "width, parallel, budget, text",
     [
         # each spends 1 transition before the mass cap cuts the search

@@ -359,7 +359,7 @@ def test_counts_that_are_not_ints_are_refused(two_loops):
         ("amplification factor", 1, lambda n: matrix_amplify(two_loops, n)),
         ("budget", 0, lambda n: mvn_equivalent(two_loops, one, parse_multiset("v0=2"), n)),
         ("scale factor", 0, lambda n: one.scaled(n)),
-        ("case count", 0, lambda n: _cmd_fuzz(Namespace(seed=1, cases=n))),
+        ("case count", 0, lambda n: _cmd_fuzz(Namespace(seed=1, cases=n), None)),
     )
     for what, least, call in sites:
         below = f"must be {'positive' if least else 'non-negative'}, got {least - 1}"
