@@ -87,7 +87,6 @@ from .moves import (
 )
 from .pipeline import (
     PipelineResult,
-    core_vertices,
     matrix_amplify,
     normalize_to_ck,
     realize_corner,

@@ -130,9 +130,10 @@ def source_elision(g: Graph, h) -> Graph:
 
     The result keeps the restriction to ``h`` and adds, for every path whose
     last edge crosses into ``h`` from outside, one fresh source with a single
-    edge to the path's range.  Requires the complement to be acyclic and every
-    complement vertex to reach ``h``.  Each path is listed once, by a walk
-    back from its crossing edge, so the work and memory follow the output.
+    edge to the path's range.  Requires the complement to be acyclic and no
+    complement vertex to be a sink (so each one reaches ``h``).  Each path is
+    listed once, by a walk back from its crossing edge, so the work and
+    memory follow the output.
     """
     hset = frozenset(h)
     _require_hereditary(g, hset)
@@ -145,12 +146,8 @@ def source_elision(g: Graph, h) -> Graph:
             "complement-cyclic", f"cycle outside the set through: {', '.join(stuck)}"
         )
 
-    # in reverse topological order every out-neighbour comes first
-    can_reach = set(hset)
-    for v in reversed(order):
-        if any(e.dst in can_reach for e in g.out_edges(v)):
-            can_reach.add(v)
-    lost = [v for v in complement if v not in can_reach]  # in sorted order
+    # the complement is acyclic, so a walk from it that never enters h ends at a sink
+    lost = [v for v in g.sinks if v not in hset]
     if lost:
         raise PreconditionError(
             "unreachable-vertex", f"vertex {lost[0]!r} has no path into the set"

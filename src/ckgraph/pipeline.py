@@ -66,15 +66,6 @@ class PipelineResult:
         return dict(self.certificates)[name]
 
 
-def core_vertices(g: Graph) -> frozenset[str]:
-    """The largest subgraph left after repeatedly deleting source vertices.
-
-    For a finite sink-free graph this is the hereditary set of vertices lying
-    on or downstream of a cycle; it is empty only for the empty graph.
-    """
-    return frozenset(g.vertices) - set(_topological_order(g, g.vertices))
-
-
 def _require_nonempty(g: Graph) -> None:
     if g.is_empty():
         raise PreconditionError("empty-core", "the empty graph has no cycles to normalize onto")
@@ -96,11 +87,8 @@ def normalize_to_ck(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipelin
     # before it, so the order is the complement of the core in an order that
     # moves each vertex's mass whole, once, after every vertex that feeds it
     order = _topological_order(g, g.vertices)
+    # nonempty and sink-free, so g has a cycle, whose vertices Kahn's order never lists
     core = frozenset(g.vertices).difference(order)
-    if not core:
-        raise PreconditionError(
-            "empty-core", "no cycles anywhere: no sink-free and source-free form exists"
-        )
     m = carry
     if m is not None:
         for v in m.support:
@@ -172,7 +160,8 @@ def self_loop_saturate(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipe
 
 
 def _head_projection(base: Graph, corner: Graph) -> dict[str, str]:
-    # send every attached head vertex to the base vertex its chain feeds; a
+    # send every attached head vertex to the base vertex its chain feeds: a
+    # head vertex emits one edge, along a chain that ends in the base; a
     # walk stops at the first vertex already sent, and sends its whole path
     # there, so each head vertex is walked once
     sent = {v: v for v in corner.vertices if base.has_vertex(v)}
@@ -181,8 +170,6 @@ def _head_projection(base: Graph, corner: Graph) -> dict[str, str]:
         w = v
         while w not in sent:
             path.append(w)
-            if len(path) > len(corner.vertices):
-                raise CertificateError(f"head chain from {v!r} never reaches the base graph")
             w = corner.out_edges(w)[0].dst
         for x in path:
             sent[x] = sent[w]

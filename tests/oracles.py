@@ -6,8 +6,9 @@ elementary divisors come from gcds of minors, parallel-edge counts are
 tallied edge by edge, isomorphism is a backtracking search over those counts
 (itself checked against a plain permutation search), hereditary and
 saturated sets are checked edge by edge, the text format and the edge
-tables are written out from the sorted ids, and the paths that source
-elision turns into sources are listed forwards, from every vertex.  Two
+tables are written out from the sorted ids, the paths that source
+elision turns into sources are listed forwards, from every vertex, and the
+core is what is left once sources are deleted pass by pass.  Two
 oracles are plain loops of the program's own single steps: self-loop
 saturation recomputes its loopless vertices every round and moves mass one
 rewrite at a time, and a trace is inverted step by step.  The module also
@@ -198,6 +199,18 @@ def is_acyclic(g: Graph, among) -> bool:
                     seen.add(e.dst)
                     todo.append(e.dst)
     return True
+
+
+def core_of(g: Graph) -> frozenset[str]:
+    """The vertices left after deleting source vertices, with the edges they
+    emit, until none is left; each pass deletes every vertex that no vertex
+    still left sends an edge to."""
+    left = set(g.vertices)
+    while True:
+        sources = {v for v in left if not any(e.src in left for e in g.in_edges(v))}
+        if not sources:
+            return frozenset(left)
+        left -= sources
 
 
 def crossing_paths(g: Graph, h) -> list[tuple[str, str]]:

@@ -19,7 +19,6 @@ from ckgraph import (
     add_head,
     attach_heads,
     collapse_vertex,
-    core_vertices,
     fullness_normalize,
     is_full,
     k0_class_of,
@@ -47,7 +46,7 @@ from ckgraph.randgen import (
     random_no_sink_graph,
 )
 from conftest import G, bouquet
-from oracles import isomorphism, minors_divisors, pair_counts
+from oracles import core_of, isomorphism, minors_divisors, pair_counts
 
 SEED = 0xCC2026
 HERE = Path(__file__).parent
@@ -103,7 +102,7 @@ def test_criterion_3_moves_preserve_invariants():
             if g.in_degree(v) > 0 and g.out_degree(v) > 0 and not g.loops_at(v):
                 moved.append(collapse_vertex(g, v))
         moved.append(attach_heads(g, {g.vertices[0]: 1}))
-        core = core_vertices(g)
+        core = core_of(g)
         if core != frozenset(g.vertices):
             moved.append(source_elision(g, core))
         for out in moved:

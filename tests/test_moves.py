@@ -25,7 +25,6 @@ from ckgraph import (
     apply_move,
     attach_heads,
     collapse_vertex,
-    core_vertices,
     format_graph,
     format_move,
     format_move_log,
@@ -49,7 +48,15 @@ from ckgraph.cli import _cmd_fuzz
 from ckgraph.moves import _MOVES, MAX_LENGTH
 from ckgraph.randgen import SplitMix64, random_no_sink_graph
 from conftest import G, bouquet, graphs, no_sink_graphs
-from oracles import crossing_paths, derived, diamond_chain, format_lines, isomorphism, pair_counts
+from oracles import (
+    core_of,
+    crossing_paths,
+    derived,
+    diamond_chain,
+    format_lines,
+    isomorphism,
+    pair_counts,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -177,14 +184,20 @@ def _added_sources(out: Graph, h) -> list[tuple[str, str]]:
 
 
 @settings(max_examples=100, deadline=None)
-@given(no_sink_graphs(max_vertices=5), st.data())
+# a sink outside h is what the unreachable-vertex refusal needs
+@given(st.one_of(no_sink_graphs(max_vertices=5), graphs(max_vertices=5)), st.data())
 def test_elision_adds_one_source_per_crossing_path(g, data):
     drawn = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1, max_size=3))
-    for h in (core_vertices(g), reachable_from(g, drawn)):
+    for h in (core_of(g), reachable_from(g, drawn)):
         try:
             out = source_elision(g, h)
         except PreconditionError as exc:
             assert exc.reason in ("complement-cyclic", "unreachable-vertex")
+            if exc.reason == "unreachable-vertex":
+                complement = [v for v in g.vertices if v not in h]
+                assert any(not reachable_from(g, [v]) & h for v in complement)
+                named = str(exc).split("'")[1]
+                assert named not in h and g.out_degree(named) == 0
             continue
         assert _added_sources(out, h) == crossing_paths(g, h)
 
@@ -629,8 +642,6 @@ def test_isomorphism_grade_moves_preserve_unit_profile(g, data):
     if g.edges:
         e = data.draw(st.sampled_from(g.edges))
         assert k_invariants(subdivide_edge(g, e.eid, n)) == k_invariants(add_head(g, e.dst, n))
-    from ckgraph import core_vertices
-
-    core = core_vertices(g)
+    core = core_of(g)
     if core:
         assert k_invariants(source_elision(g, core)) == k_invariants(g)

@@ -10,7 +10,6 @@ from ckgraph import (
     PreconditionError,
     VertexMultiset,
     add_head,
-    core_vertices,
     expand_at,
     is_cuntz_krieger,
     k0_class_of,
@@ -32,7 +31,7 @@ from ckgraph import pipeline
 from ckgraph.pipeline import _head_projection
 from ckgraph.randgen import SplitMix64, derive_seed, random_all_loop_graph
 from conftest import G, all_loop_graphs, bouquet, no_sink_graphs
-from oracles import diamond_chain, isomorphism, saturate_unit_by_unit
+from oracles import core_of, diamond_chain, isomorphism, saturate_unit_by_unit
 
 
 def ms(text: str) -> VertexMultiset:
@@ -77,13 +76,19 @@ def test_normalize_refuses_sinks_and_empty():
 
 
 def test_core_of_line(line_into_loops):
-    assert core_vertices(line_into_loops) == {"v0"}
+    assert core_of(line_into_loops) == {"v0"}
 
 
 @settings(max_examples=60, deadline=None)
 @given(no_sink_graphs(max_vertices=5))
 def test_normalize_is_idempotent_up_to_isomorphism(g):
     once = normalize_to_ck(g)
+    # a nonempty sink-free graph has a cycle, so its core is never empty; the
+    # output keeps exactly the core's vertices of g (the fresh ones are named
+    # apart from g's v0, v1, ...)
+    core = core_of(g)
+    assert core
+    assert core == set(once.graph.vertices) & set(g.vertices)
     twice = normalize_to_ck(once.graph)
     assert twice.graph == once.graph
     assert isomorphism(once.graph, twice.graph) is not None
@@ -103,7 +108,7 @@ def test_normalize_transports_multiset(line_into_loops):
 def _assert_landings_keep_a_core_in_edge(g: Graph) -> None:
     # normalize_to_ck's stages up to each subdivision: every core vertex has
     # an in-edge from the core, which no stage before its subdivision cuts
-    core = core_vertices(g)
+    core = core_of(g)
     h = source_elision(g, sorted(core))
     groups: dict[str, list[str]] = {}
     for s in h.vertices:
@@ -164,7 +169,7 @@ def test_saturate_after_normalize(g):
 def test_saturate_matches_the_round_by_round_loop(g, data):
     # the core of a nonempty sink-free graph is nonempty, sink-free and
     # source-free
-    g = restrict_to_hereditary(g, core_vertices(g))
+    g = restrict_to_hereditary(g, core_of(g))
     counts = data.draw(st.dictionaries(st.sampled_from(g.vertices), st.integers(0, 3)))
     carry = VertexMultiset.from_dict(counts)
     result = self_loop_saturate(g, carry)
@@ -217,6 +222,8 @@ def test_head_projection_matches_the_hop_walk_on_random_corners():
         g = random_all_loop_graph(rng, max_vertices=5, max_parallel=2)
         m = VertexMultiset.from_dict({v: rng.randint(1, 12) for v in g.vertices})
         corner = realize_full_corner(g, m).graph
+        # every head vertex emits one edge, so each walk follows one chain
+        assert all(corner.out_degree(v) == 1 for v in corner.vertices if not g.has_vertex(v))
         assert _head_projection(g, corner) == _hop_walk(g, corner)
 
 
