@@ -17,7 +17,6 @@ from .graph import (
     format_graph,
     graph_fingerprint,
     hereditary_saturated_closure,
-    is_regular,
     make_path,
     parse_graph,
     reachable_from,

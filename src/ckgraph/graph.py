@@ -292,9 +292,6 @@ class Graph:
     def source_vertices(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if not self._in[v])
 
-    def is_empty(self) -> bool:
-        return not self.vertices
-
 
 # the base of every build
 _EMPTY = Graph((), ())
@@ -364,11 +361,6 @@ def classify_vertex(g: Graph, v: str) -> VertexClass:
     else:
         kind = "regular"
     return VertexClass(kind=kind, in_degree=indeg, out_degree=outdeg)
-
-
-def is_regular(g: Graph, v: str) -> bool:
-    """A vertex is regular when it emits at least one (and finitely many) edges."""
-    return g.out_degree(v) > 0
 
 
 # -- reachability, hereditary and saturated sets -----------------------------
@@ -502,7 +494,7 @@ def vertex_simple_cycles_without_exit(g: Graph) -> list[Path]:
             cycle = trail[position[v]:]
             base = min(range(len(cycle)), key=lambda i: cycle[i].src)
             rotated = cycle[base:] + cycle[:base]
-            cycles.append(make_path(g, [e.eid for e in rotated]))
+            cycles.append(Path(tuple(e.eid for e in rotated), rotated[0].src, rotated[-1].dst))
         done.update(position)
     return sorted(cycles, key=lambda p: p.source)
 
@@ -511,26 +503,23 @@ def shortest_path(g: Graph, src: str, dst: str) -> Optional[Path]:
     """Shortest nonempty path from ``src`` to ``dst``; lexicographically least
     edge-id sequence among the shortest.  For ``src == dst`` this is the
     shortest cycle through the vertex.  ``None`` when no path exists.
+
+    Each layer's paths are extended in order, and a vertex's out-edges are
+    in id order, so every layer comes out in increasing order: the first
+    path to reach a vertex is the least of its shortest.
     """
     g.require_vertex(src)
     g.require_vertex(dst)
     seen = {src}
-    layer: dict[str, tuple[str, ...]] = {src: ()}
+    layer: list[tuple[str, tuple[str, ...]]] = [(src, ())]
     while layer:
-        arrivals: list[tuple[str, ...]] = []
-        next_layer: dict[str, tuple[str, ...]] = {}
-        for v in sorted(layer):
-            prefix = layer[v]
+        next_layer: list[tuple[str, tuple[str, ...]]] = []
+        for v, prefix in layer:
             for e in g.out_edges(v):
-                candidate = prefix + (e.eid,)
                 if e.dst == dst:
-                    arrivals.append(candidate)
-                if e.dst in seen:
-                    continue
-                if e.dst not in next_layer or candidate < next_layer[e.dst]:
-                    next_layer[e.dst] = candidate
-        if arrivals:
-            return make_path(g, min(arrivals))
-        seen.update(next_layer)
+                    return Path(prefix + (e.eid,), src, dst)
+                if e.dst not in seen:
+                    seen.add(e.dst)
+                    next_layer.append((e.dst, prefix + (e.eid,)))
         layer = next_layer
     return None

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import CertificateError, PreconditionError, require_int
-from .graph import Graph
+from .graph import Graph, _unknown_vertex
 from .intmatrix import IntMatrix, smith_normal_form
 
 DIVISIBILITY_FLAGS = 12
@@ -88,7 +88,7 @@ class _K0Engine:
         one sum per kept row of ``u`` over the support of ``x``."""
         for v, c in coefficients.items():
             if v not in self.vertices:
-                raise PreconditionError("unknown-vertex", f"no vertex {v!r} in graph")
+                raise _unknown_vertex(v)
             require_int(c, "coefficient")
         y = [sum(row.get(v, 0) * c for v, c in coefficients.items()) for row in self.rows]
         return K0Class(
@@ -201,7 +201,7 @@ def is_cuntz_krieger(g: Graph) -> tuple[bool, CkWitness]:
     equivalently the K0 and K1 ranks agree.  Both tests run and must agree.
     Sources are fine: they are removable by normalization.
     """
-    if g.is_empty():
+    if not g.vertices:
         raise PreconditionError("empty-graph", "the empty graph has no unital graph algebra")
     inv = _engine_of(g).invariants
     witness = CkWitness(sinks=g.sinks, k0_rank=inv.k0_rank, k1_rank=inv.k1_rank)

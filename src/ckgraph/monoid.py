@@ -22,7 +22,6 @@ from .graph import (
     Graph,
     Path,
     hereditary_saturated_closure,
-    is_regular,
     make_path,
     shortest_path,
 )
@@ -151,8 +150,7 @@ def expansion_profile(g: Graph, v: str) -> dict[str, int]:
 
 
 def _require_regular(g: Graph, v: str) -> None:
-    g.require_vertex(v)
-    if not is_regular(g, v):
+    if not g.out_edges(v):
         raise PreconditionError("not-regular", f"vertex {v!r} emits no edges")
 
 
@@ -210,10 +208,10 @@ class MvnResult:
 def _neighbors(g: Graph, m: VertexMultiset) -> list[tuple[RewriteStep, VertexMultiset]]:
     out: list[tuple[RewriteStep, VertexMultiset]] = []
     for v in m.support:
-        if is_regular(g, v):
+        if g.out_edges(v):
             out.append((RewriteStep("expand", v), expand_at(g, m, v)))
     for v in g.vertices:
-        if not is_regular(g, v):
+        if not g.out_edges(v):
             continue
         profile = expansion_profile(g, v)
         if all(m.get(w) >= n for w, n in profile.items()):

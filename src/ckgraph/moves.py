@@ -96,7 +96,6 @@ def star_sources(g: Graph, v0: str, n: int) -> Graph:
 
 def remove_source(g: Graph, v: str) -> Graph:
     """Delete a vertex that receives no edges, along with everything it emits."""
-    g.require_vertex(v)
     if g.in_degree(v) != 0:
         raise PreconditionError("not-a-source", f"vertex {v!r} receives {g.in_degree(v)} edge(s)")
     return g._edit(drop_vertices=[v])
@@ -108,7 +107,6 @@ def collapse_vertex(g: Graph, v: str) -> Graph:
     Parallel compositions stay distinct edges.  Removing a source is a
     different move (:func:`remove_source`), so sources are rejected here.
     """
-    g.require_vertex(v)
     if g.out_degree(v) == 0:
         raise PreconditionError("not-regular", f"vertex {v!r} is a sink")
     if g.in_degree(v) == 0:

@@ -67,7 +67,7 @@ class PipelineResult:
 
 
 def _require_nonempty(g: Graph) -> None:
-    if g.is_empty():
+    if not g.vertices:
         raise PreconditionError("empty-core", "the empty graph has no cycles to normalize onto")
 
 

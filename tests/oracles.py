@@ -7,7 +7,8 @@ tallied edge by edge, isomorphism is a backtracking search over those counts
 (itself checked against a plain permutation search), hereditary and
 saturated sets are checked edge by edge, the text format and the edge
 tables are written out from the sorted ids, the paths that source
-elision turns into sources are listed forwards, from every vertex, and the
+elision turns into sources are listed forwards, from every vertex, the
+least shortest path is the least of every walk listed by length, and the
 core is what is left once sources are deleted pass by pass.  Two
 oracles are plain loops of the program's own single steps: self-loop
 saturation recomputes its loopless vertices every round and moves mass one
@@ -155,6 +156,28 @@ def pair_counts(g: Graph) -> Counter[tuple[str, str]]:
     """The number of edges from each vertex to each vertex; 0 for a pair
     with no edge."""
     return Counter((e.src, e.dst) for e in g.edges)
+
+
+def least_shortest_path(g: Graph, src: str, dst: str) -> Optional[tuple[tuple[str, ...], str, str]]:
+    """The least edge-id sequence among the shortest nonempty paths from
+    ``src`` to ``dst``, with its first edge's source and last edge's range;
+    ``None`` when there is none.
+
+    Every composable sequence of edges from ``src`` is listed, one length at
+    a time, up to as many edges as the graph has vertices, which is as long
+    as a shortest path or cycle can be.
+    """
+    walks = [[e] for e in g.edges if e.src == src]
+    for _ in g.vertices:
+        arrivals = sorted(
+            (tuple(e.eid for e in walk), walk[0].src, walk[-1].dst)
+            for walk in walks
+            if walk[-1].dst == dst
+        )
+        if arrivals:
+            return arrivals[0]
+        walks = [walk + [e] for walk in walks for e in g.edges if e.src == walk[-1].dst]
+    return None
 
 
 def is_hereditary(g: Graph, s) -> bool:

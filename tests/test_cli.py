@@ -192,6 +192,14 @@ def test_move_refuses_a_negative_head_length(capsys, monkeypatch):
     )
 
 
+def test_move_refuses_an_empty_kept_set(capsys, monkeypatch):
+    monkeypatch.chdir(HERE.parent)
+    argv = ["move", "--move", "source-elision:", "tests/data/bouquet2.graph"]
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "parse error: empty vertex set in 'source-elision:'\n"
+
+
 def test_module_entry_point_runs_in_a_subprocess():
     env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
     proc = subprocess.run(

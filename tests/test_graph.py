@@ -36,6 +36,7 @@ from oracles import (
     is_hereditary,
     is_saturated,
     isomorphism,
+    least_shortest_path,
     pair_counts,
 )
 
@@ -413,6 +414,20 @@ def test_shortest_path_prefers_lexicographic_ties():
     assert shortest_path(g, "w", "u") is None
     cyc = shortest_path(G("u", "l:u>u"), "u", "u")
     assert cyc is not None and cyc.edges == ("l",)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=4), st.data())
+def test_shortest_path_is_the_least_of_the_shortest_listed_walks(g, data):
+    # the strategy's edge ids sort as their endpoints do; renamed in a drawn
+    # order, a path's ids need not sort as its vertices
+    order = data.draw(st.permutations(range(len(g.edges))))
+    g = Graph.build(g.vertices, [(f"e{k}", e.src, e.dst) for k, e in zip(order, g.edges)])
+    for src in g.vertices:
+        for dst in g.vertices:
+            p = shortest_path(g, src, dst)
+            found = None if p is None else (p.edges, p.source, p.target)
+            assert found == least_shortest_path(g, src, dst)
 
 
 # -- the isomorphism oracle that the move and pipeline tests use -----------------

@@ -208,6 +208,13 @@ BROKEN_CERTIFICATES = {
         "not unimodular",
     ),
     "unknown-kind": (_certificate([[1]], (2,), [("scale", False, 0, 2)]), "not unimodular"),
+    # row 1 -= row 0 eliminates a to (1,), but an operation is a tuple, and
+    # so is each of an add's pairs
+    "list-op": (_certificate([[1], [1]], (1,), [["add", False, 0, ((1, -1),)]]), "not unimodular"),
+    "list-pair": (
+        _certificate([[1], [1]], (1,), [("add", False, 0, ([1, -1],))]),
+        "not unimodular",
+    ),
     # a negative source would name a line from the end: here row 0 itself
     "negative-line": (_certificate([[1]], (2,), [("add", False, -1, ((0, 1),))]), "not unimodular"),
     # adding half of a zero row leaves the core as it is, but u is not an

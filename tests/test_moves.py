@@ -25,6 +25,8 @@ from ckgraph import (
     apply_move,
     attach_heads,
     collapse_vertex,
+    contract_at,
+    expand_at,
     format_graph,
     format_move,
     format_move_log,
@@ -250,7 +252,7 @@ def test_remove_source_shortens_the_line(line_into_loops, two_loops):
 
 def test_remove_source_empties_single_vertex():
     g = G("v")
-    assert remove_source(g, "v").is_empty()
+    assert not remove_source(g, "v").vertices
 
 
 def test_remove_source_rejects_receivers(two_loops):
@@ -264,6 +266,26 @@ def test_remove_source_preserves_invariants(g):
     base = k_invariants(g)
     for v in g.source_vertices:
         assert k_invariants(remove_source(g, v)).groups_equal(base)
+
+
+# -- unknown vertices ---------------------------------------------------------------------
+
+
+# each reads its vertex's degree or out-edges first, and that lookup refuses
+_VERTEX_READERS = {
+    "remove_source": remove_source,
+    "collapse_vertex": collapse_vertex,
+    "expand_at": lambda g, v: expand_at(g, parse_multiset("v0=1"), v),
+    "contract_at": lambda g, v: contract_at(g, parse_multiset("v0=1"), v),
+}
+
+
+@pytest.mark.parametrize("v", ["x", 3, []], ids=repr)
+@pytest.mark.parametrize("name", sorted(_VERTEX_READERS))
+def test_a_move_or_rewrite_refuses_an_unknown_vertex(name, v, two_loops):
+    with pytest.raises(PreconditionError) as excinfo:
+        _VERTEX_READERS[name](two_loops, v)
+    assert str(excinfo.value) == f"unknown-vertex: no vertex {v!r} in graph"
 
 
 # -- collapse_vertex ---------------------------------------------------------------------
@@ -552,6 +574,13 @@ def _pick_move(rng: SplitMix64, g: Graph) -> Move:
     return AddHead(rng.choice(g.vertices), rng.randint(1, 3))
 
 
+def test_the_generator_refuses_an_empty_range_or_sequence():
+    with pytest.raises(ValueError, match=r"empty range \[2, 1\]"):
+        SplitMix64(1).randint(2, 1)
+    with pytest.raises(ValueError, match="choice from empty sequence"):
+        SplitMix64(1).choice([])
+
+
 def test_seeded_move_log_keeps_its_pinned_fingerprints():
     # moves, fresh ids and fingerprints of every step, as first recorded
     # when every move rebuilt its whole result through Graph.build
@@ -571,7 +600,7 @@ def test_every_move_result_meets_the_invariants_of_build(g, data):
     # Graph._edit checks nothing, so this is what guards the ids a move adds;
     # four moves in a row, so fresh ids meet the ids of earlier moves
     for _ in range(4):
-        if g.is_empty():
+        if not g.vertices:
             break
         seed = data.draw(st.integers(0, 2**64 - 1))
         try:
@@ -592,7 +621,7 @@ def test_edits_carry_the_derived_data_a_fresh_graph_computes(g, data):
     # moves over the whole move table, plus the edits that drop vertices,
     # and a vertex of high in-degree that loses its edges one at a time
     for _ in range(6):
-        if g.is_empty():
+        if not g.vertices:
             break
         kind = data.draw(st.sampled_from(["move", "restrict", "remove-source", "star"]))
         try:
