@@ -63,10 +63,15 @@ def _graph_dict(g: Optional[Graph]) -> Optional[dict]:
     }
 
 
-def _report(certificates=None, graph=None, invariants=None, moves=None, verdicts=None) -> dict:
+def _report(
+    g=None, output=None, restriction=None, *,
+    certificates=None, invariants=None, moves=None, verdicts=None,
+) -> dict:
+    # the graph record is null when the command reads no graph
+    graph = {"input": g, "output": output, "restriction": restriction}
     return {
         "certificates": certificates,
-        "graph": graph,
+        "graph": None if g is None else {name: _graph_dict(h) for name, h in graph.items()},
         "invariants": invariants,
         "moves": moves,
         "verdicts": verdicts,
@@ -93,23 +98,15 @@ def _indented_graph(g: Graph) -> str:
     return "".join(f"  {line}\n" for line in format_graph(g).splitlines())
 
 
+def _summary(label: str, g: Graph) -> str:
+    return f"{label}: {len(g.vertices)} vertices, {len(g.edges)} edges [{graph_fingerprint(g)}]"
+
+
 def _pipeline_text(name: str, source: Graph, result: PipelineResult) -> str:
-    lines = [f"pipeline: {name}"]
-    lines.append(
-        f"input: {len(source.vertices)} vertices, {len(source.edges)} edges"
-        f" [{graph_fingerprint(source)}]"
-    )
+    lines = [f"pipeline: {name}", _summary("input", source)]
     if result.restriction is not None:
-        lines.append(
-            f"restriction: {len(result.restriction.vertices)} vertices,"
-            f" {len(result.restriction.edges)} edges"
-            f" [{graph_fingerprint(result.restriction)}]"
-        )
-    lines.append(
-        f"output: {len(result.graph.vertices)} vertices, {len(result.graph.edges)} edges"
-        f" [{graph_fingerprint(result.graph)}]"
-    )
-    lines.append("moves:")
+        lines.append(_summary("restriction", result.restriction))
+    lines += [_summary("output", result.graph), "moves:"]
     if result.log.steps:
         lines += [f"  {format_move(move)} [{fp}]" for move, fp in result.log.steps]
     else:
@@ -131,12 +128,8 @@ def _pipeline_text(name: str, source: Graph, result: PipelineResult) -> str:
 
 def _pipeline_report(source: Graph, result: PipelineResult) -> dict:
     return _report(
+        source, result.graph, result.restriction,
         certificates={name: ok for name, ok in result.certificates},
-        graph={
-            "input": _graph_dict(source),
-            "output": _graph_dict(result.graph),
-            "restriction": _graph_dict(result.restriction),
-        },
         invariants={
             "before": k_invariants_dict(result.before),
             "after": k_invariants_dict(result.after),
@@ -167,7 +160,7 @@ def _cmd_info(args, g: Graph) -> tuple[dict, str]:
         "cycles without exit: " + (", ".join(".".join(p.edges) for p in cycles) or "-")
     )
     report = _report(
-        graph={"input": _graph_dict(g), "output": None, "restriction": None},
+        g,
         verdicts={
             "vertices": len(g.vertices),
             "edges": len(g.edges),
@@ -186,10 +179,7 @@ def _cmd_ktheory(args, g: Graph) -> tuple[dict, str]:
         f"vertices = {len(g.vertices)}\n"
         f"edges = {len(g.edges)}\n" + format_k_invariants(inv)
     )
-    report = _report(
-        graph={"input": _graph_dict(g), "output": None, "restriction": None},
-        invariants={"before": k_invariants_dict(inv), "after": None},
-    )
+    report = _report(g, invariants={"before": k_invariants_dict(inv), "after": None})
     return report, text
 
 
@@ -206,7 +196,7 @@ def _cmd_is_ck(args, g: Graph) -> tuple[dict, str]:
             f" rank K0 = {witness.k0_rank}, rank K1 = {witness.k1_rank})\n"
         )
     report = _report(
-        graph={"input": _graph_dict(g), "output": None, "restriction": None},
+        g,
         invariants={"before": k_invariants_dict(k_invariants(g)), "after": None},
         verdicts={
             "cuntz_krieger": verdict,
@@ -265,10 +255,7 @@ def _cmd_monoid_eq(args, g: Graph) -> tuple[dict, str]:
         reason = "mass cap reached" if result.stop == "mass-cap" else "budget exhausted"
         text = f"unknown ({reason})\n"
         trace_json = None
-    report = _report(
-        graph={"input": _graph_dict(g), "output": None, "restriction": None},
-        verdicts={"verdict": result.verdict, "trace": trace_json},
-    )
+    report = _report(g, verdicts={"verdict": result.verdict, "trace": trace_json})
     return report, text
 
 

@@ -219,11 +219,11 @@ def _neighbors(g: Graph, m: VertexMultiset) -> list[tuple[RewriteStep, VertexMul
     return out
 
 
-def _join_traces(
-    forward: dict[VertexMultiset, tuple[VertexMultiset, RewriteStep] | None],
-    backward: dict[VertexMultiset, tuple[VertexMultiset, RewriteStep] | None],
-    meeting: VertexMultiset,
-) -> RewriteTrace:
+# a search tree: each state found, with the state and step it was reached from
+_Tree = dict[VertexMultiset, Optional[tuple[VertexMultiset, RewriteStep]]]
+
+
+def _join_traces(forward: _Tree, backward: _Tree, meeting: VertexMultiset) -> RewriteTrace:
     # Walking a search tree from the meeting point back to its root gives the
     # steps newest first.  Reversed, the forward half runs a -> meeting.  The
     # backward half is already in meeting -> b order, but each of its steps
@@ -255,40 +255,33 @@ def mvn_equivalent(g: Graph, a: VertexMultiset, b: VertexMultiset, budget: int) 
         return MvnResult("yes", RewriteTrace(()))
     cap = max(a.total(), b.total()) + budget
 
-    parents_a: dict[VertexMultiset, tuple[VertexMultiset, RewriteStep] | None] = {a: None}
-    parents_b: dict[VertexMultiset, tuple[VertexMultiset, RewriteStep] | None] = {b: None}
-    frontier_a: list[VertexMultiset] = [a]
-    frontier_b: list[VertexMultiset] = [b]
-    cut_a = cut_b = False  # whether the cap dropped a state of each side
+    # each side's search tree, frontier and whether the cap dropped one of its states
+    parents: tuple[_Tree, _Tree] = ({a: None}, {b: None})
+    frontiers: list[list[VertexMultiset]] = [[a], [b]]
+    cut = [False, False]
     spent = 0
 
-    while frontier_a and frontier_b:
-        if len(frontier_a) <= len(frontier_b):
-            frontier, parents, other = frontier_a, parents_a, parents_b
-        else:
-            frontier, parents, other = frontier_b, parents_b, parents_a
+    while frontiers[0] and frontiers[1]:
+        side = int(len(frontiers[0]) > len(frontiers[1]))  # the smaller, a on ties
+        tree, other = parents[side], parents[1 - side]
         next_frontier: list[VertexMultiset] = []
-        cut = False
-        for state in frontier:
+        for state in frontiers[side]:
             for step, nxt in _neighbors(g, state):
                 spent += 1
                 if spent > budget:
                     return MvnResult("unknown", stop="budget")
                 if nxt.total() > cap:
-                    cut = True
+                    cut[side] = True
                     continue
-                if nxt in parents:
+                if nxt in tree:
                     continue
-                parents[nxt] = (state, step)
+                tree[nxt] = (state, step)
                 if nxt in other:
-                    return MvnResult("yes", _join_traces(parents_a, parents_b, nxt))
+                    return MvnResult("yes", _join_traces(*parents, nxt))
                 next_frontier.append(nxt)
-        if parents is parents_a:
-            frontier_a, cut_a = next_frontier, cut_a or cut
-        else:
-            frontier_b, cut_b = next_frontier, cut_b or cut
+        frontiers[side] = next_frontier
     # the frontier that emptied is the one just searched
-    if cut_a if not frontier_a else cut_b:
+    if cut[side]:
         return MvnResult("unknown", stop="mass-cap")
     return MvnResult("no")
 

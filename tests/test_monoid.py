@@ -238,6 +238,23 @@ def test_a_search_the_mass_cap_cut_answers_no_no(budget, verdict):
         assert result.trace.replay(g, ms("v=1")) == ms("w=1")
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_a_side_the_mass_cap_cut_does_not_block_the_other_sides_no(swap):
+    # v0 is a sink and no edge enters v1, so b's class is {v0=2}: b's side
+    # empties with nothing dropped and proves "no", while a second expansion
+    # of v1 from a passes the cap of 4 + 10 and cuts a's side first
+    g = G(
+        "v0 v1 v2",
+        "a1:v1>v0 a2:v1>v0 l1:v1>v1 l2:v1>v1 b1:v1>v2 b2:v1>v2 b3:v1>v2"
+        " m1:v2>v2 m2:v2>v2 m3:v2>v2",
+    )
+    a, b = ms("v0=2,v1=2"), ms("v0=2")
+    if swap:
+        a, b = b, a
+    result = mvn_equivalent(g, a, b, 10)
+    assert (result.verdict, result.trace, result.stop) == ("no", None, None)
+
+
 def test_a_join_past_the_default_cap_is_unknown():
     # one loop vertex u and 10,002 parallel edges to it from each of v and w:
     # the cap of the command's default budget, 10,001, drops the expansion

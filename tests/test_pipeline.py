@@ -176,6 +176,19 @@ def test_saturate_matches_the_round_by_round_loop(g, data):
     assert (result.log, result.multiset) == saturate_unit_by_unit(g, carry)
 
 
+@pytest.mark.parametrize(
+    "stage",
+    [
+        pytest.param(lambda g, m: normalize_to_ck(g, carry=m), id="normalize_to_ck"),
+        pytest.param(lambda g, m: self_loop_saturate(g, carry=m), id="self_loop_saturate"),
+        pytest.param(realize_full_corner, id="realize_full_corner"),
+    ],
+)
+def test_a_multiset_naming_a_vertex_the_graph_lacks_is_refused(stage, two_loops):
+    with pytest.raises(PreconditionError, match="unknown-vertex: no vertex 'zz' in graph"):
+        stage(two_loops, ms("zz=3,v0=1"))
+
+
 # -- realize_full_corner ------------------------------------------------------------------
 
 
