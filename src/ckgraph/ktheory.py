@@ -5,21 +5,22 @@ of the map given by the transposed vertex matrix minus the identity,
 restricted to the columns of regular vertices, into the free abelian group
 on all vertices.  Both are read off one Smith normal form, computed once per
 graph object on first use.  The graph keeps what K0 and K1 need of it, not
-the Smith form itself: the torsion divisors, the two ranks, and the
-coordinate rows of K0, that is, for each divisor other than 1, the matching
-row of the Smith transform ``u`` as a map from vertex to coefficient, which
-``SnfResult.cokernel`` gives with the torsion without building ``u``.  They
-are freed with the graph; no cache is shared across graphs.  The class of a
-vertex-coefficient vector is one sum per row over its support.  The class of
-the unit is the image of the all-ones vector; it is summarized by an
-automorphism-invariant profile (its order plus divisibility flags), which is
-what can be compared across different graphs.
+the Smith form itself: the invariants, which are the torsion divisors, the
+two ranks and the unit's profile, and the coordinate rows of K0, that is,
+for each divisor other than 1, the matching row of the Smith transform
+``u`` as a map from vertex to coefficient, which ``SnfResult.cokernel``
+gives with the torsion without building ``u``.  They are freed with the
+graph; no cache is shared across graphs.  The class of a vertex-coefficient
+vector is one sum per row over its support.  The class of the unit is the
+image of the all-ones vector, so its sums are the rows' own sums, read once
+when the engine is built; it is summarized by an automorphism-invariant
+profile (its order plus divisibility flags), which is what can be compared
+across different graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -79,9 +80,7 @@ class _K0Engine:
     # from vertex to nonzero coefficient, in diagonal order, so the torsion
     # rows come first; reduced mod d for torsion, exact for d = 0
     rows: tuple[dict[str, int], ...]
-    torsion: tuple[int, ...]  # the Smith divisors greater than one
-    k0_rank: int
-    k1_rank: int
+    invariants: KInvariants
 
     def class_of(self, coefficients: Mapping[str, int]) -> K0Class:
         """The coordinates of ``u * x`` against the divisors other than 1:
@@ -91,24 +90,12 @@ class _K0Engine:
                 raise _unknown_vertex(v)
             require_int(c, "coefficient")
         y = [sum(row.get(v, 0) * c for v, c in coefficients.items()) for row in self.rows]
-        return K0Class(
-            tuple(r % d for r, d in zip(y, self.torsion)), tuple(y[len(self.torsion) :])
-        )
+        return _coordinates(y, self.invariants.k0_torsion)
 
-    @cached_property
-    def invariants(self) -> KInvariants:
-        unit_class = self.class_of(dict.fromkeys(self.vertices, 1))
-        return KInvariants(
-            k0_torsion=self.torsion,
-            k0_rank=self.k0_rank,
-            k1_rank=self.k1_rank,
-            unit_profile=UnitProfile(
-                order=_class_order(unit_class, self.torsion),
-                divisible_by=_divisible_by(
-                    unit_class, self.torsion, range(1, DIVISIBILITY_FLAGS + 1)
-                ),
-            ),
-        )
+
+def _coordinates(y: list[int], torsion: tuple[int, ...]) -> K0Class:
+    """The class whose sums against the coordinate rows are ``y``."""
+    return K0Class(tuple(r % d for r, d in zip(y, torsion)), tuple(y[len(torsion) :]))
 
 
 def _engine_of(g: Graph) -> _K0Engine:
@@ -122,14 +109,18 @@ def _engine_of(g: Graph) -> _K0Engine:
 
 def _engine(vertices: tuple[str, ...], presentation: IntMatrix) -> _K0Engine:
     """The engine of a presentation with one row per vertex and one column
-    per regular vertex: its cokernel's rows, labelled by vertex, and
-    torsion, and the K0 and K1 ranks, the presentation's rows less the
-    torsion and its columns less its rank."""
+    per regular vertex: its cokernel's rows, labelled by vertex, and its
+    invariants, the K0 and K1 ranks being the presentation's rows less the
+    torsion and its columns less its rank.  The unit is the all-ones vector,
+    so its sums against the rows are the rows' sums."""
     snf = smith_normal_form(presentation)
     torsion, rows = snf.cokernel()
     labelled = tuple({vertices[i]: x for i, x in row.items()} for row in rows)
     ranks = (len(rows) - len(torsion), presentation.cols - snf.rank())
-    return _K0Engine(frozenset(vertices), labelled, torsion, *ranks)
+    unit = _coordinates([sum(row.values()) for row in rows], torsion)
+    flags = _divisible_by(unit, torsion, range(1, DIVISIBILITY_FLAGS + 1))
+    invariants = KInvariants(torsion, *ranks, UnitProfile(_class_order(unit, torsion), flags))
+    return _K0Engine(frozenset(vertices), labelled, invariants)
 
 
 def k_presentation_matrix(g: Graph) -> IntMatrix:
@@ -161,7 +152,7 @@ def k0_class_divisible(g: Graph, coefficients: Mapping[str, int], k: int) -> boo
     """Whether the class lies in k * K0."""
     require_int(k, "divisor", least=1)
     engine = _engine_of(g)
-    return _divisible_by(engine.class_of(coefficients), engine.torsion, (k,))[0]
+    return _divisible_by(engine.class_of(coefficients), engine.invariants.k0_torsion, (k,))[0]
 
 
 def _divisible_by(cls: K0Class, torsion: tuple[int, ...], ks: Iterable[int]) -> tuple[bool, ...]:

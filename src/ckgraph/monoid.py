@@ -40,6 +40,8 @@ class VertexMultiset:
     @staticmethod
     def from_dict(mapping: Mapping[str, int]) -> "VertexMultiset":
         for v, n in mapping.items():
+            if not isinstance(v, str):
+                raise GraphFormatError(f"vertex id must be a string, got {v!r}")
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise GraphFormatError(f"multiplicity of {v!r} must be a non-negative int, got {n!r}")
         return VertexMultiset(tuple(sorted((v, n) for v, n in mapping.items() if n)))

@@ -108,12 +108,12 @@ def normalize_to_ck(g: Graph, carry: Optional[VertexMultiset] = None) -> Pipelin
                 landing = elided.out_edges(s)[0].dst
                 groups.setdefault(landing, []).append(s)
         for v in sorted(groups):
-            for s in sorted(groups[v]):
+            for s in groups[v]:
                 builder.apply(RemoveSource(s))
             # v keeps an in-edge from the core, or Kahn's order would list v:
             # neither the elision, a source removal nor another subdivision cuts it
             incoming = builder.graph.in_edges(v)
-            builder.apply(SubdivideEdge(min(e.eid for e in incoming), len(groups[v])))
+            builder.apply(SubdivideEdge(incoming[0].eid, len(groups[v])))
 
     out = builder.graph
     after = k_invariants(out)

@@ -29,7 +29,16 @@ from ckgraph import (
     smith_normal_form,
 )
 from ckgraph import ktheory
-from ckgraph.ktheory import K0Class, _engine, _engine_of, _K0Engine
+from ckgraph.ktheory import (
+    DIVISIBILITY_FLAGS,
+    K0Class,
+    UnitProfile,
+    _class_order,
+    _divisible_by,
+    _engine,
+    _engine_of,
+    _K0Engine,
+)
 from ckgraph.randgen import SplitMix64, derive_seed
 from conftest import G, bouquet, graphs, large_random_graphs, no_sink_graphs, unit_heavy_matrices
 from oracles import diamond_chain, naive_product, pair_counts
@@ -119,19 +128,27 @@ def test_unit_divisibility_flags_are_downward_closed(g):
 
 
 def test_invariants_and_verdict_compute_the_unit_class_once(monkeypatch):
-    calls = []
-    class_of = _K0Engine.class_of
+    # the engine reads the unit's class off its rows' sums as it is built:
+    # the invariants, the verdict and a second read of the invariants take
+    # one Smith form and no class query
+    snf_calls, class_calls = [], []
+    real, class_of = ktheory.smith_normal_form, _K0Engine.class_of
 
-    def counted(engine, coefficients):
-        calls.append(coefficients)
+    def counted_snf(a):
+        snf_calls.append(a)
+        return real(a)
+
+    def counted_class_of(engine, coefficients):
+        class_calls.append(coefficients)
         return class_of(engine, coefficients)
 
-    monkeypatch.setattr(_K0Engine, "class_of", counted)
+    monkeypatch.setattr(ktheory, "smith_normal_form", counted_snf)
+    monkeypatch.setattr(_K0Engine, "class_of", counted_class_of)
     g = G("u v w", "a:u>v b:v>u c:u>u d:w>u")
     assert k_invariants(g).unit_profile.divisible_by[0]
     assert is_cuntz_krieger(g)[0]
     assert k_invariants(g).unit_profile.order == 1
-    assert len(calls) == 1
+    assert len(snf_calls) == 1 and not class_calls
 
 
 def test_k0_class_of_presentation_columns_vanish(line_into_loops):
@@ -297,13 +314,19 @@ def _dense_class(snf, x: list[int]) -> K0Class:
 
 def test_class_of_matches_the_dense_u_at_benchmark_size():
     # the engine keeps the rows of u whose divisor is not 1; the oracle
-    # multiplies by the whole dense u
+    # multiplies by the whole dense u.  The engine reads the unit, the
+    # all-ones vector, off its rows' sums, so its profile is checked against
+    # that of the unit's class by the dense u
     rng = SplitMix64(derive_seed(99, "class-of-oracle"))
     for g in large_random_graphs("class-of-oracle", count=10):
         snf = smith_normal_form(k_presentation_matrix(g))
         for _ in range(3):
             x = [rng.randint(-3, 3) for _ in range(len(g.vertices))]
             assert k0_class_of(g, dict(zip(g.vertices, x))) == _dense_class(snf, x)
+        unit = _dense_class(snf, [1] * len(g.vertices))
+        torsion = tuple(d for d in snf.diagonal if d > 1)
+        flags = _divisible_by(unit, torsion, range(1, DIVISIBILITY_FLAGS + 1))
+        assert k_invariants(g).unit_profile == UnitProfile(_class_order(unit, torsion), flags)
 
 
 @settings(max_examples=100, deadline=None)

@@ -65,6 +65,14 @@ def test_multiset_refuses_a_bool_multiplicity():
     assert VertexMultiset.from_dict({"v0": 1}) == ms("v0=1")
 
 
+def test_multiset_refuses_a_vertex_id_that_is_not_a_string():
+    # an int id would make sorted raise a bare TypeError beside a string id,
+    # and alone would build a multiset that no graph's vertex matches
+    for mapping in ({1: 1, "a": 2}, {1: 1}):
+        with pytest.raises(GraphFormatError, match="vertex id must be a string, got 1"):
+            VertexMultiset.from_dict(mapping)
+
+
 def test_multiset_arithmetic_guards():
     m = ms("v0=1")
     with pytest.raises(PreconditionError, match="insufficient-multiplicity"):
